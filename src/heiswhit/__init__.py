@@ -5,9 +5,8 @@ interpolant, the interpolant is synthesized when compatible, and the
 finite-subset constants behind the guarantee are measured.
 """
 
-from .av import AVPair, RatioProfile, av_pair, av_profile, discrete_av_pair, discrete_av_profile
+from .av import AVPair, av_pair, av_profile, discrete_av_pair, discrete_av_profile
 from .divdiff import (
-    DecayProfile,
     SampledCurve,
     dd_profile,
     divided_difference,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AVPair",
     "CurveJets",
-    "DecayProfile",
     "FinitenessReport",
     "HPoint",
     "HeisWhitError",
@@ -64,7 +62,6 @@ __all__ = [
     "PiecewiseCm",
     "Poly",
     "Profile",
-    "RatioProfile",
     "SampledCurve",
     "ThresholdPolicy",
     "Verdict",

@@ -17,18 +17,15 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BadSubsetError, OrderViolationError, TooFewNodesError
-from .divdiff import dd_windows, newton_interp
+from .divdiff import _newton_poly, _newton_table, newton_interp
 from .poly import (
     Interval,
     abs_integral_between,
-    compose_affine,
     jet_poly,
     real_roots,
     signed_integral,
 )
-from .profiles import Profile, banded_sup, delta_grid
-
-RatioProfile = Profile
+from .profiles import banded_sup, delta_grid
 
 
 @dataclass(frozen=True)
@@ -121,22 +118,34 @@ def discrete_av_pair(samples, subset, a, b, m, tol=1e-12):
     if not (a < b):
         raise OrderViolationError(f"need a < b, got a={a}, b={b}")
 
-    idx = {t: samples.nodes.index(t) for t in x}
-    pf = newton_interp(x, [samples.fs[idx[t]] for t in x])
-    pg = newton_interp(x, [samples.gs[idx[t]] for t in x])
-    ha = samples.hs[idx[a]]
-    hb = samples.hs[idx[b]]
-    return _discrete_av(pf, pg, ha, hb, a, b, x[-1] - x[0], m, tol)
+    sub = [samples.nodes.index(t) for t in x]
+    fs, gs, hs = samples.fs, samples.gs, samples.hs
+    pf = newton_interp(x, [fs[i] for i in sub])
+    pg = newton_interp(x, [gs[i] for i in sub])
+    pair = (x.index(a), x.index(b))
+    hvals = [hs[i] for i in sub]
+    return AVPair(*next(_subset_av(pf, pg, x, hvals, m, Interval(a, b), [pair], tol)))
 
 
-def _discrete_av(pf, pg, ha, hb, a, b, diam, m, tol):
+def _subset_av(pf, pg, x, hvals, m, hull, pairs, tol):
+    """Yield (A, V) for endpoint index pairs of one subset with nodes x.
+
+    pf and pg interpolate f and g through x, hvals are the h samples at x,
+    and the roots of pf' and pg' are isolated once on hull, which must
+    cover every pair; the velocity uses diam(x) in place of b - a.
+    """
     dpf, dpg = pf.derivative(), pg.derivative()
+    rf = [] if dpf.is_zero else real_roots(dpf, hull, tol)
+    rg = [] if dpg.is_zero else real_roots(dpg, hull, tol)
     bracket = dpf * pg - dpg * pf
-    area = hb - ha - 2.0 * signed_integral(bracket, a, b)
-    iv = Interval(a, b)
-    speed = _abs_int(dpf, iv, tol) + _abs_int(dpg, iv, tol)
-    velocity = diam ** (2 * m) + diam ** m * speed
-    return AVPair(area, velocity)
+    diam = x[-1] - x[0]
+    for ia, ib in pairs:
+        a, b = x[ia], x[ib]
+        area = hvals[ib] - hvals[ia] - 2.0 * signed_integral(bracket, a, b)
+        speed = abs_integral_between(dpf, rf, a, b) + abs_integral_between(
+            dpg, rg, a, b
+        )
+        yield area, diam ** (2 * m) + diam ** m * speed
 
 
 def av_profile(jets, m, deltas=None, ratio=0.5, tol=1e-12):
@@ -156,6 +165,23 @@ def av_profile(jets, m, deltas=None, ratio=0.5, tol=1e-12):
     return banded_sup(items, deltas, name="av_ratio")
 
 
+def _discrete_av_profile(samples, m, table, deltas, tol=1e-12):
+    """Banded sup of |A[X]/V[X]| over the subsets of a Newton table."""
+    idx, _, xs, coeffs = table
+    hs = samples.hs
+    pairs = list(itertools.combinations(range(m + 1), 2))
+    items = []
+    for sub, x, cf, cg in zip(
+        idx.tolist(), xs.tolist(), coeffs[0].tolist(), coeffs[1].tolist()
+    ):
+        hull = Interval(x[0], x[-1])
+        pf, pg = _newton_poly(cf, x), _newton_poly(cg, x)
+        hvals = [hs[i] for i in sub]
+        for area, velocity in _subset_av(pf, pg, x, hvals, m, hull, pairs, tol):
+            items.append((hull.length, abs(area / velocity)))
+    return banded_sup(items, deltas, name="discrete_av_ratio")
+
+
 def discrete_av_profile(
     samples, m, window=None, deltas=None, ratio=0.5, full_enum=False, tol=1e-12
 ):
@@ -165,36 +191,9 @@ def discrete_av_profile(
     width 2m+4) and every admissible endpoint pair inside each subset is
     scanned; items are binned at scale diam(X).
     """
-    nodes = samples.nodes
-    n = len(nodes)
-    if n < m + 1:
+    if len(samples.nodes) < m + 1:
         raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
-    if window is None:
-        window = 2 * m + 4
     if deltas is None:
         deltas = delta_grid(samples.diam, samples.min_gap, ratio)
-    subsets, _ = dd_windows(n, m, window, full_enum)
-    items = []
-    for sub in subsets:
-        x = [nodes[i] for i in sub]
-        diam = x[-1] - x[0]
-        pf = newton_interp(x, [samples.fs[i] for i in sub])
-        pg = newton_interp(x, [samples.gs[i] for i in sub])
-        dpf, dpg = pf.derivative(), pg.derivative()
-        hull = Interval(x[0], x[-1])
-        rf = [] if dpf.is_zero else real_roots(dpf, hull, tol)
-        rg = [] if dpg.is_zero else real_roots(dpg, hull, tol)
-        bracket = dpf * pg - dpg * pf
-        for ia, ib in itertools.combinations(range(len(sub)), 2):
-            a, b = x[ia], x[ib]
-            area = (
-                samples.hs[sub[ib]]
-                - samples.hs[sub[ia]]
-                - 2.0 * signed_integral(bracket, a, b)
-            )
-            speed = abs_integral_between(dpf, rf, a, b) + abs_integral_between(
-                dpg, rg, a, b
-            )
-            velocity = diam ** (2 * m) + diam ** m * speed
-            items.append((diam, abs(area / velocity)))
-    return banded_sup(items, deltas, name="discrete_av_ratio")
+    table = _newton_table(samples, m, window, full_enum)
+    return _discrete_av_profile(samples, m, table, deltas, tol)

@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     SynthesisDefectError,
 )
+from .heis import _horizontality_residual
 from .horizontal import (
     check_c1,
     check_cm,
@@ -204,8 +205,7 @@ def emit_plot_data(profiles, path):
         fh.write(buf.getvalue())
 
 
-def _profile_dict(prof, policy):
-    status, slope = policy.classify(prof)
+def _profile_entry(prof, status, slope):
     return {
         "points": [[d, v] for d, v in prof.points],
         "slope": slope,
@@ -218,12 +218,7 @@ def _verdict_report(verdict):
     return {
         "status": verdict.status,
         "profiles": {
-            name: {
-                "points": [[d, v] for d, v in prof.points],
-                "slope": verdict.slopes[name],
-                "status": verdict.statuses[name],
-                "terminal": prof.terminal,
-            }
+            name: _profile_entry(prof, verdict.statuses[name], verdict.slopes[name])
             for name, prof in verdict.profiles.items()
         },
         "constants": verdict.constants,
@@ -245,7 +240,7 @@ def _write_grid(curve_obj, config):
     fv, gv = curve_obj.f(ts), curve_obj.g(ts)
     dfv, dgv = curve_obj.f(ts, 1), curve_obj.g(ts, 1)
     hv, dhv = curve_obj.h(ts), curve_obj.h(ts, 1)
-    defect = np.abs(dhv - 2.0 * (dfv * gv - fv * dgv))
+    defect = np.abs(_horizontality_residual(fv, dfv, gv, dgv, dhv))
     with open(config.grid_out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "x", "y", "z", "defect"])
@@ -306,7 +301,9 @@ def run(config):
             report["worst_subset"] = list(rep.worst_subset)
             report["worst_pair"] = list(rep.worst_pair)
             report["profiles"] = {
-                "finiteness_ratio": _profile_dict(rep.profile, policy)
+                "finiteness_ratio": _profile_entry(
+                    rep.profile, *policy.classify(rep.profile)
+                )
             }
             code = EXIT_BY_STATUS[rep.status]
             plot_profiles = {"finiteness_ratio": rep.profile}
@@ -325,7 +322,7 @@ def run(config):
                 report["defect"] = curve_obj.defect
                 report["bump_amplitudes"] = list(curve_obj.bump_amplitudes)
                 report["profiles"] = {
-                    f"modulus_{k}": _profile_dict(p, policy)
+                    f"modulus_{k}": _profile_entry(p, *policy.classify(p))
                     for k, p in curve_obj.modulus.items()
                 }
                 plot_profiles = curve_obj.modulus

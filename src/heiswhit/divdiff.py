@@ -10,6 +10,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DuplicateNodeError,
     NonFiniteError,
@@ -18,9 +20,7 @@ from .errors import (
 )
 from .heis import HPoint, group_mul
 from .poly import Poly
-from .profiles import Profile, banded_sup, delta_grid
-
-DecayProfile = Profile
+from .profiles import banded_sup, delta_grid
 
 
 @dataclass(frozen=True)
@@ -112,15 +112,20 @@ def dd_coefficients(values, nodes):
     """
     pairs = _sorted_pairs(values, nodes)
     xs = [p[0] for p in pairs]
-    col = [p[1] for p in pairs]
-    coeffs = [col[0]]
-    for j in range(1, len(xs)):
-        col = [
-            (col[i + 1] - col[i]) / (xs[i + j] - xs[i])
-            for i in range(len(col) - 1)
-        ]
-        coeffs.append(col[0])
-    return coeffs, xs
+    col = np.array([p[1] for p in pairs], dtype=float)
+    return _newton_columns(np.array(xs, dtype=float), col).tolist(), xs
+
+
+def _newton_columns(xs, col):
+    """Newton coefficients along the last axis of col, at sorted nodes xs.
+
+    Leading axes broadcast, so one call tabulates many subsets at once.
+    """
+    coeffs = [col[..., 0]]
+    for j in range(1, xs.shape[-1]):
+        col = (col[..., 1:] - col[..., :-1]) / (xs[..., j:] - xs[..., :-j])
+        coeffs.append(col[..., 0])
+    return np.stack(coeffs, axis=-1)
 
 
 def divided_difference(values, nodes):
@@ -132,6 +137,11 @@ def divided_difference(values, nodes):
 def newton_interp(nodes, values):
     """Interpolating polynomial through (nodes, values) in monomial form."""
     coeffs, xs = dd_coefficients(values, nodes)
+    return _newton_poly(coeffs, xs)
+
+
+def _newton_poly(coeffs, xs):
+    """Monomial form of the Newton polynomial with these coefficients."""
     p = Poly([coeffs[-1]])
     for j in range(len(coeffs) - 2, -1, -1):
         p = p * Poly([-xs[j], 1.0]) + Poly([coeffs[j]])
@@ -196,6 +206,11 @@ def hermite_genocchi(fm, nodes, tol=1e-9, budget=2_000_000):
     return level(1, pts[0], 1.0)
 
 
+def _window_width(window, m):
+    """Sliding-window width of an order-m scan: 2m+4 nodes unless given."""
+    return 2 * m + 4 if window is None else window
+
+
 def dd_windows(n, m, window, full_enum=False):
     """Deduplicated (m+1)-subsets of node indices drawn from sliding windows.
 
@@ -211,10 +226,53 @@ def dd_windows(n, m, window, full_enum=False):
     return sorted(seen), width
 
 
+def _newton_table(samples, m, window, full_enum):
+    """Newton tables of f, g and h on every windowed (m+1)-subset.
+
+    Returns (idx, width, xs, coeffs): subsets as sorted rows of node indices,
+    the window width, the subsets' nodes, and coeffs[c, s] the dd_coefficients
+    of component c (f, g, h) on subset s, bit for bit.
+    """
+    subsets, width = dd_windows(
+        len(samples.nodes), m, _window_width(window, m), full_enum
+    )
+    idx = np.array(subsets)
+    xs = np.array(samples.nodes)[idx]
+    col = np.array([samples.fs, samples.gs, samples.hs])[:, idx]
+    return idx, width, xs, _newton_columns(xs, col)
+
+
+def _dd_profiles(table, deltas):
+    """Banded sup of |gamma[X] - gamma[Y]| at scale diam(X u Y), per component.
+
+    X and Y run over pairs of table rows whose union spans fewer than width
+    consecutive indices.  Rows are sorted, so the union of row i and a later
+    row j starts at idx[i, 0], and only rows before stop[i] can qualify.
+    """
+    idx, width, xs, coeffs = table
+    first, rows = idx[:, 0], np.arange(len(idx))
+    stop = np.searchsorted(first, first + width)
+    offsets = np.arange(1, (stop - rows).max())
+    i, k = np.nonzero(rows[:, None] + offsets < stop[:, None])
+    j = i + offsets[k]
+    keep = idx[j, -1] - first[i] < width
+    i, j = i[keep], j[keep]
+    diams = (np.maximum(xs[i, -1], xs[j, -1]) - xs[i, 0]).tolist()
+    top = coeffs[..., -1]
+    return {
+        name: banded_sup(
+            zip(diams, np.abs(top[c, i] - top[c, j]).tolist()),
+            deltas,
+            name=f"dd_{name}",
+        )
+        for c, name in enumerate("fgh")
+    }
+
+
 def dd_profile(samples, m, window=None, deltas=None, ratio=0.5, full_enum=False):
     """Decay profiles of m-th divided-difference differences, per component.
 
-    For each pair of (m+1)-subsets X, Y living in a common window of
+    For each pair of (m+1)-subsets X, Y whose union spans fewer than window
     consecutive nodes, the item |gamma[X] - gamma[Y]| is recorded at scale
     diam(X u Y); the profile is the banded sup over the geometric scale
     grid.  window defaults to 2m+4 consecutive nodes.
@@ -222,37 +280,6 @@ def dd_profile(samples, m, window=None, deltas=None, ratio=0.5, full_enum=False)
     n = len(samples.nodes)
     if n < m + 2:
         raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
-    if window is None:
-        window = 2 * m + 4
     if deltas is None:
         deltas = delta_grid(samples.diam, samples.min_gap, ratio)
-    nodes = samples.nodes
-    comps = {"f": samples.fs, "g": samples.gs, "h": samples.hs}
-
-    dd_of = {}
-    subsets, width = dd_windows(n, m, window, full_enum)
-    for sub in subsets:
-        sub_nodes = [nodes[i] for i in sub]
-        dd_of[sub] = {
-            name: divided_difference([vals[i] for i in sub], sub_nodes)
-            for name, vals in comps.items()
-        }
-
-    items = {name: [] for name in comps}
-    seen_pairs = set()
-    for start in range(0, max(1, n - width + 1)):
-        lo, hi = start, min(start + width, n)
-        local = [s for s in subsets if s[0] >= lo and s[-1] < hi]
-        for s1, s2 in itertools.combinations(local, 2):
-            key = (s1, s2)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            d = nodes[max(s1[-1], s2[-1])] - nodes[min(s1[0], s2[0])]
-            for name in comps:
-                items[name].append((d, abs(dd_of[s1][name] - dd_of[s2][name])))
-
-    return {
-        name: banded_sup(items[name], deltas, name=f"dd_{name}")
-        for name in comps
-    }
+    return _dd_profiles(_newton_table(samples, m, window, full_enum), deltas)

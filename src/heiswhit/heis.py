@@ -12,6 +12,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     CoincidentNodesError,
     DomainViolationError,
@@ -46,23 +48,6 @@ def group_mul(p, q):
 def inverse(p):
     """Group inverse; (x, y, z)^-1 = (-x, -y, -z)."""
     return HPoint(-p.x, -p.y, -p.z)
-
-
-def group_mul_vec(p, q):
-    """Product for the higher-dimensional analogue.
-
-    p and q are sequences (x_1..x_n, y_1..y_n, z) of odd length 2n+1; the
-    curve pipeline only ever uses n = 1 but the law itself is generic.
-    """
-    if len(p) != len(q) or len(p) % 2 == 0:
-        raise LengthMismatchError("points need equal odd lengths 2n+1")
-    n = (len(p) - 1) // 2
-    x, y, z = p[:n], p[n : 2 * n], p[2 * n]
-    x2, y2, z2 = q[:n], q[n : 2 * n], q[2 * n]
-    twist = sum(y[j] * x2[j] - x[j] * y2[j] for j in range(n))
-    return tuple(a + b for a, b in zip(x, x2)) + tuple(
-        a + b for a, b in zip(y, y2)
-    ) + (z + z2 + 2.0 * twist,)
 
 
 def dilate(r, p):
@@ -104,23 +89,25 @@ def leibniz_stack(fjet, gjet, m):
     return out
 
 
+def _horizontality_residual(f, df, g, dg, dh):
+    """h' - 2(f'g - fg') from values of f, f', g, g' and h' (floats or arrays)."""
+    return dh - 2.0 * (df * g - f * dg)
+
+
 def horizontality_defect(f, g, h, grid, domain=None):
     """Max over the grid of |h'(t) - 2(f'(t) g(t) - f(t) g'(t))|.
 
-    f, g, h are callables accepting (t, deriv=k); grid is an iterable of
-    parameters.  When a (lo, hi) domain is supplied, grid points outside it
-    raise DomainViolationError.
+    f, g, h are callables accepting (t, deriv=k) with t a numpy array, as
+    PiecewiseCm does; grid is an iterable of parameters.  When a (lo, hi)
+    domain is supplied, grid points outside it raise DomainViolationError.
     """
-    worst = 0.0
-    for t in grid:
-        if domain is not None and not (domain[0] <= t <= domain[1]):
-            raise DomainViolationError(f"grid point {t} outside {domain}")
-        defect = abs(
-            h(t, 1) - 2.0 * (f(t, 1) * g(t) - f(t) * g(t, 1))
-        )
-        if defect > worst:
-            worst = defect
-    return worst
+    ts = np.asarray(grid, dtype=float)
+    if domain is not None:
+        outside = ts[~((domain[0] <= ts) & (ts <= domain[1]))]
+        if outside.size:
+            raise DomainViolationError(f"grid point {outside[0]} outside {domain}")
+    residual = _horizontality_residual(f(ts), f(ts, 1), g(ts), g(ts, 1), h(ts, 1))
+    return float(np.max(np.abs(residual), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .av import av_pair, av_profile, discrete_av_profile
-from .divdiff import dd_profile, dd_windows, newton_interp
+from .av import _discrete_av_profile, av_pair, av_profile
+from .divdiff import (
+    _dd_profiles, _newton_poly, _newton_table, _window_width, dd_profile,
+)
 from .errors import (
     DegenerateGapError,
     OrderMismatchError,
     SynthesisDefectError,
     TooFewNodesError,
 )
-from .heis import CurveJets, leibniz_stack, pansu_dq
+from .heis import CurveJets, _horizontality_residual, leibniz_stack, pansu_dq
 from .poly import Poly, compose_affine, jet_poly, signed_integral
 from .profiles import (
     CONSISTENT,
@@ -39,7 +41,6 @@ from .profiles import (
 from .whitney import (
     PiecewiseCm,
     WhitneyField,
-    extend,
     jets_from_samples,
     transition_poly,
     validate_field,
@@ -276,11 +277,12 @@ def synthesize(
 ):
     """Build a horizontal C^m interpolant of the samples.
 
-    Fits jets to f and g, extends them by blending, completes h-jets via
-    horizontality, then horizontalizes every gap with an exact-area bump.
-    Unless force is set, check_cm must not come back inconsistent.  The
-    result is audited for node reproduction and horizontality defect on a
-    dense grid; failure raises SynthesisDefectError.
+    Fits jets to f and g, then horizontalizes every gap: f and g blend the
+    end jets, h integrates 2(f'g - fg') from the sampled height, and a bump
+    pair closes the area deficit.  Unless force is set, check_cm must not
+    come back inconsistent.  The result is audited for node reproduction
+    and horizontality defect on a dense grid; failure raises
+    SynthesisDefectError.
     """
     nodes = samples.nodes
     n = len(nodes)
@@ -297,18 +299,14 @@ def synthesize(
                 "pass force=True to synthesize anyway"
             )
 
+    hs = samples.hs
     f_field = jets_from_samples(nodes, samples.fs, m)
     g_field = jets_from_samples(nodes, samples.gs, m)
-    f_blend = extend(f_field)
-    g_blend = extend(g_field)
-    h_field, h_report = horizontal_jet_completion(
-        f_blend, g_blend, nodes, samples.hs, m
-    )
 
     breakpoints = [nodes[0]]
     f_pieces = [jet_poly(f_field.jets[0])]
     g_pieces = [jet_poly(g_field.jets[0])]
-    h_pieces = [_end_h_piece(f_field.jets[0], g_field.jets[0], samples.hs[0], m)]
+    h_pieces = [_end_h_piece(f_field.jets[0], g_field.jets[0], hs[0], m)]
     centers = [nodes[0]]
     amplitudes = []
     for i in range(n - 1):
@@ -317,8 +315,8 @@ def synthesize(
             g_field.jets[i],
             f_field.jets[i + 1],
             g_field.jets[i + 1],
-            samples.hs[i],
-            samples.hs[i + 1],
+            hs[i],
+            hs[i + 1],
             nodes[i],
             nodes[i + 1],
             m,
@@ -332,7 +330,7 @@ def synthesize(
     f_pieces.append(jet_poly(f_field.jets[-1]))
     g_pieces.append(jet_poly(g_field.jets[-1]))
     h_pieces.append(
-        _end_h_piece(f_field.jets[-1], g_field.jets[-1], samples.hs[-1], m)
+        _end_h_piece(f_field.jets[-1], g_field.jets[-1], hs[-1], m)
     )
     centers.append(nodes[-1])
 
@@ -344,7 +342,7 @@ def synthesize(
     fv, dfv = f_ext(grid), f_ext(grid, 1)
     gv, dgv = g_ext(grid), g_ext(grid, 1)
     dhv = h_ext(grid, 1)
-    residual = dhv - 2.0 * (dfv * gv - fv * dgv)
+    residual = _horizontality_residual(fv, dfv, gv, dgv, dhv)
     scale = 1.0 + float(
         np.max(np.abs(dhv)) + 2.0 * np.max(np.abs(dfv * gv)) + 2.0 * np.max(np.abs(fv * dgv))
     )
@@ -445,30 +443,17 @@ def check_cm(
     """Order-m check from raw samples.
 
     Divided-difference decay per component plus the decay of the discrete
-    area/velocity ratio over windowed subsets.
+    area/velocity ratio, both read off one Newton table of the windowed
+    subsets.
     """
     policy = policy or ThresholdPolicy()
     if len(samples.nodes) < m + 2:
         raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
     if deltas is None:
         deltas = delta_grid(samples.diam, samples.min_gap, ratio)
-    dd = dd_profile(
-        samples, m, window=window, deltas=deltas, ratio=ratio, full_enum=full_enum
-    )
-    av = discrete_av_profile(
-        samples,
-        m,
-        window=window,
-        deltas=deltas,
-        ratio=ratio,
-        full_enum=full_enum,
-    )
-    profiles = {
-        "dd_f": dd["f"],
-        "dd_g": dd["g"],
-        "dd_h": dd["h"],
-        "av_discrete": av,
-    }
+    table = _newton_table(samples, m, window, full_enum)
+    profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
+    profiles["av_discrete"] = _discrete_av_profile(samples, m, table, deltas)
     return _verdict(profiles, policy)
 
 
@@ -483,7 +468,7 @@ def check_cm_via_w(
     """
     policy = policy or ThresholdPolicy()
     nodes = samples.nodes
-    if len(nodes) < max(m + 2, m + 1):
+    if len(nodes) < m + 2:
         raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
     if deltas is None:
         deltas = delta_grid(samples.diam, samples.min_gap, ratio)
@@ -546,26 +531,22 @@ def finiteness_check(
     n = len(nodes)
     if n < m + 2:
         raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
-    if window is None:
-        window = 2 * m + 4
+    window = _window_width(window, m)
     if window < m + 2:
         raise TooFewNodesError(f"window must be at least {m + 2}")
     if full_enum is None:
         full_enum = n <= 20
     deltas = delta_grid(samples.diam, samples.min_gap, ratio)
 
-    subsets, _ = dd_windows(n, m + 1, window, full_enum)
+    _, _, xs, coeffs = _newton_table(samples, m + 1, window, full_enum)
     m_hat = 0.0
     c2_hat = 0.0
     worst_subset = ()
     worst_pair = ()
     items = []
-    for sub in subsets:
-        x = [nodes[i] for i in sub]
+    for x, cs in zip(xs.tolist(), coeffs.transpose(1, 0, 2).tolist()):
         diam = x[-1] - x[0]
-        pf = newton_interp(x, [samples.fs[i] for i in sub])
-        pg = newton_interp(x, [samples.gs[i] for i in sub])
-        ph = newton_interp(x, [samples.hs[i] for i in sub])
+        pf, pg, ph = (_newton_poly(c, x) for c in cs)
         jets = CurveJets.from_polys(x, pf, pg, ph, m)
         for ia, ib in itertools.combinations(range(len(x)), 2):
             a, b = x[ia], x[ib]
@@ -587,7 +568,7 @@ def finiteness_check(
     profile = banded_sup(items, deltas, name="finiteness_ratio")
     status = _bounded_status(profile, policy or ThresholdPolicy())
     return FinitenessReport(
-        m_hat, c2_hat, worst_subset, worst_pair, profile, status, len(subsets)
+        m_hat, c2_hat, worst_subset, worst_pair, profile, status, len(xs)
     )
 
 

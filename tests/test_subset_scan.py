@@ -1,0 +1,137 @@
+"""The shared subset scan of check_cm and the single horizontality residual.
+
+dd_profile pairs two (m+1)-subsets when their union spans fewer than the
+window width; the oracle here pairs them window by window instead, the way
+the scan used to, and both must give the same profiles bit for bit.
+"""
+
+import csv
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from conftest import circle_curve
+from heiswhit import SampledCurve, check_cm, divided_difference, synthesize
+from heiswhit.av import discrete_av_profile
+from heiswhit.cli import RunConfig, dump_samples_json, run
+from heiswhit.divdiff import dd_profile
+from heiswhit.heis import _horizontality_residual, horizontality_defect
+from heiswhit.profiles import banded_sup, delta_grid
+
+
+def dd_profile_by_windows(samples, m, window, deltas, full_enum=False):
+    """Brute force: every pair of subsets that share one sliding window."""
+    nodes = samples.nodes
+    n = len(nodes)
+    width = n if full_enum or window >= n else window
+    comps = {"f": samples.fs, "g": samples.gs, "h": samples.hs}
+    dd, pairs = {}, set()
+    for start in range(max(1, n - width + 1)):
+        window_nodes = range(start, min(start + width, n))
+        local = list(itertools.combinations(window_nodes, m + 1))
+        for sub in local:
+            x = [nodes[i] for i in sub]
+            dd[sub] = {
+                c: divided_difference([v[i] for i in sub], x) for c, v in comps.items()
+            }
+        pairs.update(itertools.combinations(local, 2))
+    items = {c: [] for c in comps}
+    for s1, s2 in pairs:
+        d = nodes[max(s1[-1], s2[-1])] - nodes[min(s1[0], s2[0])]
+        for c in comps:
+            items[c].append((d, abs(dd[s1][c] - dd[s2][c])))
+    return {c: banded_sup(items[c], deltas, name=f"dd_{c}") for c in comps}
+
+
+def rough_curve(n, seed):
+    """Jittered nodes with random samples, so no two subsets tie by accident."""
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, n)
+    ts[1:-1] += rng.uniform(-0.25, 0.25, n - 2) / (n - 1)
+    return SampledCurve.from_rows([(t, *rng.normal(size=3)) for t in ts])
+
+
+def smooth_curve(n):
+    ts = np.linspace(0.0, 1.0, n) + 3.0
+    return SampledCurve.from_rows(
+        [(float(t), math.sin(2 * t), math.cos(3 * t), t ** 3) for t in ts]
+    )
+
+
+def sizes(m):
+    width = 2 * m + 4
+    return {"m+2": m + 2, "width-1": width - 1, "width": width,
+            "width+1": width + 1, "3*width": 3 * width}
+
+
+# Full enumeration at n = 3 * width would pair C(K, 2) ~ 10^8 subsets for
+# m = 3 in the oracle, so it covers the sizes up to width + 1.
+CASES = [
+    (m, label, full_enum)
+    for m in (1, 2, 3)
+    for label in sizes(m)
+    for full_enum in (False, True)
+    if not (full_enum and label == "3*width")
+]
+
+
+@pytest.mark.parametrize("m,label,full_enum", CASES)
+def test_dd_profile_matches_window_by_window_pairing(m, label, full_enum):
+    n = sizes(m)[label]
+    samples = rough_curve(n, seed=10 * m + n)
+    deltas = delta_grid(samples.diam, samples.min_gap)
+    got = dd_profile(samples, m, deltas=deltas, full_enum=full_enum)
+    want = dd_profile_by_windows(samples, m, 2 * m + 4, deltas, full_enum)
+    assert got == want
+
+
+@pytest.mark.parametrize("window", [3, 5, 9, 40])
+def test_dd_profile_matches_window_by_window_pairing_for_given_window(window):
+    samples = smooth_curve(15)
+    deltas = delta_grid(samples.diam, samples.min_gap)
+    got = dd_profile(samples, 2, window=window, deltas=deltas)
+    assert got == dd_profile_by_windows(samples, 2, window, deltas)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("window,full_enum,n", [(None, False, 14), (9, False, 14),
+                                                (None, True, 11)])
+def test_check_cm_profiles_equal_the_standalone_profiles(m, window, full_enum, n):
+    for samples in (circle_curve(n), smooth_curve(n), rough_curve(n, seed=m)):
+        verdict = check_cm(samples, m, window=window, full_enum=full_enum)
+        deltas = delta_grid(samples.diam, samples.min_gap)
+        dd = dd_profile(samples, m, window=window, deltas=deltas, full_enum=full_enum)
+        av = discrete_av_profile(
+            samples, m, window=window, deltas=deltas, full_enum=full_enum
+        )
+        assert verdict.profiles == {
+            "dd_f": dd["f"], "dd_g": dd["g"], "dd_h": dd["h"], "av_discrete": av,
+        }
+
+
+def test_grid_defect_column_is_the_heis_residual(tmp_path):
+    samples = circle_curve(12)
+    input_path = tmp_path / "circle.json"
+    grid_path = tmp_path / "grid.csv"
+    dump_samples_json(samples, str(input_path))
+    config = RunConfig(
+        mode="synthesize",
+        input_path=str(input_path),
+        m=2,
+        report_path=str(tmp_path / "report.json"),
+        grid_out=str(grid_path),
+        grid_samples=257,
+    )
+    assert run(config) == 0
+    with open(grid_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    ts = np.array([float(r[0]) for r in rows])
+    defect = [float(r[4]) for r in rows]
+    curve = synthesize(samples, 2)
+    residual = _horizontality_residual(
+        curve.f(ts), curve.f(ts, 1), curve.g(ts), curve.g(ts, 1), curve.h(ts, 1)
+    )
+    assert defect == np.abs(residual).tolist()
+    assert max(defect) == horizontality_defect(curve.f, curve.g, curve.h, ts)
