@@ -20,6 +20,7 @@ from .errors import BadSubsetError, OrderViolationError, TooFewNodesError
 from .divdiff import _newton_poly, _newton_table, newton_interp
 from .poly import (
     Interval,
+    abs_integral,
     abs_integral_between,
     jet_poly,
     real_roots,
@@ -54,17 +55,9 @@ def _taylor_pair(jets, ia, m):
     return tf, tg
 
 
-def area_discrepancy(jets, a, b, m):
-    """The signed-area functional A for any pair of distinct nodes.
-
-    Works in the local variable u = t - a, so the formula is usable in
-    either orientation; the orientation-checked av_pair builds on it.
-    """
-    ia, ib = jets.index(a), jets.index(b)
-    if ia == ib:
-        raise OrderViolationError("need two distinct nodes")
-    tf, tg = _taylor_pair(jets, ia, m)
-    u = b - a
+def _area(jets, ia, ib, tf, tg):
+    """A for the nodes at indices ia, ib from the Taylor pair (tf, tg) at ia."""
+    u = jets.nodes[ib] - jets.nodes[ia]
     bracket = tf.derivative() * tg - tg.derivative() * tf
     fa, ga = jets.fjets[ia][0], jets.gjets[ia][0]
     fb, gb = jets.fjets[ib][0], jets.gjets[ib][0]
@@ -78,26 +71,30 @@ def area_discrepancy(jets, a, b, m):
     )
 
 
+def area_discrepancy(jets, a, b, m):
+    """The signed-area functional A for any pair of distinct nodes.
+
+    Works in the local variable u = t - a, so the formula is usable in
+    either orientation; the orientation-checked av_pair builds on it.
+    """
+    ia, ib = jets.index(a), jets.index(b)
+    if ia == ib:
+        raise OrderViolationError("need two distinct nodes")
+    return _area(jets, ia, ib, *_taylor_pair(jets, ia, m))
+
+
 def av_pair(jets, a, b, m, tol=1e-12):
     """AVPair for nodes a < b using the jets stored at a."""
     if not (a < b):
         raise OrderViolationError(f"need a < b, got a={a}, b={b}")
-    ia = jets.index(a)
-    jets.index(b)
+    ia, ib = jets.index(a), jets.index(b)
     tf, tg = _taylor_pair(jets, ia, m)
     u = b - a
     dtf, dtg = tf.derivative(), tg.derivative()
     iv = Interval(0.0, u)
-    speed = _abs_int(dtf, iv, tol) + _abs_int(dtg, iv, tol)
+    speed = abs_integral(dtf, iv, tol) + abs_integral(dtg, iv, tol)
     velocity = u ** (2 * m) + u ** m * speed
-    return AVPair(area_discrepancy(jets, a, b, m), velocity)
-
-
-def _abs_int(p, iv, tol):
-    if p.is_zero:
-        return 0.0
-    roots = real_roots(p, iv, tol)
-    return abs_integral_between(p, roots, iv.lo, iv.hi)
+    return AVPair(_area(jets, ia, ib, tf, tg), velocity)
 
 
 def discrete_av_pair(samples, subset, a, b, m, tol=1e-12):
@@ -120,11 +117,13 @@ def discrete_av_pair(samples, subset, a, b, m, tol=1e-12):
 
     sub = [samples.nodes.index(t) for t in x]
     fs, gs, hs = samples.fs, samples.gs, samples.hs
-    pf = newton_interp(x, [fs[i] for i in sub])
-    pg = newton_interp(x, [gs[i] for i in sub])
+    u = [t - x[0] for t in x]
+    pf = newton_interp(u, [fs[i] for i in sub])
+    pg = newton_interp(u, [gs[i] for i in sub])
     pair = (x.index(a), x.index(b))
     hvals = [hs[i] for i in sub]
-    return AVPair(*next(_subset_av(pf, pg, x, hvals, m, Interval(a, b), [pair], tol)))
+    hull = Interval(u[pair[0]], u[pair[1]])
+    return AVPair(*next(_subset_av(pf, pg, u, hvals, m, hull, [pair], tol)))
 
 
 def _subset_av(pf, pg, x, hvals, m, hull, pairs, tol):
@@ -132,7 +131,9 @@ def _subset_av(pf, pg, x, hvals, m, hull, pairs, tol):
 
     pf and pg interpolate f and g through x, hvals are the h samples at x,
     and the roots of pf' and pg' are isolated once on hull, which must
-    cover every pair; the velocity uses diam(x) in place of b - a.
+    cover every pair; the velocity uses diam(x) in place of b - a.  Callers
+    pass x in the local coordinate u = t - t_first of the subset, so the
+    interpolants never carry the subset's distance from t = 0.
     """
     dpf, dpg = pf.derivative(), pg.derivative()
     rf = [] if dpf.is_zero else real_roots(dpf, hull, tol)
@@ -174,10 +175,11 @@ def _discrete_av_profile(samples, m, table, deltas, tol=1e-12):
     for sub, x, cf, cg in zip(
         idx.tolist(), xs.tolist(), coeffs[0].tolist(), coeffs[1].tolist()
     ):
-        hull = Interval(x[0], x[-1])
-        pf, pg = _newton_poly(cf, x), _newton_poly(cg, x)
+        u = [t - x[0] for t in x]
+        hull = Interval(0.0, u[-1])
+        pf, pg = _newton_poly(cf, u), _newton_poly(cg, u)
         hvals = [hs[i] for i in sub]
-        for area, velocity in _subset_av(pf, pg, x, hvals, m, hull, pairs, tol):
+        for area, velocity in _subset_av(pf, pg, u, hvals, m, hull, pairs, tol):
             items.append((hull.length, abs(area / velocity)))
     return banded_sup(items, deltas, name="discrete_av_ratio")
 

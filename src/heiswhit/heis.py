@@ -145,12 +145,13 @@ class CurveJets:
     def from_polys(cls, nodes, pf, pg, ph, m):
         """Exact jets of a polynomial curve at the given nodes."""
         nodes = tuple(float(t) for t in nodes)
-        fj, gj, hj = [], [], []
-        for t in nodes:
-            fj.append(tuple(pf.deriv_at(t, k) for k in range(m + 1)))
-            gj.append(tuple(pg.deriv_at(t, k) for k in range(m + 1)))
-            hj.append(tuple(ph.deriv_at(t, k) for k in range(m + 1)))
-        return cls(nodes, tuple(fj), tuple(gj), tuple(hj))
+        jets = []
+        for p in (pf, pg, ph):
+            derivs = [p]
+            for _ in range(m):
+                derivs.append(derivs[-1].derivative())
+            jets.append(tuple(tuple(d(t) for d in derivs) for t in nodes))
+        return cls(nodes, *jets)
 
     @classmethod
     def from_callables(cls, nodes, fd, gd, hd, m):

@@ -41,6 +41,7 @@ from .profiles import (
 from .whitney import (
     PiecewiseCm,
     WhitneyField,
+    _blend,
     jets_from_samples,
     transition_poly,
     validate_field,
@@ -210,12 +211,8 @@ def gap_horizontalize(fjet_a, gjet_a, fjet_b, gjet_b, ha, hb, a, b, m):
     gap = b - a
     mid = a + 0.5 * gap
     transition = transition_poly(m)
-    ta_f, ta_g = jet_poly(fjet_a[: m + 1]), jet_poly(gjet_a[: m + 1])
-    tb_f = compose_affine(jet_poly(fjet_b[: m + 1]), -gap, 1.0)
-    tb_g = compose_affine(jet_poly(gjet_b[: m + 1]), -gap, 1.0)
-    s_local = compose_affine(transition, 0.0, 1.0 / gap)
-    blend_f = ta_f + s_local * (tb_f - ta_f)
-    blend_g = ta_g + s_local * (tb_g - ta_g)
+    blend_f = _blend(fjet_a[: m + 1], fjet_b[: m + 1], gap, transition)
+    blend_g = _blend(gjet_a[: m + 1], gjet_b[: m + 1], gap, transition)
 
     deficit = hb - ha - _bracket_integral(blend_f, blend_g, 0.0, gap)
 
@@ -546,11 +543,14 @@ def finiteness_check(
     items = []
     for x, cs in zip(xs.tolist(), coeffs.transpose(1, 0, 2).tolist()):
         diam = x[-1] - x[0]
-        pf, pg, ph = (_newton_poly(c, x) for c in cs)
-        jets = CurveJets.from_polys(x, pf, pg, ph, m)
+        # Interpolants live in u = t - x[0]; node values and separations
+        # are read off the global x.
+        u = [t - x[0] for t in x]
+        pf, pg, ph = (_newton_poly(c, u) for c in cs)
+        jets = CurveJets.from_polys(u, pf, pg, ph, m)
         for ia, ib in itertools.combinations(range(len(x)), 2):
             a, b = x[ia], x[ib]
-            pair = av_pair(jets, a, b, m)
+            pair = av_pair(jets, u[ia], u[ib], m)
             w = omega(b - a)
             ratio_n = abs(pair.area) / (pair.velocity * w) if w > 0 else math.inf
             # Bin at the pair separation, not diam(X): a short pair inside

@@ -179,50 +179,42 @@ def _bisect_root(p, a, b, fa, fb, tol, budget=200):
 def real_roots(p, iv, tol=1e-12):
     """Roots of p inside iv, sorted, deduplicated to within tol.
 
-    Sign changes on a uniform pre-grid of 64*(deg+1) cells are refined by
-    bisection; even-multiplicity touches are caught by recursing into the
-    roots of the derivative and keeping those where p itself vanishes.
+    The critical points of p (the roots of p', found by this same rule)
+    cut iv into pieces on which p is monotone, so each piece holds at most
+    one root; a piece whose ends change sign is bisected.  With scale the
+    largest |p| over the cuts (the maximum of |p| on iv), an end of iv
+    where |p| <= 1e-14 (1 + scale) is a root, and so is a critical point
+    where |p| <= 1e-10 (1 + scale) that ends no bisected piece: p touches
+    zero there without a sign change to bracket.
     """
     if p.is_zero:
         raise IdenticallyZeroError("the zero polynomial vanishes everywhere")
-    deg = p.degree
     lo, hi = iv.lo, iv.hi
-    if deg == 0:
+    if p.degree == 0:
         return []
-    if hi == lo:
-        return [lo] if p(lo) == 0.0 else []
 
-    grid = np.linspace(lo, hi, 64 * (deg + 1) + 1)
-    vals = p(grid)
-    scale = float(np.max(np.abs(vals)))
-
-    candidates = []
-    if deg >= 2:
-        touch_tol = 1e-10 * (1.0 + scale)
-        for r in real_roots(p.derivative(), iv, tol):
-            if abs(p(r)) <= touch_tol:
-                candidates.append(r)
-
+    crit = [c for c in real_roots(p.derivative(), iv, tol) if lo < c < hi]
+    cuts = [lo] + crit + [hi]
+    vals = [p(c) for c in cuts]
+    scale = max(abs(v) for v in vals)
     zero_cut = 1e-14 * (1.0 + scale)
-    for i in range(len(grid)):
-        if abs(vals[i]) <= zero_cut:
-            candidates.append(float(grid[i]))
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if abs(va) <= zero_cut or abs(vb) <= zero_cut:
-            continue
-        if (va > 0.0) != (vb > 0.0):
-            candidates.append(
-                _bisect_root(p, float(grid[i]), float(grid[i + 1]), va, vb, tol)
-            )
+    touch_tol = 1e-10 * (1.0 + scale)
 
-    if not candidates:
-        return []
-    candidates.sort()
+    candidates, bisected = [], [False] * len(cuts)
+    for i in range(len(cuts) - 1):
+        va, vb = vals[i], vals[i + 1]
+        if min(abs(va), abs(vb)) > zero_cut and (va > 0.0) != (vb > 0.0):
+            candidates.append(_bisect_root(p, cuts[i], cuts[i + 1], va, vb, tol))
+            bisected[i] = bisected[i + 1] = True
+    last = len(cuts) - 1
+    for i, (c, v) in enumerate(zip(cuts, vals)):
+        if abs(v) <= (zero_cut if i in (0, last) else touch_tol) and not bisected[i]:
+            candidates.append(c)
+
     merge = max(tol, 1e-12 * max(1.0, abs(lo), abs(hi)))
-    roots = [candidates[0]]
-    for r in candidates[1:]:
-        if r - roots[-1] > merge:
+    roots = []
+    for r in sorted(candidates):
+        if not roots or r - roots[-1] > merge:
             roots.append(r)
     return roots
 
@@ -231,12 +223,7 @@ def abs_integral(p, iv, tol=1e-12):
     """Integral of |p| over iv: split at the roots, sum unsigned pieces."""
     if p.is_zero or iv.hi == iv.lo:
         return 0.0
-    roots = real_roots(p, iv, tol)
-    cuts = [iv.lo] + [r for r in roots if iv.lo < r < iv.hi] + [iv.hi]
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        total += abs(signed_integral(p, a, b))
-    return total
+    return abs_integral_between(p, real_roots(p, iv, tol), iv.lo, iv.hi)
 
 
 def abs_integral_between(p, roots, a, b):

@@ -202,6 +202,14 @@ def transition_poly(m):
     return anti * (1.0 / anti(1.0))
 
 
+def _blend(jet_a, jet_b, gap, s_poly):
+    """T_a + S(u/gap) (T_b - T_a) in u = t - a, for jets at a and b = a + gap."""
+    ta = jet_poly(jet_a)
+    tb = compose_affine(jet_poly(jet_b), -gap, 1.0)
+    s_local = compose_affine(s_poly, 0.0, 1.0 / gap)
+    return ta + s_local * (tb - ta)
+
+
 def extend(whitney_field):
     """Blended Whitney extension of the field as a PiecewiseCm.
 
@@ -218,13 +226,8 @@ def extend(whitney_field):
     centers = [nodes[0]]
     pieces = [jet_poly(jets[0])]
     for i in range(len(nodes) - 1):
-        a, b = nodes[i], nodes[i + 1]
-        gap = b - a
-        ta = jet_poly(jets[i])
-        tb = compose_affine(jet_poly(jets[i + 1]), -gap, 1.0)
-        s_local = compose_affine(s_poly, 0.0, 1.0 / gap)
-        pieces.append(ta + s_local * (tb - ta))
-        centers.append(a)
+        pieces.append(_blend(jets[i], jets[i + 1], nodes[i + 1] - nodes[i], s_poly))
+        centers.append(nodes[i])
     pieces.append(jet_poly(jets[-1]))
     centers.append(nodes[-1])
     return PiecewiseCm(nodes, centers, pieces, m)

@@ -378,3 +378,33 @@ def test_finiteness_input_validation():
 def test_one_row_curve_is_rejected():
     with pytest.raises(TooFewNodesError):
         SampledCurve.from_rows([(0.0, 0.0, 0.0, 0.0)])
+
+
+# -- translation in t ----------------------------------------------------------
+
+
+def _offset_circle(count, step, offset):
+    # Dyadic nodes keep t + offset exact, so every offset sees the same curve.
+    return SampledCurve.from_rows(
+        [(i * step + offset, math.cos(i * step), math.sin(i * step), -2.0 * i * step)
+         for i in range(count)]
+    )
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e6, 2.0**20])
+def test_check_cm_and_finiteness_ignore_where_t_starts(offset):
+    base = check_cm(_offset_circle(33, 1 / 32, 0.0), 2)
+    moved = check_cm(_offset_circle(33, 1 / 32, offset), 2)
+    assert moved.status == base.status
+    assert moved.statuses == base.statuses
+    for name, prof in base.profiles.items():
+        assert moved.profiles[name].points == prof.points
+
+    omega = ModulusFn()
+    base = finiteness_check(_offset_circle(9, 1 / 8, 0.0), 2, omega)
+    moved = finiteness_check(_offset_circle(9, 1 / 8, offset), 2, omega)
+    assert moved.status == base.status
+    assert moved.profile.points == base.profile.points
+    assert (moved.m_hat, moved.c2_hat) == (base.m_hat, base.c2_hat)
+    assert moved.worst_subset == tuple(t + offset for t in base.worst_subset)
+    assert moved.worst_pair == tuple(t + offset for t in base.worst_pair)

@@ -1,13 +1,17 @@
 """Polynomial engine: arithmetic, calculus, root isolation, |p| integrals."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import abs_quad_oracle, integrate_exact, random_poly
 from heiswhit import Interval, Poly, abs_integral, integrate, real_roots
 from heiswhit.errors import IdenticallyZeroError
+
+EPS = np.finfo(float).eps
 
 coeff_lists = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -113,6 +117,36 @@ def test_double_root_found_by_deflation():
     p = Poly([0.0, 1.0, -2.0, 1.0])
     roots = real_roots(p, Interval(-1.0, 2.0))
     assert roots == pytest.approx([0.0, 1.0], abs=1e-9)
+
+
+def test_roots_1e4_apart_are_both_found():
+    p = Poly([-0.5, 1.0]) * Poly([-0.5001, 1.0])
+    assert real_roots(p, Interval(0.0, 1.0)) == pytest.approx([0.5, 0.5001], abs=1e-9)
+
+
+def _separated(roots, gap=1e-2):
+    roots = sorted(roots)
+    return all(b - a >= gap for a, b in zip(roots, roots[1:]))
+
+
+# The example's local extrema lie within 1e-10 * (1 + max|p|) of zero, yet
+# p changes sign around each of them, so none of them is a touch.
+@settings(deadline=None)
+@example([0.0, 0.01, 0.0200001, 0.0300002, 0.0400003])
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(_separated))
+def test_roots_of_separated_linear_factors(roots):
+    p = Poly([1.0])
+    for r in roots:
+        p = p * Poly([-r, 1.0])
+    got = real_roots(p, Interval(-0.5, 1.5))
+    assert got == sorted(got)
+    assert len(got) == len(roots)
+    for g, r in zip(got, sorted(roots)):
+        # Rounding in the monomial coefficients moves a root by about
+        # eps * sum|c_k r^k| / |p'(r)|, which clustered roots amplify.
+        cond = sum(abs(c * r**k) for k, c in enumerate(p.coeffs))
+        slope = math.prod(abs(r - q) for q in roots if q != r)
+        assert abs(g - r) <= 1e-9 + 8.0 * EPS * cond / slope
 
 
 def test_roots_of_zero_poly_rejected():
