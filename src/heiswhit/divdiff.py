@@ -257,11 +257,11 @@ def _dd_profiles(table, deltas):
     j = i + offsets[k]
     keep = idx[j, -1] - first[i] < width
     i, j = i[keep], j[keep]
-    diams = (np.maximum(xs[i, -1], xs[j, -1]) - xs[i, 0]).tolist()
+    diams = np.maximum(xs[i, -1], xs[j, -1]) - xs[i, 0]
     top = coeffs[..., -1]
     return {
         name: banded_sup(
-            zip(diams, np.abs(top[c, i] - top[c, j]).tolist()),
+            np.column_stack((diams, np.abs(top[c, i] - top[c, j]))),
             deltas,
             name=f"dd_{name}",
         )

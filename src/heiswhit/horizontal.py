@@ -348,12 +348,15 @@ def synthesize(
         raise SynthesisDefectError(
             f"horizontality defect {defect:.3e} exceeds {defect_tol:.1e} * {scale:.3e}"
         )
-    for t, p in zip(nodes, samples.points):
-        for got, want in ((f_ext(t), p.x), (g_ext(t), p.y), (h_ext(t), p.z)):
-            if abs(got - want) > 1e-10 * (1.0 + abs(want)):
-                raise SynthesisDefectError(
-                    f"node reproduction failed at t={t}: {got} vs {want}"
-                )
+    # One row per node, so argwhere meets failures node by node.
+    got = np.array([ext(np.array(nodes)) for ext in (f_ext, g_ext, h_ext)]).T
+    want = np.array([samples.fs, samples.gs, hs]).T
+    failed = np.argwhere(np.abs(got - want) > 1e-10 * (1.0 + np.abs(want)))
+    if len(failed):
+        i, c = failed[0]
+        raise SynthesisDefectError(
+            f"node reproduction failed at t={nodes[i]}: {got[i, c]} vs {want[i, c]}"
+        )
 
     modulus = _empirical_modulus((f_ext, g_ext, h_ext), m, nodes)
     return HorizontalCurve(
@@ -401,17 +404,15 @@ def check_c1(samples, policy=None, deltas=None, ratio=0.5):
     if deltas is None:
         deltas = delta_grid(samples.diam, samples.min_gap, ratio)
 
-    dq = {}
-    for i, j in itertools.combinations(range(n), 2):
-        dq[(i, j)] = pansu_dq(samples.points[i], samples.points[j], nodes[i], nodes[j])
-
-    def quotient(i, j):
-        return dq[(i, j)] if i < j else dq[(j, i)]
-
+    # Quotients of adjacent nodes: node i's neighbours are steps[i-1], steps[i].
+    points = samples.points
+    steps = [
+        pansu_dq(points[i], points[i + 1], nodes[i], nodes[i + 1])
+        for i in range(n - 1)
+    ]
     means = []
     for i in range(n):
-        nbrs = [j for j in (i - 1, i + 1) if 0 <= j < n]
-        qs = [quotient(i, j) for j in nbrs]
+        qs = steps[max(i - 1, 0) : i + 1]
         means.append(
             (
                 sum(q.x for q in qs) / len(qs),
@@ -420,7 +421,8 @@ def check_c1(samples, policy=None, deltas=None, ratio=0.5):
         )
 
     xy_items, z_items = [], []
-    for (i, j), q in dq.items():
+    for i, j in itertools.combinations(range(n), 2):
+        q = pansu_dq(points[i], points[j], nodes[i], nodes[j])
         d = nodes[j] - nodes[i]
         z_items.append((d, abs(q.z)))
         for anchor in (i, j):

@@ -32,6 +32,14 @@ def _trim(coeffs):
     return tuple(coeffs[:n])
 
 
+def _horner(coeffs, u):
+    """Horner evaluation along the last axis of ascending coeffs at u."""
+    out = np.zeros_like(u, dtype=float)
+    for k in range(coeffs.shape[-1] - 1, -1, -1):
+        out = out * u + coeffs[..., k]
+    return out
+
+
 class Poly:
     """Polynomial in one variable with ascending float coefficients."""
 
@@ -52,10 +60,7 @@ class Poly:
     def __call__(self, x):
         """Horner evaluation; accepts scalars or numpy arrays."""
         if isinstance(x, np.ndarray):
-            out = np.zeros_like(x, dtype=float)
-            for c in reversed(self.coeffs):
-                out = out * x + c
-            return out
+            return _horner(np.array(self.coeffs), x)
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + c

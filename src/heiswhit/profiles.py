@@ -11,6 +11,8 @@ the smallest configuration available.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Profile:
@@ -65,28 +67,19 @@ def delta_grid(diam, min_gap, ratio=0.5):
 def banded_sup(items, deltas, name=""):
     """Profile of per-band maxima.
 
-    items: iterable of (diam, value).  Band i collects diameters in
-    (deltas[i+1], deltas[i]]; the last band keeps everything at or below the
-    smallest delta.  Empty bands are dropped.
+    items: (N, 2) array or iterable of (diam, value).  Band i collects
+    diameters in (deltas[i+1], deltas[i]]; the last band keeps everything at
+    or below the smallest delta, and diameters above the top fold into the
+    top band.  Empty bands are dropped.
     """
-    deltas = sorted(set(deltas), reverse=True)
-    sups = [None] * len(deltas)
-    n = len(deltas)
-    for d, v in items:
-        idx = None
-        for i in range(n):
-            if d <= deltas[i] and (i == n - 1 or d > deltas[i + 1]):
-                idx = i
-                break
-        if idx is None:
-            # diameter above the top scale: fold into the top band
-            if d > deltas[0]:
-                idx = 0
-            else:
-                continue
-        if sups[idx] is None or v > sups[idx]:
-            sups[idx] = v
-    points = [(deltas[i], sups[i]) for i in range(n) if sups[i] is not None]
+    if not isinstance(items, np.ndarray):
+        items = np.fromiter(items, (float, 2))
+    ascending = np.unique(np.asarray(deltas, dtype=float))
+    band = np.maximum(len(ascending) - 1 - np.searchsorted(ascending, items[:, 0]), 0)
+    sups = np.full(len(ascending), np.nan)
+    np.fmax.at(sups, band, items[:, 1])
+    keep = ~np.isnan(sups)
+    points = zip(ascending[::-1][keep].tolist(), sups[keep].tolist())
     return Profile(tuple(points), name=name)
 
 

@@ -24,7 +24,7 @@ from .errors import (
     TooFewNodesError,
 )
 from .divdiff import newton_interp
-from .poly import Poly, compose_affine, jet_poly
+from .poly import Poly, _horner, compose_affine, jet_poly
 from .profiles import Profile, banded_sup, delta_grid
 
 
@@ -119,6 +119,8 @@ class PiecewiseCm:
     variable u = t - center_i.  Local coordinates keep evaluation stable on
     short pieces far from the origin.  C^m continuity across breakpoints is
     a property of how the pieces were built; breakpoint_jumps measures it.
+    Evaluation is one searchsorted plus Horner over zero-padded coefficient
+    rows, which gives each piece's own Horner value bit for bit.
     """
 
     def __init__(self, breakpoints, centers, pieces, order):
@@ -126,64 +128,56 @@ class PiecewiseCm:
             raise LengthMismatchError(
                 "need len(pieces) == len(breakpoints) + 1 == len(centers)"
             )
-        if any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
+        self.breakpoints = np.array(breakpoints, dtype=float)
+        if np.any(np.diff(self.breakpoints) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        self.breakpoints = tuple(float(b) for b in breakpoints)
-        self.centers = tuple(float(c) for c in centers)
+        self.centers = np.array(centers, dtype=float)
         self.pieces = tuple(pieces)
         self.order = int(order)
-        self._deriv_cache = [dict() for _ in pieces]
+        self._tables = {}
 
     @classmethod
     def single(cls, poly, order, center=0.0):
         return cls((), (center,), (poly,), order)
 
-    def _piece_poly(self, i, deriv):
-        cache = self._deriv_cache[i]
-        if deriv not in cache:
-            p = self.pieces[i]
+    def _table(self, deriv):
+        """Ascending coefficients of every piece's deriv-th derivative, zero-padded."""
+        if deriv not in self._tables:
+            polys = self.pieces
             for _ in range(deriv):
-                p = p.derivative()
-            cache[deriv] = p
-        return cache[deriv]
-
-    def piece_index(self, t):
-        return bisect_right(self.breakpoints, t)
+                polys = [p.derivative() for p in polys]
+            width = max(len(p.coeffs) for p in polys)
+            self._tables[deriv] = np.array(
+                [p.coeffs + (0.0,) * (width - len(p.coeffs)) for p in polys]
+            )
+        return self._tables[deriv]
 
     def __call__(self, t, deriv=0):
-        if isinstance(t, np.ndarray):
-            out = np.empty_like(t, dtype=float)
-            idx = np.searchsorted(self.breakpoints, t, side="right")
-            for i in range(len(self.pieces)):
-                mask = idx == i
-                if mask.any():
-                    out[mask] = self._piece_poly(i, deriv)(t[mask] - self.centers[i])
-            return out
-        i = self.piece_index(t)
-        return self._piece_poly(i, deriv)(t - self.centers[i])
+        i = np.searchsorted(self.breakpoints, t, side="right")
+        out = _horner(self._table(deriv)[i], t - self.centers[i])
+        return out if isinstance(t, np.ndarray) else float(out)
 
     def jet(self, t, m):
         """(value, .., m-th derivative) at t, from the active piece."""
-        i = self.piece_index(t)
-        u = t - self.centers[i]
-        return tuple(self._piece_poly(i, k)(u) for k in range(m + 1))
+        return tuple(self(t, k) for k in range(m + 1))
 
     def breakpoint_jumps(self, up_to=None):
         """Max |left - right| derivative mismatch per order across breakpoints."""
         up_to = self.order if up_to is None else up_to
-        jumps = [0.0] * (up_to + 1)
-        for j, b in enumerate(self.breakpoints):
-            for k in range(up_to + 1):
-                left = self._piece_poly(j, k)(b - self.centers[j])
-                right = self._piece_poly(j + 1, k)(b - self.centers[j + 1])
-                jumps[k] = max(jumps[k], abs(left - right))
+        b = self.breakpoints
+        jumps = []
+        for k in range(up_to + 1):
+            table = self._table(k)
+            left = _horner(table[:-1], b - self.centers[:-1])
+            right = _horner(table[1:], b - self.centers[1:])
+            jumps.append(float(np.max(np.abs(left - right), initial=0.0)))
         return jumps
 
     @property
     def hull(self):
-        if not self.breakpoints:
-            return (self.centers[0], self.centers[0])
-        return (self.breakpoints[0], self.breakpoints[-1])
+        if not len(self.breakpoints):
+            return (float(self.centers[0]), float(self.centers[0]))
+        return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
 
 def transition_poly(m):
@@ -260,12 +254,12 @@ def jets_from_samples(nodes, values, m):
                 lo -= 1
             else:
                 hi += 1
-        p = newton_interp(nodes[lo : hi + 1], values[lo : hi + 1])
+        # Interpolate in u = t - a so the jet does not depend on where t = 0 sits.
+        dp = newton_interp([t - a for t in nodes[lo : hi + 1]], values[lo : hi + 1])
         jet = [values[i]]
-        dp = p
         for _ in range(m):
             dp = dp.derivative()
-            jet.append(dp(a))
+            jet.append(dp(0.0))
         jets.append(tuple(jet))
     return WhitneyField(nodes, tuple(jets))
 

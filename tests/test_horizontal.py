@@ -408,3 +408,15 @@ def test_check_cm_and_finiteness_ignore_where_t_starts(offset):
     assert (moved.m_hat, moved.c2_hat) == (base.m_hat, base.c2_hat)
     assert moved.worst_subset == tuple(t + offset for t in base.worst_subset)
     assert moved.worst_pair == tuple(t + offset for t in base.worst_pair)
+
+
+@pytest.mark.parametrize("offset", [1e3, 2.0**20])
+def test_jets_and_bumps_ignore_where_t_starts(offset):
+    base = _offset_circle(33, 1 / 32, 0.0)
+    moved = _offset_circle(33, 1 / 32, offset)
+    for comp in ("fs", "gs", "hs"):
+        want = jets_from_samples(base.nodes, getattr(base, comp), 2)
+        got = jets_from_samples(moved.nodes, getattr(moved, comp), 2)
+        assert got.jets == want.jets
+    want = synthesize(base, 2).bump_amplitudes
+    assert synthesize(moved, 2).bump_amplitudes == want

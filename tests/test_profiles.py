@@ -1,6 +1,12 @@
 """Scale profiles, banding, slope fits, and the threshold policy."""
 
+import itertools
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heiswhit.profiles import (
     CONSISTENT,
@@ -47,6 +53,61 @@ def test_banded_sup_folds_oversize_into_top():
 def test_banded_sup_drops_empty_bands():
     prof = banded_sup([(0.1, 1.0)], [1.0, 0.5, 0.25])
     assert prof.points == ((0.25, 1.0),)
+
+
+def _banded_sup_oracle(items, deltas, name=""):
+    """banded_sup as a per-item scan over the bands: the brute-force oracle."""
+    deltas = sorted(set(deltas), reverse=True)
+    sups = [None] * len(deltas)
+    n = len(deltas)
+    for d, v in items:
+        idx = None
+        for i in range(n):
+            if d <= deltas[i] and (i == n - 1 or d > deltas[i + 1]):
+                idx = i
+                break
+        if idx is None:
+            # diameter above the top scale: fold into the top band
+            if d > deltas[0]:
+                idx = 0
+            else:
+                continue
+        if sups[idx] is None or v > sups[idx]:
+            sups[idx] = v
+    points = [(deltas[i], sups[i]) for i in range(n) if sups[i] is not None]
+    return Profile(tuple(points), name=name)
+
+
+_DELTA = st.sampled_from([2.0, 1.0, 0.5, 0.25, 0.1]) | st.floats(1e-3, 10.0)
+_VALUE = st.floats(0.0, 1e6) | st.just(math.inf)
+
+
+@st.composite
+def _bands_and_items(draw):
+    deltas = draw(st.lists(_DELTA, min_size=1, max_size=8))
+    lo, hi = min(deltas), max(deltas)
+    diam = (
+        st.sampled_from(deltas)
+        | st.floats(hi, 2.0 * hi)
+        | st.floats(0.0, lo)
+        | st.floats(0.0, 2.0 * hi)
+    )
+    items = draw(st.lists(st.tuples(diam, _VALUE), max_size=40))
+    return deltas, items
+
+
+@given(_bands_and_items())
+@example(([1.0, 0.5, 0.5, 0.25], []))
+@example(([0.5, 1.0, 0.25], [(1.0, 1.0), (0.5, math.inf), (0.25, 2.0), (4.0, 3.0)]))
+@settings(max_examples=300, deadline=None)
+def test_banded_sup_matches_per_item_scan(case):
+    deltas, items = case
+    want = _banded_sup_oracle(items, deltas, name="p")
+    assert banded_sup(items, deltas, name="p") == want
+    assert banded_sup(iter(items), deltas, name="p") == want
+    assert banded_sup(itertools.chain(items), deltas, name="p") == want
+    array = np.array(items, dtype=float).reshape(-1, 2)
+    assert banded_sup(array, deltas, name="p") == want
 
 
 def test_profile_invariants():

@@ -1,6 +1,7 @@
 """Whitney fields, validation, jet recovery, and the blended extension."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -332,11 +333,37 @@ def test_piecewise_vector_matches_scalar():
     field = jets_from_samples(
         [0.0, 0.3, 0.7, 1.0], [0.0, 0.09, 0.49, 1.0], 1
     )
-    ext = extend(field)
-    ts = np.linspace(-0.3, 1.3, 57)
-    vec = ext(ts, 1)
-    for t, v in zip(ts, vec):
-        assert v == ext(float(t), 1)
+    mixed = PiecewiseCm(
+        (0.0, 0.5, 1.0),
+        (-1.0, 0.0, 0.5, 2.0),
+        (Poly((1.0, -2.0, 0.5, 3.0)), Poly(()), Poly((0.25, 1.0)), Poly((2.0,))),
+        2,
+    )
+    for ext in (extend(field), mixed):
+        bps = [float(b) for b in ext.breakpoints]
+        centers = [float(c) for c in ext.centers]
+
+        def direct(j, t, k):
+            return ext.pieces[j].deriv_at(t - centers[j], k)
+
+        # Breakpoints belong to the piece on their right; beyond the hull the
+        # end pieces continue.
+        ts = np.concatenate([np.linspace(-0.3, 1.3, 57), bps, [-1e3, 1e3]])
+        for k in range(ext.order + 2):
+            vec = ext(ts, k)
+            for t, v in zip(ts.tolist(), vec):
+                assert v == ext(t, k) == direct(bisect_right(bps, t), t, k)
+        for t in ts.tolist():
+            jet = ext.jet(t, ext.order + 1)
+            assert jet == tuple(ext(t, k) for k in range(ext.order + 2))
+
+        jumps = ext.breakpoint_jumps(ext.order + 1)
+        assert len(jumps) == ext.order + 2
+        for k, jump in enumerate(jumps):
+            assert jump == max(
+                abs(direct(j, b, k) - direct(j + 1, b, k)) for j, b in enumerate(bps)
+            )
+    assert mixed(0.25) == 0.0 and mixed(0.5) == 0.25
 
 
 def test_piecewise_shape_validation():
