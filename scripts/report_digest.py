@@ -1,0 +1,216 @@
+"""Digest of heiswhit CLI outputs on a fixed call set, and the diff of two digests.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/report_digest.py --out before.json --src path/to/other/src
+    python3 scripts/report_digest.py --out after.json
+    python3 scripts/report_digest.py --diff before.json after.json
+
+``--out`` runs every call of the set in this process through
+``heiswhit.cli.main``, imported from ``--src`` (default: this checkout's
+``src``), and stores per call the exit code, the JSON report without its
+``timings``, and the plot and grid CSVs.  ``--diff`` prints, for every call
+whose outputs differ, any change of exit code or status; the largest
+absolute and relative difference over the values (profile points,
+constants, CSV cells) and, apart, over the fitted slopes, the relative one
+also over numbers of magnitude at least 1e-6 only; whether the finiteness
+witnesses moved; and each profile whose status changed with its largest
+point on either side.
+
+The call set, every call writing ``--plot-out``: check-c1; check-cm and
+check-cm-w with the default window and with ``--window 9``; synthesize with
+``--grid-out``; finiteness.  The modes with an order run at m = 1, 2, 3.
+Inputs are circle, poly and drift CSV files from
+``perfbench/inputs.make_rows(7, "cmp", family, n)`` for n in N_VALUES, plus
+the files of every benchmark workload at seed 1 with the workload's own
+arguments.
+"""
+
+import argparse
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import inputs  # noqa: E402
+
+N_VALUES = (9, 13, 17, 21, 25, 31)
+ORDERS = (1, 2, 3)
+SIGNIFICANT = 1e-6
+
+
+def cmp_calls(work):
+    """(name, argv) for the circle, poly and drift files of every size."""
+    for family in inputs.FAMILIES:
+        for n in N_VALUES:
+            path = str(work / f"{family}-{n}.csv")
+            inputs.write_samples(path, inputs.make_rows(7, "cmp", family, n))
+            yield f"check-c1 {family} n={n}", ["--mode", "check-c1", "--input", path]
+            for m in ORDERS:
+                base = ["--input", path, "--m", str(m)]
+                for mode in ("check-cm", "check-cm-w"):
+                    yield f"{mode} m={m} {family} n={n}", ["--mode", mode, *base]
+                    yield (f"{mode} m={m} window=9 {family} n={n}",
+                           ["--mode", mode, "--window", "9", *base])
+                yield (f"synthesize m={m} {family} n={n}",
+                       ["--mode", "synthesize", "--grid-out", str(work / "grid.csv"), *base])
+                yield f"finiteness m={m} {family} n={n}", ["--mode", "finiteness", *base]
+
+
+def workload_calls(work):
+    """(name, argv) for every call of the benchmark workloads at seed 1."""
+    import run
+
+    for workload in run.WORKLOADS:
+        for call in run.make_batch(workload, 1, work):
+            yield f"{workload} {call.mode} m={call.m} {call.family} n={call.n}", call.argv
+
+
+def read(path):
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return None
+
+
+def collect(src):
+    sys.path.insert(0, str(Path(src).resolve()))
+    from heiswhit import cli
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, argv in [*cmp_calls(work), *workload_calls(work)]:
+            files = {key: work / f"{key}.out" for key in ("report", "plot")}
+            grid = argv[argv.index("--grid-out") + 1] if "--grid-out" in argv else None
+            for path in [*files.values(), grid]:
+                if path:
+                    Path(path).unlink(missing_ok=True)
+            if "--report" not in argv:
+                argv += ["--report", str(files["report"])]
+            report_path = argv[argv.index("--report") + 1]
+            code = cli.main([*argv, "--plot-out", str(files["plot"])])
+            text = read(report_path)
+            report = json.loads(text) if text else None
+            if report:
+                report.pop("timings", None)
+            out[name] = {"exit": code, "report": report, "plot": read(files["plot"]),
+                         "grid": read(grid) if grid else None}
+            print(f"{code} {name}", file=sys.stderr)
+    return out
+
+
+def leaves(value, path=""):
+    """Flatten reports and CSV texts to {path: number or string}."""
+    if isinstance(value, dict):
+        return {k: v for key in value for k, v in leaves(value[key], f"{path}/{key}").items()}
+    if isinstance(value, list):
+        return {k: v for i, item in enumerate(value) for k, v in leaves(item, f"{path}/{i}").items()}
+    if isinstance(value, str) and "\n" in value:
+        rows = [line.split(",") for line in value.splitlines()]
+        return leaves(rows, path)
+    if isinstance(value, str):
+        try:
+            return {path: float(value)}
+        except ValueError:
+            return {path: value}
+    return {path: value}
+
+
+def profile_changes(a, b):
+    """Lines for each profile whose status differs between reports a and b."""
+    pa, pb = (r.get("profiles", {}) if r else {} for r in (a, b))
+    lines = []
+    for name in sorted(set(pa) | set(pb)):
+        sa, sb = (p.get(name, {}).get("status") for p in (pa, pb))
+        if sa != sb:
+            tops = [max((v for _, v in p.get(name, {}).get("points", [])), default=None)
+                    for p in (pa, pb)]
+            lines.append(f"    {name}: {sa} -> {sb}, largest point {tops[0]!r} -> {tops[1]!r}")
+    return lines
+
+
+class Spread:
+    """Largest absolute and relative difference over pairs of numbers."""
+
+    def __init__(self):
+        self.abs = self.rel = self.rel_sig = 0.0
+
+    def add(self, x, y):
+        if x == y or (x != x and y != y):
+            return
+        d = abs(x - y)
+        size = max(abs(x), abs(y))
+        self.abs = max(self.abs, d)
+        self.rel = max(self.rel, d / size)
+        if size >= SIGNIFICANT:
+            self.rel_sig = max(self.rel_sig, d / size)
+
+    def __str__(self):
+        return (f"{self.abs:.3g} absolute, {self.rel:.3g} relative, "
+                f"{self.rel_sig:.3g} relative at magnitude >= {SIGNIFICANT:g}")
+
+
+def diff(before, after):
+    names = list(dict.fromkeys([*before, *after]))
+    same = changed_codes = 0
+    for name in names:
+        a, b = before.get(name), after.get(name)
+        if a is None or b is None:
+            print(f"{name}: only in {'after' if a is None else 'before'}")
+            continue
+        if a == b:
+            same += 1
+            continue
+        status = [(x["report"] or {}).get("status") for x in (a, b)]
+        head = f"{name}: exit {a['exit']} -> {b['exit']}, status {status[0]} -> {status[1]}"
+        if a["exit"] != b["exit"]:
+            changed_codes += 1
+        la, lb = (leaves({k: x[k] for k in ("report", "plot", "grid")}) for x in (a, b))
+        values = Spread()
+        slopes = Spread()
+        moved, other = set(), sorted(set(la) ^ set(lb))
+        for key in set(la) & set(lb):
+            x, y = la[key], lb[key]
+            if key == "/report/exit_code":
+                continue
+            if key.split("/")[2:3] in (["worst_subset"], ["worst_pair"]):
+                if x != y:
+                    moved.add(key.split("/")[2])
+            elif not (isinstance(x, (int, float)) and isinstance(y, (int, float))):
+                if x != y:
+                    other.append(key)
+            else:
+                (slopes if key.endswith("/slope") else values).add(x, y)
+        print(f"{head}; values {values}; slopes {slopes}"
+              + (f"; {' and '.join(sorted(moved))} moved" if moved else "")
+              + (f"; {len(other)} other fields differ" if other else ""))
+        for line in profile_changes(a["report"], b["report"]):
+            print(line)
+    print(f"{len(names)} calls: {same} identical, {len(names) - same} differ, "
+          f"{changed_codes} change their exit code")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", help="run the call set and write its digest here")
+    group.add_argument("--diff", nargs=2, metavar=("BEFORE", "AFTER"),
+                       help="compare two digests")
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the heiswhit package to run")
+    args = parser.parse_args(argv)
+    if args.out:
+        digest = collect(args.src)
+        Path(args.out).write_text(json.dumps(digest, sort_keys=True) + "\n", encoding="utf-8")
+        return 0
+    before, after = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff)
+    diff(before, after)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

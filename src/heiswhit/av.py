@@ -10,22 +10,19 @@ pair
 measures the signed area a horizontal lift would have to close against the
 volume available for closing it; |A/V| -> 0 as b - a -> 0 is the
 compatibility condition.  The discrete variant replaces Taylor polynomials
-by interpolants through an (m+1)-node subset.
+by interpolants through an (m+1)-node subset, which need no correction
+terms, and diam(subset) replaces b - a in V.  Both run through one kernel,
+_av, on rows of polynomial coefficients.
 """
 
-import itertools
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadSubsetError, OrderViolationError, TooFewNodesError
-from .divdiff import _newton_poly, _newton_table, newton_interp
-from .poly import (
-    Interval,
-    abs_integral,
-    abs_integral_between,
-    jet_poly,
-    real_roots,
-    signed_integral,
-)
+from .divdiff import _monomial_rows, _newton_columns, _newton_table
+from .poly import _abs_integral, _antideriv, _deriv, _horner, _mul, _roots
 from .profiles import banded_sup, delta_grid
 
 
@@ -45,30 +42,66 @@ class AVPair:
         return self.area / self.velocity
 
 
-def _taylor_pair(jets, ia, m):
+def _av(p, q, a, b, ha, hb, length, m, tol=1e-12):
+    """A without the Taylor corrections, and V, for endpoint pairs of rows.
+
+    p and q hold ascending coefficients of f and g along their last axis;
+    a, b, ha, hb and length hold one entry per endpoint pair along theirs,
+    and all leading axes broadcast.  Returns
+
+        A = hb - ha - 2 int_a^b (p' q - q' p),
+        V = length^{2m} + length^m int_a^b (|p'| + |q'|),
+
+    with the sign changes of p' and q' isolated once per row, on the hull
+    of the row's pairs.
+    """
+    dp, dq = _deriv(p), _deriv(q)
+    anti = _antideriv(_mul(dp, q) - _mul(dq, p))[..., None, :]
+    area = hb - ha - 2.0 * (_horner(anti, b) - _horner(anti, a))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    hull = lo.min(-1), hi.max(-1)
+    speed = _abs_integral(dp, lo, hi, _roots(dp, *hull, tol)) + _abs_integral(
+        dq, lo, hi, _roots(dq, *hull, tol)
+    )
+    return area, length ** (2 * m) + length ** m * speed
+
+
+def _taylor_av(f, g, h, ia, ib, u, m, tol=1e-12):
+    """A and V of the Taylor pairs at nodes ia against nodes ib.
+
+    f, g and h hold jets (value, first derivative, ..) along the last axis
+    and one node per entry of the axis before it; u holds b - a per pair.
+    Each pair is its own row, so its roots are isolated between a and b.
+    """
+    fact = np.array([math.factorial(k) for k in range(m + 1)], dtype=float)
+    tf, tg = f[..., ia, : m + 1] / fact, g[..., ia, : m + 1] / fact
+    col = u[..., None]
+    area, velocity = _av(
+        tf, tg, np.zeros_like(col), col, h[..., ia, :1], h[..., ib, :1], col, m, tol
+    )
+    area = (
+        area[..., 0]
+        + 2.0 * f[..., ia, 0] * (g[..., ib, 0] - _horner(tg, u))
+        - 2.0 * g[..., ia, 0] * (f[..., ib, 0] - _horner(tf, u))
+    )
+    return area, velocity[..., 0]
+
+
+def _jet_arrays(jets, m):
     if jets.order < m:
         raise OrderViolationError(
             f"jets carry order {jets.order}, need at least {m}"
         )
-    tf = jet_poly(jets.fjets[ia][: m + 1])
-    tg = jet_poly(jets.gjets[ia][: m + 1])
-    return tf, tg
+    return [np.array(js, dtype=float) for js in (jets.fjets, jets.gjets, jets.hjets)]
 
 
-def _area(jets, ia, ib, tf, tg):
-    """A for the nodes at indices ia, ib from the Taylor pair (tf, tg) at ia."""
-    u = jets.nodes[ib] - jets.nodes[ia]
-    bracket = tf.derivative() * tg - tg.derivative() * tf
-    fa, ga = jets.fjets[ia][0], jets.gjets[ia][0]
-    fb, gb = jets.fjets[ib][0], jets.gjets[ib][0]
-    ha, hb = jets.hjets[ia][0], jets.hjets[ib][0]
-    return (
-        hb
-        - ha
-        - 2.0 * signed_integral(bracket, 0.0, u)
-        + 2.0 * fa * (gb - tg(u))
-        - 2.0 * ga * (fb - tf(u))
-    )
+def _jets_pair(jets, a, b, m, tol=1e-12):
+    ia, ib = jets.index(a), jets.index(b)
+    if ia == ib:
+        raise OrderViolationError("need two distinct nodes")
+    u = np.array([b - a])
+    area, velocity = _taylor_av(*_jet_arrays(jets, m), [ia], [ib], u, m, tol)
+    return float(area[0]), float(velocity[0])
 
 
 def area_discrepancy(jets, a, b, m):
@@ -77,24 +110,14 @@ def area_discrepancy(jets, a, b, m):
     Works in the local variable u = t - a, so the formula is usable in
     either orientation; the orientation-checked av_pair builds on it.
     """
-    ia, ib = jets.index(a), jets.index(b)
-    if ia == ib:
-        raise OrderViolationError("need two distinct nodes")
-    return _area(jets, ia, ib, *_taylor_pair(jets, ia, m))
+    return _jets_pair(jets, a, b, m)[0]
 
 
 def av_pair(jets, a, b, m, tol=1e-12):
     """AVPair for nodes a < b using the jets stored at a."""
     if not (a < b):
         raise OrderViolationError(f"need a < b, got a={a}, b={b}")
-    ia, ib = jets.index(a), jets.index(b)
-    tf, tg = _taylor_pair(jets, ia, m)
-    u = b - a
-    dtf, dtg = tf.derivative(), tg.derivative()
-    iv = Interval(0.0, u)
-    speed = abs_integral(dtf, iv, tol) + abs_integral(dtg, iv, tol)
-    velocity = u ** (2 * m) + u ** m * speed
-    return AVPair(_area(jets, ia, ib, tf, tg), velocity)
+    return AVPair(*_jets_pair(jets, a, b, m, tol))
 
 
 def discrete_av_pair(samples, subset, a, b, m, tol=1e-12):
@@ -116,37 +139,12 @@ def discrete_av_pair(samples, subset, a, b, m, tol=1e-12):
         raise OrderViolationError(f"need a < b, got a={a}, b={b}")
 
     sub = [samples.nodes.index(t) for t in x]
-    fs, gs, hs = samples.fs, samples.gs, samples.hs
-    u = [t - x[0] for t in x]
-    pf = newton_interp(u, [fs[i] for i in sub])
-    pg = newton_interp(u, [gs[i] for i in sub])
-    pair = (x.index(a), x.index(b))
-    hvals = [hs[i] for i in sub]
-    hull = Interval(u[pair[0]], u[pair[1]])
-    return AVPair(*next(_subset_av(pf, pg, u, hvals, m, hull, [pair], tol)))
-
-
-def _subset_av(pf, pg, x, hvals, m, hull, pairs, tol):
-    """Yield (A, V) for endpoint index pairs of one subset with nodes x.
-
-    pf and pg interpolate f and g through x, hvals are the h samples at x,
-    and the roots of pf' and pg' are isolated once on hull, which must
-    cover every pair; the velocity uses diam(x) in place of b - a.  Callers
-    pass x in the local coordinate u = t - t_first of the subset, so the
-    interpolants never carry the subset's distance from t = 0.
-    """
-    dpf, dpg = pf.derivative(), pg.derivative()
-    rf = [] if dpf.is_zero else real_roots(dpf, hull, tol)
-    rg = [] if dpg.is_zero else real_roots(dpg, hull, tol)
-    bracket = dpf * pg - dpg * pf
-    diam = x[-1] - x[0]
-    for ia, ib in pairs:
-        a, b = x[ia], x[ib]
-        area = hvals[ib] - hvals[ia] - 2.0 * signed_integral(bracket, a, b)
-        speed = abs_integral_between(dpf, rf, a, b) + abs_integral_between(
-            dpg, rg, a, b
-        )
-        yield area, diam ** (2 * m) + diam ** m * speed
+    u = np.array(x) - x[0]
+    values = np.array([samples.fs, samples.gs, samples.hs])[:, sub]
+    pf, pg = _monomial_rows(_newton_columns(u, values[:2]), u)
+    ia, ib = [x.index(a)], [x.index(b)]
+    area, velocity = _av(pf, pg, u[ia], u[ib], values[2, ia], values[2, ib], u[-1], m, tol)
+    return AVPair(float(area[0]), float(velocity[0]))
 
 
 def av_profile(jets, m, deltas=None, ratio=0.5, tol=1e-12):
@@ -158,29 +156,30 @@ def av_profile(jets, m, deltas=None, ratio=0.5, tol=1e-12):
         diam = nodes[-1] - nodes[0]
         gap = min(b - a for a, b in zip(nodes, nodes[1:]))
         deltas = delta_grid(diam, gap, ratio)
-    items = []
-    for ia, ib in itertools.combinations(range(len(nodes)), 2):
-        a, b = nodes[ia], nodes[ib]
-        pair = av_pair(jets, a, b, m, tol)
-        items.append((b - a, abs(pair.ratio)))
-    return banded_sup(items, deltas, name="av_ratio")
+    ia, ib = np.triu_indices(len(nodes), 1)
+    t = np.array(nodes, dtype=float)
+    sep = t[ib] - t[ia]
+    area, velocity = _taylor_av(*_jet_arrays(jets, m), ia, ib, sep, m, tol)
+    return banded_sup(
+        np.column_stack((sep, np.abs(area / velocity))), deltas, name="av_ratio"
+    )
 
 
 def _discrete_av_profile(samples, m, table, deltas, tol=1e-12):
-    """Banded sup of |A[X]/V[X]| over the subsets of a Newton table."""
+    """Banded sup of |A[X]/V[X]| over the subsets of a Newton table.
+
+    Each subset's interpolants live in u = t - t_first, so they never carry
+    the subset's distance from t = 0.
+    """
     idx, _, xs, coeffs = table
-    hs = samples.hs
-    pairs = list(itertools.combinations(range(m + 1), 2))
-    items = []
-    for sub, x, cf, cg in zip(
-        idx.tolist(), xs.tolist(), coeffs[0].tolist(), coeffs[1].tolist()
-    ):
-        u = [t - x[0] for t in x]
-        hull = Interval(0.0, u[-1])
-        pf, pg = _newton_poly(cf, u), _newton_poly(cg, u)
-        hvals = [hs[i] for i in sub]
-        for area, velocity in _subset_av(pf, pg, u, hvals, m, hull, pairs, tol):
-            items.append((hull.length, abs(area / velocity)))
+    u = xs - xs[:, :1]
+    pf, pg = _monomial_rows(coeffs[:2], u)
+    hs = np.array(samples.hs)[idx]
+    ia, ib = np.triu_indices(m + 1, 1)
+    diam = u[:, -1:]
+    area, velocity = _av(pf, pg, u[:, ia], u[:, ib], hs[:, ia], hs[:, ib], diam, m, tol)
+    ratios = np.abs(area / velocity)
+    items = np.column_stack((np.broadcast_to(diam, ratios.shape).ravel(), ratios.ravel()))
     return banded_sup(items, deltas, name="discrete_av_ratio")
 
 

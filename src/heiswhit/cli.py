@@ -12,20 +12,13 @@ import csv
 import gc
 import io
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import dataclass
 
 from .divdiff import SampledCurve
-from .errors import (
-    DuplicateNodeError,
-    HeisWhitError,
-    NonFiniteError,
-    ParseError,
-    SynthesisDefectError,
-)
+from .errors import HeisWhitError, ParseError, SynthesisDefectError
 from .heis import _horizontality_residual
 from .horizontal import (
     check_c1,
@@ -40,6 +33,13 @@ from .whitney import ModulusFn
 MODES = ("check-c1", "check-cm", "check-cm-w", "synthesize", "finiteness")
 EXIT_BY_STATUS = {"consistent": 0, "inconsistent": 1, "inconclusive": 2}
 ENV_PREFIX = "HEISWHIT_"
+# The verdict modes, each called as checker(curve, m, window=, policy=,
+# ratio=, full_enum=).
+CHECKERS = {
+    "check-c1": lambda curve, m, window, full_enum, **kw: check_c1(curve, **kw),
+    "check-cm": check_cm,
+    "check-cm-w": check_cm_via_w,
+}
 
 
 @dataclass
@@ -93,19 +93,6 @@ def parse_omega(spec):
         raise ParseError(str(exc)) from exc
 
 
-def _rows_to_curve(rows):
-    seen = {}
-    for t, x, y, z in rows:
-        if any(not math.isfinite(v) for v in (t, x, y, z)):
-            raise NonFiniteError(f"non-finite sample at t={t}")
-        if t in seen:
-            raise DuplicateNodeError(f"duplicate node t={t}")
-        seen[t] = (x, y, z)
-    rows = sorted((t, *p) for t, p in seen.items())
-    # A single-row file parses fine; SampledCurve raises TooFewNodes.
-    return SampledCurve.from_rows(rows)
-
-
 def parse_input(path):
     """Load samples from a .csv (header t,x,y,z) or .json file."""
     curve, _ = load_input(path)
@@ -140,7 +127,7 @@ def _load_csv(path):
                 rows.append(tuple(float(c) for c in row))
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad number") from None
-    return _rows_to_curve(rows)
+    return SampledCurve.from_rows(rows)
 
 
 def _load_json(path):
@@ -164,7 +151,7 @@ def _load_json(path):
     m_hint = doc.get("m")
     if m_hint is not None and (not isinstance(m_hint, int) or m_hint < 1):
         raise ParseError(f"{path}: 'm' must be a positive integer")
-    return _rows_to_curve(rows), m_hint
+    return SampledCurve.from_rows(rows), m_hint
 
 
 def dump_samples_json(curve, path, m=None):
@@ -266,21 +253,8 @@ def run(config):
 
         t0 = time.perf_counter()
         plot_profiles = None
-        if config.mode == "check-c1":
-            verdict = check_c1(curve, policy=policy, ratio=config.delta_ratio)
-            report.update(_verdict_report(verdict))
-            code = EXIT_BY_STATUS[verdict.status]
-            plot_profiles = verdict.profiles
-        elif config.mode == "check-cm":
-            verdict = check_cm(
-                curve, m, window=config.window, policy=policy,
-                ratio=config.delta_ratio, full_enum=config.full_enum,
-            )
-            report.update(_verdict_report(verdict))
-            code = EXIT_BY_STATUS[verdict.status]
-            plot_profiles = verdict.profiles
-        elif config.mode == "check-cm-w":
-            verdict = check_cm_via_w(
+        if config.mode in CHECKERS:
+            verdict = CHECKERS[config.mode](
                 curve, m, window=config.window, policy=policy,
                 ratio=config.delta_ratio, full_enum=config.full_enum,
             )
@@ -303,7 +277,7 @@ def run(config):
             report["worst_pair"] = list(rep.worst_pair)
             report["profiles"] = {
                 "finiteness_ratio": _profile_entry(
-                    rep.profile, *policy.classify(rep.profile)
+                    rep.profile, rep.status, rep.profile.slope(policy.decades)
                 )
             }
             code = EXIT_BY_STATUS[rep.status]

@@ -137,14 +137,22 @@ def divided_difference(values, nodes):
 def newton_interp(nodes, values):
     """Interpolating polynomial through (nodes, values) in monomial form."""
     coeffs, xs = dd_coefficients(values, nodes)
-    return _newton_poly(coeffs, xs)
+    return Poly(_monomial_rows(np.array(coeffs), np.array(xs)))
 
 
-def _newton_poly(coeffs, xs):
-    """Monomial form of the Newton polynomial with these coefficients."""
-    p = Poly([coeffs[-1]])
-    for j in range(len(coeffs) - 2, -1, -1):
-        p = p * Poly([-xs[j], 1.0]) + Poly([coeffs[j]])
+def _monomial_rows(coeffs, xs):
+    """Ascending monomial coefficients of Newton polynomials.
+
+    coeffs[..., j] multiplies (u - xs[..., 0]) .. (u - xs[..., j-1]); the
+    leading axes of coeffs and xs broadcast.  Nested multiplication by
+    (u - xs[..., j]) from the top coefficient down.
+    """
+    k = coeffs.shape[-1]
+    p = np.zeros(np.broadcast_shapes(coeffs.shape, xs.shape))
+    p[..., :1] = coeffs[..., -1:]
+    for j in range(k - 2, -1, -1):
+        x, c = -xs[..., j : j + 1], coeffs[..., j : j + 1]
+        p = np.concatenate([p[..., :1] * x + c, p[..., :-1] + p[..., 1:] * x], -1)
     return p
 
 
@@ -212,18 +220,19 @@ def _window_width(window, m):
 
 
 def dd_windows(n, m, window, full_enum=False):
-    """Deduplicated (m+1)-subsets of node indices drawn from sliding windows.
+    """(m+1)-subsets of node indices that fit in a sliding window.
 
-    Returns (subsets, window_span) where subsets is a sorted list of index
-    tuples.  With full_enum (or window >= n) every subset is enumerated.
+    Returns (subsets, window_span): subsets is the sorted list of index
+    tuples whose last index lies less than window_span past the first.
+    With full_enum (or window >= n) every subset is enumerated.
     """
     width = n if full_enum or window is None or window >= n else window
-    seen = set()
-    for start in range(0, max(1, n - width + 1)):
-        idx = range(start, min(start + width, n))
-        for sub in itertools.combinations(idx, m + 1):
-            seen.add(sub)
-    return sorted(seen), width
+    subsets = [
+        (first, *rest)
+        for first in range(n)
+        for rest in itertools.combinations(range(first + 1, min(first + width, n)), m)
+    ]
+    return subsets, width
 
 
 def _newton_table(samples, m, window, full_enum):

@@ -10,15 +10,14 @@ is exactly the mechanism that costs half an order of modulus in the
 guarantee.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .av import _discrete_av_profile, av_pair, av_profile
+from .av import _discrete_av_profile, _taylor_av, av_profile
 from .divdiff import (
-    _dd_profiles, _newton_poly, _newton_table, _window_width, dd_profile,
+    _dd_profiles, _monomial_rows, _newton_table, _window_width, dd_profile,
 )
 from .errors import (
     DegenerateGapError,
@@ -26,8 +25,8 @@ from .errors import (
     SynthesisDefectError,
     TooFewNodesError,
 )
-from .heis import CurveJets, _horizontality_residual, leibniz_stack, pansu_dq
-from .poly import Poly, compose_affine, jet_poly, signed_integral
+from .heis import CurveJets, _horizontality_residual, leibniz_stack
+from .poly import Poly, _deriv, _horner, compose_affine, jet_poly, signed_integral
 from .profiles import (
     CONSISTENT,
     INCONCLUSIVE,
@@ -404,30 +403,30 @@ def check_c1(samples, policy=None, deltas=None, ratio=0.5):
     if deltas is None:
         deltas = delta_grid(samples.diam, samples.min_gap, ratio)
 
-    # Quotients of adjacent nodes: node i's neighbours are steps[i-1], steps[i].
-    points = samples.points
-    steps = [
-        pansu_dq(points[i], points[i + 1], nodes[i], nodes[i + 1])
-        for i in range(n - 1)
-    ]
-    means = []
-    for i in range(n):
-        qs = steps[max(i - 1, 0) : i + 1]
-        means.append(
-            (
-                sum(q.x for q in qs) / len(qs),
-                sum(q.y for q in qs) / len(qs),
-            )
+    t = np.array(nodes)
+    x, y, z = (np.array(c) for c in (samples.fs, samples.gs, samples.hs))
+
+    def quotients(i, j):
+        # pansu_dq(points[i], points[j], t[i], t[j]) for index arrays, with
+        # its order of operations: inverse, group product, dilation.
+        r = 1.0 / (t[j] - t[i])
+        return (
+            r * (-x[i] + x[j]),
+            r * (-y[i] + y[j]),
+            r * r * (-z[i] + z[j] + 2.0 * (-y[i] * x[j] - -x[i] * y[j])),
         )
 
-    xy_items, z_items = [], []
-    for i, j in itertools.combinations(range(n), 2):
-        q = pansu_dq(points[i], points[j], nodes[i], nodes[j])
-        d = nodes[j] - nodes[i]
-        z_items.append((d, abs(q.z)))
-        for anchor in (i, j):
-            mx, my = means[anchor]
-            xy_items.append((d, max(abs(q.x - mx), abs(q.y - my))))
+    # Local means of the adjacent quotients around each node.
+    steps = quotients(np.arange(n - 1), np.arange(1, n))
+    lo, hi = np.maximum(np.arange(n) - 1, 0), np.minimum(np.arange(n), n - 2)
+    mx, my = (np.where(lo == hi, s[lo], (s[lo] + s[hi]) / 2) for s in steps[:2])
+
+    i, j = np.triu_indices(n, 1)
+    qx, qy, qz = quotients(i, j)
+    d = t[j] - t[i]
+    z_items = np.column_stack((d, np.abs(qz)))
+    osc = [np.maximum(np.abs(qx - mx[k]), np.abs(qy - my[k])) for k in (i, j)]
+    xy_items = np.column_stack((np.concatenate((d, d)), np.concatenate(osc)))
 
     profiles = {
         "pansu_xy_osc": banded_sup(xy_items, deltas, name="pansu_xy_osc"),
@@ -499,20 +498,17 @@ class FinitenessReport:
     subsets_scanned: int
 
 
-def _seminorm_power(slope, diam, omega):
-    # affine m-th derivative: |p^(m)(b) - p^(m)(a)| = |slope| |b - a|
+def _seminorm(slope, diam, omega):
+    """C^{m,omega} seminorms of interpolants with affine m-th derivatives.
+
+    |p^(m)(b) - p^(m)(a)| = |slope| |b - a|; slope (.., S) and diam (S,).
+    """
     if omega.kind == "power":
-        return abs(slope) * diam ** (1.0 - omega.exponent) / omega.coeff
-    best = 0.0
-    d = diam
-    for _ in range(60):
-        w = omega(d)
-        if w > 0:
-            best = max(best, abs(slope) * d / w)
-        d *= 0.5
-        if d <= 0:
-            break
-    return best
+        return np.abs(slope) * diam ** (1.0 - omega.exponent) / omega.coeff
+    d = diam * 0.5 ** np.arange(60)[:, None]  # 60 halvings of each diam
+    w = np.vectorize(omega, otypes=[float])(d)
+    out = np.zeros(np.shape(slope)[:-1] + d.shape)
+    return np.divide(np.abs(slope)[..., None, :] * d, w, out=out, where=w > 0).max(-2)
 
 
 def finiteness_check(
@@ -538,34 +534,32 @@ def finiteness_check(
     deltas = delta_grid(samples.diam, samples.min_gap, ratio)
 
     _, _, xs, coeffs = _newton_table(samples, m + 1, window, full_enum)
-    m_hat = 0.0
-    c2_hat = 0.0
-    worst_subset = ()
-    worst_pair = ()
-    items = []
-    for x, cs in zip(xs.tolist(), coeffs.transpose(1, 0, 2).tolist()):
-        diam = x[-1] - x[0]
-        # Interpolants live in u = t - x[0]; node values and separations
-        # are read off the global x.
-        u = [t - x[0] for t in x]
-        pf, pg, ph = (_newton_poly(c, u) for c in cs)
-        jets = CurveJets.from_polys(u, pf, pg, ph, m)
-        for ia, ib in itertools.combinations(range(len(x)), 2):
-            a, b = x[ia], x[ib]
-            pair = av_pair(jets, u[ia], u[ib], m)
-            w = omega(b - a)
-            ratio_n = abs(pair.area) / (pair.velocity * w) if w > 0 else math.inf
-            # Bin at the pair separation, not diam(X): a short pair inside
-            # a wide window would otherwise hide growth in the top bands.
-            items.append((b - a, ratio_n))
-            if ratio_n > m_hat:
-                m_hat = ratio_n
-                worst_subset = tuple(x)
-                worst_pair = (a, b)
-        for p in (pf, pg, ph):
-            lead = p.coeffs[m + 1] if p.degree >= m + 1 else 0.0
-            slope = lead * math.factorial(m + 1)
-            c2_hat = max(c2_hat, _seminorm_power(slope, diam, omega))
+    # Interpolants and their jets live in u = t - x[0]; node values and
+    # separations are read off the global x.
+    u = xs - xs[:, :1]
+    polys = _monomial_rows(coeffs, u)
+    jets, p = [], polys
+    for _ in range(m + 1):
+        jets.append(_horner(p[..., None, :], u))
+        p = _deriv(p)
+    f, g, h = np.stack(jets, axis=-1)
+    ia, ib = np.triu_indices(m + 2, 1)
+    area, velocity = _taylor_av(f, g, h, ia, ib, u[:, ib] - u[:, ia], m)
+    # Bin at the pair separation, not diam(X): a short pair inside a wide
+    # window would otherwise hide growth in the top bands.
+    sep = xs[:, ib] - xs[:, ia]
+    w = np.array([omega(s) for s in sep.ravel().tolist()]).reshape(sep.shape)
+    ratios = np.full(sep.shape, math.inf)
+    np.divide(np.abs(area), velocity * w, out=ratios, where=w > 0)
+    items = np.column_stack((sep.ravel(), ratios.ravel()))
+    # The first largest ratio in (subset, pair) order is the witness.
+    s, k = divmod(int(np.argmax(ratios)), len(ia))
+    m_hat, worst_subset = float(ratios[s, k]), tuple(xs[s].tolist())
+    worst_pair = (float(xs[s, ia[k]]), float(xs[s, ib[k]]))
+    if not m_hat > 0.0:
+        m_hat, worst_subset, worst_pair = 0.0, (), ()
+    slope = polys[..., m + 1] * math.factorial(m + 1)
+    c2_hat = float(np.max(_seminorm(slope, xs[:, -1] - xs[:, 0], omega), initial=0.0))
 
     profile = banded_sup(items, deltas, name="finiteness_ratio")
     status = _bounded_status(profile, policy or ThresholdPolicy())

@@ -40,6 +40,25 @@ def _horner(coeffs, u):
     return out
 
 
+def _deriv(c):
+    """Derivative along the last axis of ascending coefficients."""
+    return c[..., 1:] * np.arange(1, c.shape[-1])
+
+
+def _antideriv(c):
+    """Antiderivative with zero constant term along the last axis."""
+    return np.concatenate([np.zeros_like(c[..., :1]), c / np.arange(1, c.shape[-1] + 1)], -1)
+
+
+def _mul(a, b):
+    """Product along the last axis; leading axes broadcast."""
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(lead + (a.shape[-1] + b.shape[-1] - 1,))
+    for i in range(a.shape[-1]):
+        out[..., i : i + b.shape[-1]] += a[..., i : i + 1] * b
+    return out
+
+
 class Poly:
     """Polynomial in one variable with ascending float coefficients."""
 
@@ -165,82 +184,100 @@ def integrate(p, iv):
     return signed_integral(p, iv.lo, iv.hi)
 
 
-def _bisect_root(p, a, b, fa, fb, tol, budget=200):
-    # Invariant: sign(fa) != sign(fb), so the bracket always contains a root.
+def _bisect(c, a, b, fa, active, tol, budget=200):
+    """Bisect every active bracket [a, b] of rows c whose ends change sign.
+
+    A bracket ends when b - a <= tol, when its midpoint hits a zero, or when
+    the midpoint equals one of its ends (far from 0, neighbouring floats lie
+    farther apart than tol).  Returns the midpoints, NaN where inactive.
+    """
+    root = np.full(a.shape, np.nan)
     for _ in range(budget):
-        if b - a <= tol:
-            return 0.5 * (a + b)
         mid = 0.5 * (a + b)
-        fm = p(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    raise RootBudgetError(f"bisection budget exhausted on [{a}, {b}]")
+        fm = _horner(c, mid)
+        done = active & ((b - a <= tol) | (mid == a) | (mid == b) | (fm == 0.0))
+        root[done] = mid[done]
+        active = active & ~done
+        if not active.any():
+            return root
+        left = (fm > 0.0) == (fa > 0.0)
+        a, fa = np.where(left, mid, a), np.where(left, fm, fa)
+        b = np.where(left, b, mid)
+    bad = np.argwhere(active)[0]
+    raise RootBudgetError(f"bisection budget exhausted on [{a[tuple(bad)]}, {b[tuple(bad)]}]")
+
+
+def _roots(c, lo, hi, tol=1e-12):
+    """Roots in [lo, hi] of every row of ascending coefficients c.
+
+    Rows run along the leading axes of c, and lo and hi broadcast against
+    them.  The critical points of a row (the roots of its derivative, found
+    by this same rule) cut [lo, hi] into pieces on which it is monotone, so
+    each piece holds at most one root; a piece whose ends change sign is
+    bisected.  With scale the largest |p| over the cuts, an end of [lo, hi]
+    where |p| <= 1e-14 (1 + scale) is a root, and so is a critical point
+    where |p| <= 1e-10 (1 + scale) that ends no bisected piece: p touches
+    zero there without a sign change to bracket.  Roots within
+    max(tol, 1e-12 max(1, |lo|, |hi|)) of a smaller one merge into it.
+    Returns the roots of each row sorted along the last axis, NaN-padded.
+    """
+    rows = c.shape[:-1]
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), rows)[..., None]
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), rows)[..., None]
+    if c.shape[-1] < 2:
+        return np.full(rows + (0,), np.nan)
+    crit = _roots(_deriv(c), lo[..., 0], hi[..., 0], tol)
+    inside = (lo < crit) & (crit < hi)
+    # Critical points off the open interval (and the NaN padding) repeat an
+    # end, so the cuts stay sorted and their extra pieces have length zero.
+    cuts = np.concatenate([lo, np.clip(np.nan_to_num(crit, nan=np.inf), lo, hi), hi], -1)
+    c = c[..., None, :]
+    vals = _horner(c, cuts)
+    scale = np.max(np.abs(vals), axis=-1, keepdims=True)
+    zero_cut, touch_tol = 1e-14 * (1.0 + scale), 1e-10 * (1.0 + scale)
+    va, vb = vals[..., :-1], vals[..., 1:]
+    split = (np.minimum(np.abs(va), np.abs(vb)) > zero_cut) & ((va > 0.0) != (vb > 0.0))
+    tols = np.concatenate([zero_cut, np.where(inside, touch_tol, -np.inf), zero_cut], -1)
+    at_cut = np.abs(vals) <= tols
+    at_cut[..., :-1] &= ~split
+    at_cut[..., 1:] &= ~split
+    candidates = np.sort(np.concatenate([
+        np.where(at_cut, cuts, np.nan),
+        _bisect(c, cuts[..., :-1], cuts[..., 1:], va, split, tol),
+    ], -1), axis=-1)
+    merge = np.maximum(tol, 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+    keep = ~np.isnan(candidates)
+    last = candidates[..., :1]
+    for j in range(1, candidates.shape[-1]):
+        keep[..., j] &= (candidates[..., j : j + 1] - last > merge)[..., 0]
+        last = np.where(keep[..., j : j + 1], candidates[..., j : j + 1], last)
+    roots = np.sort(np.where(keep, candidates, np.nan), axis=-1)
+    return roots[..., : keep.sum(-1).max(initial=0)]
 
 
 def real_roots(p, iv, tol=1e-12):
-    """Roots of p inside iv, sorted, deduplicated to within tol.
-
-    The critical points of p (the roots of p', found by this same rule)
-    cut iv into pieces on which p is monotone, so each piece holds at most
-    one root; a piece whose ends change sign is bisected.  With scale the
-    largest |p| over the cuts (the maximum of |p| on iv), an end of iv
-    where |p| <= 1e-14 (1 + scale) is a root, and so is a critical point
-    where |p| <= 1e-10 (1 + scale) that ends no bisected piece: p touches
-    zero there without a sign change to bracket.
-    """
+    """Roots of p inside iv, sorted, deduplicated to within tol (see _roots)."""
     if p.is_zero:
         raise IdenticallyZeroError("the zero polynomial vanishes everywhere")
-    lo, hi = iv.lo, iv.hi
-    if p.degree == 0:
-        return []
+    return _roots(np.array(p.coeffs), iv.lo, iv.hi, tol).tolist()
 
-    crit = [c for c in real_roots(p.derivative(), iv, tol) if lo < c < hi]
-    cuts = [lo] + crit + [hi]
-    vals = [p(c) for c in cuts]
-    scale = max(abs(v) for v in vals)
-    zero_cut = 1e-14 * (1.0 + scale)
-    touch_tol = 1e-10 * (1.0 + scale)
 
-    candidates, bisected = [], [False] * len(cuts)
-    for i in range(len(cuts) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if min(abs(va), abs(vb)) > zero_cut and (va > 0.0) != (vb > 0.0):
-            candidates.append(_bisect_root(p, cuts[i], cuts[i + 1], va, vb, tol))
-            bisected[i] = bisected[i + 1] = True
-    last = len(cuts) - 1
-    for i, (c, v) in enumerate(zip(cuts, vals)):
-        if abs(v) <= (zero_cut if i in (0, last) else touch_tol) and not bisected[i]:
-            candidates.append(c)
+def _abs_integral(c, a, b, roots):
+    """Integral of |p| from a to b for rows c, split at the NaN-padded roots.
 
-    merge = max(tol, 1e-12 * max(1.0, abs(lo), abs(hi)))
-    roots = []
-    for r in sorted(candidates):
-        if not roots or r - roots[-1] > merge:
-            roots.append(r)
-    return roots
+    a <= b hold one entry per interval along their last axis; the roots of
+    each row along the last axis of roots may reach beyond the intervals.
+    """
+    a, b = a[..., None], b[..., None]
+    r = np.nan_to_num(roots[..., None, :], nan=np.inf)
+    cuts = np.concatenate([a, np.clip(r, a, b), b], -1)
+    anti = _horner(_antideriv(c)[..., None, None, :], cuts)
+    return np.cumsum(np.abs(anti[..., 1:] - anti[..., :-1]), axis=-1)[..., -1]
 
 
 def abs_integral(p, iv, tol=1e-12):
     """Integral of |p| over iv: split at the roots, sum unsigned pieces."""
     if p.is_zero or iv.hi == iv.lo:
         return 0.0
-    return abs_integral_between(p, real_roots(p, iv, tol), iv.lo, iv.hi)
-
-
-def abs_integral_between(p, roots, a, b):
-    """Integral of |p| over [a, b] given roots of p precomputed on a superset.
-
-    Lets callers isolate roots once per polynomial and integrate over many
-    subintervals of the hull.
-    """
-    if p.is_zero or a == b:
-        return 0.0
-    cuts = [a] + [r for r in roots if a < r < b] + [b]
-    total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        total += abs(signed_integral(p, lo, hi))
-    return total
+    c, lo, hi = np.array(p.coeffs), np.array([iv.lo]), np.array([iv.hi])
+    return float(_abs_integral(c, lo, hi, _roots(c, iv.lo, iv.hi, tol))[0])

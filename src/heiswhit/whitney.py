@@ -10,7 +10,6 @@ Taylor polynomials of adjacent nodes with a fixed smooth transition, which
 keeps it linear in the field and exact on the jets at the nodes.
 """
 
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -297,39 +296,24 @@ def validate_field(whitney_field, mode="cm", omega=None, deltas=None, ratio=0.5)
         gap = min(b - a for a, b in zip(nodes, nodes[1:]))
         deltas = delta_grid(diam, gap, ratio)
 
-    items = {k: [] for k in range(m + 1)}
-    omega_c = 0.0
-    worst = 0.0
-    pairs = 0
-    for ia in range(n):
-        a = nodes[ia]
-        truncated = [jet_poly(jets[ia][k:]) for k in range(m + 1)]
-        for ib in range(n):
-            if ib == ia:
-                continue
-            b = nodes[ib]
-            d = abs(b - a)
-            pairs += 1
-            for k in range(m + 1):
-                taylor = truncated[k](b - a)
-                r = abs(jets[ib][k] - taylor) / d ** (m - k)
-                items[k].append((d, r))
-                worst = max(worst, r)
-                if mode == "cm_omega":
-                    w = omega(d)
-                    omega_c = max(omega_c, r / w if w > 0 else math.inf)
-
-    per_k = {
-        k: banded_sup(items[k], deltas, name=f"remainder_k{k}")
+    # Every ordered pair (a, b) of distinct nodes, a major.
+    ia, ib = np.nonzero(~np.eye(n, dtype=bool))
+    t, jet = np.array(nodes), np.array(jets, dtype=float)
+    u = t[ib] - t[ia]
+    d = np.abs(u)
+    fact = np.array([math.factorial(j) for j in range(m + 1)], dtype=float)
+    rs = [
+        np.abs(jet[ib, k] - _horner(jet[ia, k:] / fact[: m + 1 - k], u)) / d ** (m - k)
         for k in range(m + 1)
+    ]
+    per_k = {
+        k: banded_sup(np.column_stack((d, r)), deltas, name=f"remainder_k{k}")
+        for k, r in enumerate(rs)
     }
-    combined = banded_sup(
-        itertools.chain.from_iterable(items.values()), deltas, name="remainders"
-    )
-    return FieldReport(
-        per_k,
-        combined,
-        worst,
-        omega_c if mode == "cm_omega" else None,
-        pairs,
-    )
+    r, dk = np.concatenate(rs), np.tile(d, m + 1)
+    combined = banded_sup(np.column_stack((dk, r)), deltas, name="remainders")
+    omega_c = None
+    if mode == "cm_omega":
+        w = np.array([omega(x) for x in dk.tolist()])
+        omega_c = float(np.divide(r, w, out=np.full_like(r, math.inf), where=w > 0).max())
+    return FieldReport(per_k, combined, float(r.max()), omega_c, len(u))

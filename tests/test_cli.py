@@ -232,6 +232,24 @@ def test_run_finiteness_inconclusive_exits_2(tmp_path):
     assert len(report["worst_pair"]) == 2
 
 
+@pytest.mark.parametrize("rows,status", [
+    (circle_rows(9), "consistent"),
+    ([(t, p.x, p.y, p.z) for t, p in zip(line_curve(5).nodes, line_curve(5).points)],
+     "inconclusive"),
+])
+def test_finiteness_profile_carries_the_report_status(tmp_path, rows, status):
+    # The decay rule of classify would call these profiles inconclusive and
+    # inconsistent; the finiteness verdict is the boundedness rule.
+    report_path = tmp_path / "report.json"
+    config = RunConfig(mode="finiteness", input_path=write_csv(tmp_path / "in.csv", rows),
+                       m=1, report_path=str(report_path))
+    assert run(config) == {"consistent": 0, "inconclusive": 2}[status]
+    report = json.loads(report_path.read_text())
+    entry = report["profiles"]["finiteness_ratio"]
+    assert report["status"] == entry["status"] == status
+    assert entry["slope"] == Profile(tuple(map(tuple, entry["points"]))).slope()
+
+
 def test_run_json_m_hint_overrides_flag(tmp_path):
     rows = circle_rows(12)
     doc = {

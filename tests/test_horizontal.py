@@ -32,6 +32,7 @@ from heiswhit import (
     synthesize,
 )
 from heiswhit.divdiff import dd_profile
+from heiswhit.horizontal import _seminorm
 from heiswhit.av import discrete_av_profile
 from heiswhit.errors import (
     DegenerateGapError,
@@ -365,6 +366,29 @@ def test_finiteness_witness_bookkeeping():
     assert {a, b} <= set(report.worst_subset)
 
 
+def seminorm_by_halving(slope, diam, omega):
+    """Brute force: sup of |slope| d / omega(d) over 60 halvings of diam."""
+    best, d = 0.0, diam
+    for _ in range(60):
+        w = omega(d)
+        if w > 0:
+            best = max(best, abs(slope) * d / w)
+        d *= 0.5
+    return best
+
+
+def test_seminorm_matches_halving_sup():
+    rng = np.random.default_rng(67)
+    slope, diam = rng.normal(size=(3, 5)), rng.uniform(0.01, 2.0, 5)
+    tabulated = ModulusFn(kind="tabulated", table=((0.1, 0.5), (1.0, 1.0), (3.0, 2.0)))
+    for omega in (tabulated, ModulusFn(coeff=2.0, exponent=1.0)):
+        got = _seminorm(slope, diam, omega)
+        for c in range(3):
+            for s in range(5):
+                want = seminorm_by_halving(slope[c, s], diam[s], omega)
+                assert got[c, s] == pytest.approx(want, rel=1e-15)
+
+
 def test_finiteness_input_validation():
     curve = circle_curve(8)
     with pytest.raises(TooFewNodesError):
@@ -420,3 +444,16 @@ def test_jets_and_bumps_ignore_where_t_starts(offset):
         assert got.jets == want.jets
     want = synthesize(base, 2).bump_amplitudes
     assert synthesize(moved, 2).bump_amplitudes == want
+
+
+def test_far_parameters_get_a_verdict_in_every_checker():
+    # A horizontal circle sampled at t = 1e5 s: bisection brackets near
+    # t = 1e4 narrow to neighbouring floats, which lie farther apart than
+    # the root tolerance, and must still end.
+    samples = SampledCurve.from_rows(
+        [(1e5 * s, math.cos(6 * s), math.sin(6 * s), -12 * s)
+         for s in (i / 32 for i in range(33))]
+    )
+    assert check_cm(samples, 2).status == "consistent"
+    assert check_cm_via_w(samples, 2).status == "consistent"
+    assert finiteness_check(samples, 2, ModulusFn()).status == "consistent"

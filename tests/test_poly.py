@@ -124,6 +124,15 @@ def test_roots_1e4_apart_are_both_found():
     assert real_roots(p, Interval(0.0, 1.0)) == pytest.approx([0.5, 0.5001], abs=1e-9)
 
 
+def test_root_near_2e4_ends_its_bisection():
+    # Neighbouring floats near 2e4 lie 3.6e-12 apart, farther than tol, and
+    # p is nonzero at both ends of the last bracket.
+    p = Poly([60001.28477690172, -3.0])
+    assert real_roots(p, Interval(0.0, 3e4)) == pytest.approx(
+        [60001.28477690172 / 3.0], rel=1e-15
+    )
+
+
 def _separated(roots, gap=1e-2):
     roots = sorted(roots)
     return all(b - a >= gap for a, b in zip(roots, roots[1:]))

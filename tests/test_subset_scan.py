@@ -2,7 +2,9 @@
 
 dd_profile pairs two (m+1)-subsets when their union spans fewer than the
 window width; the oracle here pairs them window by window instead, the way
-the scan used to, and both must give the same profiles bit for bit.
+the scan used to, and both must give the same profiles bit for bit.  The
+same goes for the subsets themselves (collected window by window into a
+set) and for check_c1 (one pansu_dq per node pair).
 """
 
 import csv
@@ -12,12 +14,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circle_curve
-from heiswhit import SampledCurve, check_cm, divided_difference, synthesize
+from conftest import bounded_horizontal_triple, circle_curve, line_curve, poly_curve
+from heiswhit import (
+    SampledCurve, ThresholdPolicy, check_c1, check_cm, divided_difference, synthesize,
+)
 from heiswhit.av import discrete_av_profile
 from heiswhit.cli import RunConfig, dump_samples_json, run
-from heiswhit.divdiff import dd_profile
-from heiswhit.heis import _horizontality_residual, horizontality_defect
+from heiswhit.divdiff import dd_profile, dd_windows
+from heiswhit.heis import _horizontality_residual, horizontality_defect, pansu_dq
 from heiswhit.profiles import banded_sup, delta_grid
 
 
@@ -75,6 +79,63 @@ CASES = [
     for full_enum in (False, True)
     if not (full_enum and label == "3*width")
 ]
+
+
+def dd_windows_by_set(n, m, window, full_enum=False):
+    """Brute force: every window's combinations, deduplicated and sorted."""
+    width = n if full_enum or window is None or window >= n else window
+    seen = set()
+    for start in range(0, max(1, n - width + 1)):
+        idx = range(start, min(start + width, n))
+        for sub in itertools.combinations(idx, m + 1):
+            seen.add(sub)
+    return sorted(seen), width
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("full_enum", [False, True])
+def test_dd_windows_match_the_window_by_window_set(m, full_enum):
+    width = 2 * m + 4
+    for n in sizes(m).values():
+        assert dd_windows(n, m, width, full_enum) == dd_windows_by_set(n, m, width, full_enum)
+
+
+def check_c1_by_pairs(samples, deltas):
+    """Brute force: one pansu_dq per node pair, items collected one by one."""
+    nodes, points = samples.nodes, samples.points
+    n = len(nodes)
+    steps = [pansu_dq(points[i], points[i + 1], nodes[i], nodes[i + 1]) for i in range(n - 1)]
+    means = []
+    for i in range(n):
+        qs = steps[max(i - 1, 0) : i + 1]
+        means.append((sum(q.x for q in qs) / len(qs), sum(q.y for q in qs) / len(qs)))
+    xy_items, z_items = [], []
+    for i, j in itertools.combinations(range(n), 2):
+        q = pansu_dq(points[i], points[j], nodes[i], nodes[j])
+        d = nodes[j] - nodes[i]
+        z_items.append((d, abs(q.z)))
+        for anchor in (i, j):
+            mx, my = means[anchor]
+            xy_items.append((d, max(abs(q.x - mx), abs(q.y - my))))
+    return {
+        "pansu_xy_osc": banded_sup(xy_items, deltas, name="pansu_xy_osc"),
+        "pansu_z": banded_sup(z_items, deltas, name="pansu_z"),
+    }
+
+
+@pytest.mark.parametrize("family", ["circle", "poly", "drift"])
+@pytest.mark.parametrize("n", [2, 3, 40])
+def test_check_c1_matches_one_quotient_per_pair(family, n):
+    if family == "poly":
+        triple = bounded_horizontal_triple(np.random.default_rng(n), 2)
+        samples = poly_curve(*triple, [i / max(n - 1, 1) + 0.3 for i in range(n)])
+    else:
+        samples = (circle_curve if family == "circle" else line_curve)(n)
+    verdict = check_c1(samples)
+    deltas = delta_grid(samples.diam, samples.min_gap)
+    want = check_c1_by_pairs(samples, deltas)
+    assert verdict.profiles == want
+    assert verdict.statuses == {k: ThresholdPolicy().classify(p)[0] for k, p in want.items()}
 
 
 @pytest.mark.parametrize("m,label,full_enum", CASES)

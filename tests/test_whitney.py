@@ -24,7 +24,8 @@ from heiswhit.errors import (
     NonFiniteError,
     TooFewNodesError,
 )
-from heiswhit.poly import Poly
+from heiswhit.poly import Poly, jet_poly
+from heiswhit.profiles import banded_sup, delta_grid
 
 
 def poly_field(p, nodes, m):
@@ -124,6 +125,43 @@ def test_omega_constant_for_square():
     )
     assert report.omega_constant == pytest.approx(2.0, rel=1e-12)
     assert report.pair_count == 2
+
+
+def validate_field_by_pairs(field, omega=None):
+    """Brute force: one Taylor polynomial per node and order, pair by pair."""
+    m, nodes, jets = field.order, field.nodes, field.jets
+    deltas = delta_grid(nodes[-1] - nodes[0], min(np.diff(nodes)))
+    items, omega_c, worst, pairs = {k: [] for k in range(m + 1)}, 0.0, 0.0, 0
+    for ia, a in enumerate(nodes):
+        truncated = [jet_poly(jets[ia][k:]) for k in range(m + 1)]
+        for ib, b in enumerate(nodes):
+            if ib == ia:
+                continue
+            d = abs(b - a)
+            pairs += 1
+            for k in range(m + 1):
+                r = abs(jets[ib][k] - truncated[k](b - a)) / d ** (m - k)
+                items[k].append((d, r))
+                worst = max(worst, r)
+                if omega is not None:
+                    w = omega(d)
+                    omega_c = max(omega_c, r / w if w > 0 else math.inf)
+    per_k = {k: banded_sup(items[k], deltas, name=f"remainder_k{k}") for k in items}
+    combined = banded_sup([i for k in items for i in items[k]], deltas, name="remainders")
+    return per_k, combined, worst, omega_c if omega is not None else None, pairs
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_validate_field_matches_pair_by_pair_loop(m):
+    rng = np.random.default_rng(70 + m)
+    nodes = tuple(sorted(distinct_nodes(rng, 9)))
+    field = WhitneyField(nodes, tuple(tuple(rng.uniform(-2.0, 2.0, m + 1)) for _ in nodes))
+    for omega in (None, ModulusFn(coeff=2.0, exponent=0.5)):
+        mode = "cm" if omega is None else "cm_omega"
+        got = validate_field(field, mode=mode, omega=omega)
+        want = validate_field_by_pairs(field, omega)
+        assert (got.per_k, got.combined, got.max_remainder, got.omega_constant,
+                got.pair_count) == want
 
 
 def test_validate_field_mode_errors():
