@@ -296,6 +296,7 @@ def run(config):
                 report["status"] = "synthesized"
                 report["defect"] = curve_obj.defect
                 report["bump_amplitudes"] = list(curve_obj.bump_amplitudes)
+                report["audit"] = curve_obj.audit
                 report["profiles"] = {
                     f"modulus_{k}": _profile_entry(p, *policy.classify(p))
                     for k, p in curve_obj.modulus.items()

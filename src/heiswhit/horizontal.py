@@ -26,7 +26,7 @@ from .errors import (
     TooFewNodesError,
 )
 from .heis import CurveJets, _horizontality_residual, leibniz_stack
-from .poly import Poly, _deriv, _horner, compose_affine, jet_poly, signed_integral
+from .poly import Poly, _antideriv, _deriv, _horner, _mul, _padded
 from .profiles import (
     CONSISTENT,
     INCONCLUSIVE,
@@ -41,8 +41,10 @@ from .whitney import (
     PiecewiseCm,
     WhitneyField,
     _blend,
+    _end_rows,
+    _shift,
+    _unit_to_local,
     jets_from_samples,
-    transition_poly,
     validate_field,
 )
 
@@ -71,6 +73,7 @@ class HorizontalCurve:
     defect: float
     bump_amplitudes: tuple
     modulus: dict
+    audit: dict
 
     def __call__(self, t, deriv=0):
         return (self.f(t, deriv), self.g(t, deriv), self.h(t, deriv))
@@ -80,9 +83,9 @@ class HorizontalCurve:
 class GapPieces:
     """One horizontalized gap: three sub-pieces per component.
 
-    The outer sub-pieces live in local coordinates u = t - a; the middle
-    one is centered at the bump midpoint so its Horner terms stay tame
-    even when the bump amplitude is large on a short gap.
+    Each sub-piece lives in local coordinates at the point nearest to it:
+    t - a, t - mid (the bump midpoint) and t - b, so its Horner terms stay
+    tame even when the bump amplitude is large on a short gap.
     """
 
     breaks: tuple  # (a + L/3, a + 2L/3); both sub-breakpoints interior
@@ -124,78 +127,103 @@ def horizontal_jet_completion(f_ext, g_ext, nodes, hvals, m):
         )
     if len(nodes) != len(hvals):
         raise TooFewNodesError("one h sample per node required")
-    jets = []
-    for a, h0 in zip(nodes, hvals):
-        fjet = f_ext.jet(a, m)
-        gjet = g_ext.jet(a, m)
-        jets.append((float(h0), *leibniz_stack(fjet, gjet, m)))
-    hfield = WhitneyField(tuple(nodes), tuple(jets))
+    jets = tuple(
+        (float(h0), *leibniz_stack(f_ext.jet(a, m), g_ext.jet(a, m), m))
+        for a, h0 in zip(nodes, hvals)
+    )
+    hfield = WhitneyField(tuple(nodes), jets)
     return hfield, validate_field(hfield, "cm")
 
 
-def _bump_basis(m, gap):
-    """Bump pair on the middle third of a gap, centered at its midpoint.
-
-    beta1(s) = (s(1-s))^{m+1} and beta2 = beta1 * (2s - 1) on s in [0, 1],
-    with s = 1/2 + 3v/gap and v the offset from the gap midpoint; both
-    vanish to order m+1 at the ends of the support, so adding them keeps
-    the curve C^m.  Centering keeps |3v/gap| <= 1/2 on the support, which
-    avoids the cancellation a start-anchored chart suffers on short gaps.
-    """
-    base = Poly([0.0, 1.0, -1.0])
-    b1 = Poly([1.0])
-    for _ in range(m + 1):
-        b1 = b1 * base
-    b2 = b1 * Poly([-1.0, 2.0])
-    sixth = gap / 6.0
-    return (
-        compose_affine(b1, 0.5, 3.0 / gap),
-        compose_affine(b2, 0.5, 3.0 / gap),
-        -sixth,
-        sixth,
-    )
+def _velocity_anti(f, g):
+    """Antiderivative, zero at 0, of 2(f'g - fg') for coefficient rows f, g."""
+    return _antideriv(2.0 * (_mul(_deriv(f), g) - _mul(f, _deriv(g))))
 
 
-def _bracket_integral(p, q, lo, hi):
-    """2 * int (p' q - p q') over [lo, hi]."""
-    return 2.0 * signed_integral(p.derivative() * q - q.derivative() * p, lo, hi)
+def _bracket(f, g, lo, hi):
+    """2 * int (f' g - f g') over [lo, hi], per row."""
+    anti = _velocity_anti(f, g)
+    return _horner(anti, hi) - _horner(anti, lo)
 
 
-def _solve_amplitude(a2, b1, b2, deficit, area_tol=0.0):
-    """Smallest lam >= 0 and sigma in {+1,-1} closing the area deficit.
+def _solve_amplitudes(a2, b1, b2, deficit, area_tol):
+    """Smallest lam >= 0 and sigma in {+1,-1} closing each gap's area deficit.
 
     Adding (lam beta1, lam sigma beta2) changes the enclosed area by
-    sigma a2 lam^2 + (b1 + sigma b2) lam; we need that to equal deficit.
-    A deficit within area_tol is left uncorrected: the nearest exact root
-    can sit just below zero at roundoff scale, and chasing it across the
-    sign constraint would select the far root of the quadratic, a large
-    bump closing a negligible area.  The discriminant is nonnegative for
-    sigma = -sign(deficit) sign(a2), so a solution always exists; with
-    zero blends it reduces to lam = sqrt(|deficit| / |a2|).
+    sigma a2 lam^2 + (b1 + sigma b2) lam, which must equal the deficit.  Of
+    the roots for sigma = +1, then -1, the first smallest wins.  A deficit
+    within area_tol is left uncorrected: chasing a roundoff-scale root
+    across the sign constraint would pick a large bump for a negligible area.
     """
-    if abs(deficit) <= area_tol:
-        return 0.0, 1.0
-    best = None
-    for sigma in (1.0, -1.0):
-        lead = sigma * a2
-        lin = b1 + sigma * b2
-        disc = lin * lin + 4.0 * lead * deficit
-        if disc < 0.0:
-            continue
-        root = math.sqrt(disc)
-        q = -0.5 * (lin + math.copysign(root, lin))
-        if q == 0.0:
-            cands = [0.0]
-        else:
-            cands = [-deficit / q]
-            if lead != 0.0:
-                cands.append(q / lead)
-        for lam in cands:
-            if lam >= 0.0 and (best is None or lam < best[0]):
-                best = (lam, sigma)
-    if best is None:
+    cands = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sigma in (1.0, -1.0):
+            lead = sigma * a2
+            lin = b1 + sigma * b2
+            disc = lin * lin + 4.0 * lead * deficit
+            q = -0.5 * (lin + np.copysign(np.sqrt(disc), lin))
+            near = np.where(q == 0.0, 0.0, -deficit / q)
+            far = np.where((q == 0.0) | (lead == 0.0), np.nan, q / lead)
+            cands += [np.where(disc < 0.0, np.nan, c) for c in (near, far)]
+    cands = np.stack(cands, -1)
+    cands[~(cands >= 0.0)] = np.inf
+    pick = np.argmin(cands, -1)
+    lam = np.take_along_axis(cands, pick[..., None], -1)[..., 0]
+    small = np.abs(deficit) <= area_tol
+    if np.any(np.isinf(lam) & ~small):
         raise SynthesisDefectError("no real bump amplitude closes the gap")
-    return best
+    return np.where(small, 0.0, lam), np.where(small | (pick < 2), 1.0, -1.0)
+
+
+def _bump_rows(m):
+    """beta1 = (r(1-r))^{m+1} and beta2 = beta1 (2r - 1), r = 1/2 + 3w, in w.
+
+    Both vanish to order m+1 at the ends of their support |w| <= 1/6.
+    """
+    b1 = np.ones(1)
+    for _ in range(m + 1):
+        b1 = _mul(b1, np.array([0.25, 0.0, -9.0]))
+    return b1, _mul(b1, np.array([0.0, 6.0]))
+
+
+def _horizontalize_gaps(fa, ga, fb, gb, ha, hb, a, b, m):
+    """gap_horizontalize for every gap at once, one row of jets per gap.
+
+    Area integrals are invariant under affine changes of variable, so the
+    work runs in s = (t - a) / gap, where coefficients stay tame on short
+    gaps.  Returns the rows of the sub-pieces in t - a, t - mid and t - b,
+    shape (gaps, 3, width), and lam, sigma and the deficit per gap.
+    """
+    gap = b - a
+    blend_f, blend_g = _blend(fa, fb, gap), _blend(ga, gb, gap)
+    # Centered at the midpoint the monomial rows cancel far less, so the
+    # deficit is integrated there too.
+    mid_f, mid_g = _shift(blend_f, 0.5), _shift(blend_g, 0.5)
+    deficit = hb - ha - _bracket(mid_f, mid_g, -0.5, 0.5)
+
+    beta1, beta2 = _bump_rows(m)
+    sixth = 1.0 / 6.0
+    a2 = _bracket(beta1, beta2, -sixth, sixth)
+    b1 = _bracket(beta1, mid_g, -sixth, sixth)
+    b2 = _bracket(mid_f, beta2, -sixth, sixth)
+    area_tol = 1e-12 * (1.0 + np.abs(ha) + np.abs(hb))
+    lam, sigma = _solve_amplitudes(a2, b1, b2, deficit, area_tol)
+
+    width = max(blend_f.shape[-1], beta2.shape[-1])
+    mid_f = _padded(mid_f, width) + lam[:, None] * _padded(beta1, width)
+    mid_g = _padded(mid_g, width) + (lam * sigma)[:, None] * _padded(beta2, width)
+    f = np.stack([_padded(c, width) for c in (blend_f, mid_f, _shift(blend_f, 1.0))], 1)
+    g = np.stack([_padded(c, width) for c in (blend_g, mid_g, _shift(blend_g, 1.0))], 1)
+
+    # The last third is expanded at b (s - 1); h is chained across the
+    # three sub-pieces, each integrated near its own center.
+    h = _velocity_anti(f, g)
+    start = ha
+    for j, (s0, s1) in enumerate(((0.0, 1.0 / 3.0), (-sixth, sixth), (-1.0 / 3.0, 0.0))):
+        h[:, j, 0] = start - _horner(h[:, j], s0)
+        start = _horner(h[:, j], s1)
+    f, g, h = (_unit_to_local(c, gap[:, None]) for c in (f, g, h))
+    return f, g, h, lam, sigma, deficit
 
 
 def gap_horizontalize(fjet_a, gjet_a, fjet_b, gjet_b, ha, hb, a, b, m):
@@ -207,57 +235,16 @@ def gap_horizontalize(fjet_a, gjet_a, fjet_b, gjet_b, ha, hb, a, b, m):
     """
     if not (b > a):
         raise DegenerateGapError(f"need b > a, got a={a}, b={b}")
+    rows = [np.array([jet[: m + 1]], dtype=float) for jet in (fjet_a, gjet_a, fjet_b, gjet_b)]
+    ends = (np.array([float(v)]) for v in (ha, hb, a, b))
+    f, g, h, lam, sigma, deficit = _horizontalize_gaps(*rows, *ends, m)
     gap = b - a
-    mid = a + 0.5 * gap
-    transition = transition_poly(m)
-    blend_f = _blend(fjet_a[: m + 1], fjet_b[: m + 1], gap, transition)
-    blend_g = _blend(gjet_a[: m + 1], gjet_b[: m + 1], gap, transition)
-
-    deficit = hb - ha - _bracket_integral(blend_f, blend_g, 0.0, gap)
-
-    # Middle third in coordinates v = t - mid; the bump support is
-    # [-gap/6, gap/6] there, and the blends shift to tame polynomials.
-    beta1, beta2, vlo, vhi = _bump_basis(m, gap)
-    mid_blend_f = compose_affine(blend_f, 0.5 * gap, 1.0)
-    mid_blend_g = compose_affine(blend_g, 0.5 * gap, 1.0)
-    a2 = _bracket_integral(beta1, beta2, vlo, vhi)
-    b1 = _bracket_integral(beta1, mid_blend_g, vlo, vhi)
-    b2 = _bracket_integral(mid_blend_f, beta2, vlo, vhi)
-    area_tol = 1e-12 * (1.0 + abs(ha) + abs(hb))
-    lam, sigma = _solve_amplitude(a2, b1, b2, deficit, area_tol)
-
-    mid_f = mid_blend_f + lam * beta1
-    mid_g = mid_blend_g + (lam * sigma) * beta2
-    f_pieces = (blend_f, mid_f, blend_f)
-    g_pieces = (blend_g, mid_g, blend_g)
-
-    h_pieces = []
-    start = ha
-    spans = ((0.0, vlo + 0.5 * gap), (vlo, vhi), (vhi + 0.5 * gap, gap))
-    for (u0, u1), pf, pg in zip(spans, f_pieces, g_pieces):
-        eta = 2.0 * (pf.derivative() * pg - pf * pg.derivative())
-        anti = eta.antiderivative()
-        piece = anti + Poly([start - anti(u0)])
-        h_pieces.append(piece)
-        start = piece(u1)
-
     return GapPieces(
         (a + gap / 3.0, a + 2.0 * gap / 3.0),
-        f_pieces,
-        g_pieces,
-        tuple(h_pieces),
-        (a, mid, a),
-        lam,
-        sigma,
-        deficit,
+        *(tuple(Poly(r) for r in c[0]) for c in (f, g, h)),
+        (a, a + 0.5 * gap, b),
+        *(float(x[0]) for x in (lam, sigma, deficit)),
     )
-
-
-def _end_h_piece(fjet, gjet, h0, m):
-    """Horizontal h continuation from a jet pair at an extreme node."""
-    tf, tg = jet_poly(fjet[: m + 1]), jet_poly(gjet[: m + 1])
-    eta = 2.0 * (tf.derivative() * tg - tf * tg.derivative())
-    return eta.antiderivative() + Poly([h0])
 
 
 def synthesize(
@@ -281,8 +268,7 @@ def synthesize(
     SynthesisDefectError.
     """
     nodes = samples.nodes
-    n = len(nodes)
-    if n < m + 1:
+    if len(nodes) < m + 1:
         raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
     if not force:
         gate = check_cm(
@@ -295,45 +281,27 @@ def synthesize(
                 "pass force=True to synthesize anyway"
             )
 
-    hs = samples.hs
-    f_field = jets_from_samples(nodes, samples.fs, m)
-    g_field = jets_from_samples(nodes, samples.gs, m)
-
-    breakpoints = [nodes[0]]
-    f_pieces = [jet_poly(f_field.jets[0])]
-    g_pieces = [jet_poly(g_field.jets[0])]
-    h_pieces = [_end_h_piece(f_field.jets[0], g_field.jets[0], hs[0], m)]
-    centers = [nodes[0]]
-    amplitudes = []
-    for i in range(n - 1):
-        gp = gap_horizontalize(
-            f_field.jets[i],
-            g_field.jets[i],
-            f_field.jets[i + 1],
-            g_field.jets[i + 1],
-            hs[i],
-            hs[i + 1],
-            nodes[i],
-            nodes[i + 1],
-            m,
-        )
-        amplitudes.append(gp.lam)
-        f_pieces.extend(gp.f_pieces)
-        g_pieces.extend(gp.g_pieces)
-        h_pieces.extend(gp.h_pieces)
-        centers.extend(gp.centers)
-        breakpoints.extend([gp.breaks[0], gp.breaks[1], nodes[i + 1]])
-    f_pieces.append(jet_poly(f_field.jets[-1]))
-    g_pieces.append(jet_poly(g_field.jets[-1]))
-    h_pieces.append(
-        _end_h_piece(f_field.jets[-1], g_field.jets[-1], hs[-1], m)
+    t, hs = np.array(nodes), np.array(samples.hs)
+    fj = np.array(jets_from_samples(nodes, samples.fs, m).jets)
+    gj = np.array(jets_from_samples(nodes, samples.gs, m).jets)
+    f, g, h, lam, _, _ = _horizontalize_gaps(
+        fj[:-1], gj[:-1], fj[1:], gj[1:], hs[:-1], hs[1:], t[:-1], t[1:], m
     )
-    centers.append(nodes[-1])
+    # Beyond the extreme nodes: the end jets' Taylor polynomials, and h
+    # integrating their horizontal velocity from the end samples.
+    end_f, end_g = _end_rows(fj, f.shape[-1]), _end_rows(gj, g.shape[-1])
+    end_h = _velocity_anti(end_f, end_g)
+    end_h[:, 0] += hs[[0, -1]]
+    a, gap = t[:-1], np.diff(t)
+    breaks = np.column_stack([a + gap / 3.0, a + 2.0 * gap / 3.0, t[1:]]).ravel()
+    centers = np.column_stack([a, a + 0.5 * gap, t[1:]]).ravel()
+    exts = tuple(
+        PiecewiseCm(np.concatenate([t[:1], breaks]), np.concatenate([t[:1], centers, t[-1:]]),
+                    np.concatenate([ends[:1], rows.reshape(-1, rows.shape[-1]), ends[1:]]), m)
+        for ends, rows in ((end_f, f), (end_g, g), (end_h, h))
+    )
 
-    f_ext = PiecewiseCm(breakpoints, centers, f_pieces, m)
-    g_ext = PiecewiseCm(breakpoints, centers, g_pieces, m)
-    h_ext = PiecewiseCm(breakpoints, centers, h_pieces, m)
-
+    f_ext, g_ext, h_ext = exts
     grid = np.linspace(nodes[0], nodes[-1], audit_points)
     fv, dfv = f_ext(grid), f_ext(grid, 1)
     gv, dgv = g_ext(grid), g_ext(grid, 1)
@@ -348,7 +316,7 @@ def synthesize(
             f"horizontality defect {defect:.3e} exceeds {defect_tol:.1e} * {scale:.3e}"
         )
     # One row per node, so argwhere meets failures node by node.
-    got = np.array([ext(np.array(nodes)) for ext in (f_ext, g_ext, h_ext)]).T
+    got = np.array([ext(t) for ext in exts]).T
     want = np.array([samples.fs, samples.gs, hs]).T
     failed = np.argwhere(np.abs(got - want) > 1e-10 * (1.0 + np.abs(want)))
     if len(failed):
@@ -357,17 +325,16 @@ def synthesize(
             f"node reproduction failed at t={nodes[i]}: {got[i, c]} vs {want[i, c]}"
         )
 
-    modulus = _empirical_modulus((f_ext, g_ext, h_ext), m, nodes)
-    return HorizontalCurve(
-        f_ext,
-        g_ext,
-        h_ext,
-        m,
-        nodes,
-        defect,
-        tuple(amplitudes),
-        modulus,
-    )
+    top = int(np.argmax(lam))
+    audit = {
+        "node_error": float(np.max(np.abs(got - want))),
+        "breakpoint_jumps": {c: ext.breakpoint_jumps(m) for c, ext in zip("fgh", exts)},
+        "defect_t": float(grid[np.argmax(np.abs(residual))]),
+        "max_bump": float(lam[top]),
+        "max_bump_gap": [nodes[top], nodes[top + 1]],
+    }
+    modulus = _empirical_modulus(exts, m, nodes)
+    return HorizontalCurve(*exts, m, nodes, defect, tuple(lam.tolist()), modulus, audit)
 
 
 def _empirical_modulus(exts, m, nodes, points=513):

@@ -50,6 +50,19 @@ def _antideriv(c):
     return np.concatenate([np.zeros_like(c[..., :1]), c / np.arange(1, c.shape[-1] + 1)], -1)
 
 
+def _trim_rows(c):
+    """Rows of c with Poly's trailing-coefficient cut (see _trim) zeroed."""
+    cut = TRIM_REL * np.max(np.abs(c), axis=-1, keepdims=True, initial=0.0)
+    small = np.abs(c) < cut
+    tail = np.flip(np.logical_and.accumulate(np.flip(small, -1), -1), -1)
+    return np.where(tail, 0.0, c)
+
+
+def _padded(c, width):
+    """c zero-padded along the last axis to width."""
+    return np.concatenate([c, np.zeros(c.shape[:-1] + (width - c.shape[-1],))], -1)
+
+
 def _mul(a, b):
     """Product along the last axis; leading axes broadcast."""
     lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
@@ -162,15 +175,6 @@ def jet_poly(jet):
     u**k is jet[k] / k!.
     """
     return Poly([jet[k] / math.factorial(k) for k in range(len(jet))])
-
-
-def compose_affine(p, c0, c1):
-    """The polynomial q(x) = p(c0 + c1 * x)."""
-    aff = Poly([c0, c1])
-    out = Poly()
-    for c in reversed(p.coeffs):
-        out = out * aff + Poly([c])
-    return out
 
 
 def signed_integral(p, a, b):

@@ -22,8 +22,8 @@ from .errors import (
     NonFiniteError,
     TooFewNodesError,
 )
-from .divdiff import newton_interp
-from .poly import Poly, _horner, compose_affine, jet_poly
+from .divdiff import _monomial_rows, _newton_columns
+from .poly import Poly, _deriv, _horner, _mul, _padded, _trim_rows
 from .profiles import Profile, banded_sup, delta_grid
 
 
@@ -114,15 +114,21 @@ class PiecewiseCm:
     """Piecewise polynomial with local-coordinate pieces.
 
     Piece i covers (-inf, b_0) for i = 0, [b_{i-1}, b_i) in the middle, and
-    [b_last, inf) at the right end, and is stored as a Poly in the local
-    variable u = t - center_i.  Local coordinates keep evaluation stable on
-    short pieces far from the origin.  C^m continuity across breakpoints is
-    a property of how the pieces were built; breakpoint_jumps measures it.
-    Evaluation is one searchsorted plus Horner over zero-padded coefficient
-    rows, which gives each piece's own Horner value bit for bit.
+    [b_last, inf) at the right end, in the local variable u = t - center_i,
+    which keeps evaluation stable on short pieces far from the origin.  The
+    pieces come as Polys or as a 2-D array of ascending coefficient rows,
+    kept as one zero-padded table with Poly's trailing-coefficient cut.
+    Evaluation is one searchsorted plus Horner over its rows, which gives
+    each piece's own Horner value bit for bit; breakpoint_jumps measures
+    how C^m the pieces were built.
     """
 
     def __init__(self, breakpoints, centers, pieces, order):
+        if not isinstance(pieces, np.ndarray):
+            width = max((len(p.coeffs) for p in pieces), default=0)
+            pieces = np.array(
+                [p.coeffs + (0.0,) * (width - len(p.coeffs)) for p in pieces]
+            ).reshape(len(pieces), width)
         if len(pieces) != len(breakpoints) + 1 or len(centers) != len(pieces):
             raise LengthMismatchError(
                 "need len(pieces) == len(breakpoints) + 1 == len(centers)"
@@ -131,24 +137,22 @@ class PiecewiseCm:
         if np.any(np.diff(self.breakpoints) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         self.centers = np.array(centers, dtype=float)
-        self.pieces = tuple(pieces)
         self.order = int(order)
-        self._tables = {}
+        self._tables = {0: _trim_rows(pieces.astype(float))}
 
     @classmethod
     def single(cls, poly, order, center=0.0):
         return cls((), (center,), (poly,), order)
 
+    @property
+    def pieces(self):
+        """The pieces as Polys in their local variables."""
+        return tuple(Poly(row) for row in self._tables[0])
+
     def _table(self, deriv):
         """Ascending coefficients of every piece's deriv-th derivative, zero-padded."""
         if deriv not in self._tables:
-            polys = self.pieces
-            for _ in range(deriv):
-                polys = [p.derivative() for p in polys]
-            width = max(len(p.coeffs) for p in polys)
-            self._tables[deriv] = np.array(
-                [p.coeffs + (0.0,) * (width - len(p.coeffs)) for p in polys]
-            )
+            self._tables[deriv] = _deriv(self._table(deriv - 1))
         return self._tables[deriv]
 
     def __call__(self, t, deriv=0):
@@ -195,12 +199,40 @@ def transition_poly(m):
     return anti * (1.0 / anti(1.0))
 
 
-def _blend(jet_a, jet_b, gap, s_poly):
-    """T_a + S(u/gap) (T_b - T_a) in u = t - a, for jets at a and b = a + gap."""
-    ta = jet_poly(jet_a)
-    tb = compose_affine(jet_poly(jet_b), -gap, 1.0)
-    s_local = compose_affine(s_poly, 0.0, 1.0 / gap)
-    return ta + s_local * (tb - ta)
+def _shift(c, x):
+    """Coefficients of p(u + x) for every row p of c: Newton form, all nodes at -x."""
+    return _monomial_rows(c, np.multiply.outer(-np.asarray(x), np.ones(c.shape[-1])))
+
+
+def _taylor_rows(jets):
+    """Ascending Taylor coefficients jet[k] / k! of every row of jets."""
+    fact = np.cumprod(np.concatenate([[1.0], np.arange(1.0, jets.shape[-1])]))
+    return jets / fact
+
+
+def _blend(jets_a, jets_b, gaps):
+    """T_a + S(s) (T_b - T_a) in the unit variable s = (t - a) / gap.
+
+    One row per gap (a, a + gap); jets_a and jets_b hold one order-m jet
+    per row, and T_b is expanded at s = 0 by a Taylor shift of -1.  In s
+    the coefficients stay of the size of the values, however short the gap.
+    """
+    m = jets_a.shape[-1] - 1
+    scale = np.power.outer(gaps, np.arange(m + 1))
+    ta, tb = _taylor_rows(jets_a) * scale, _shift(_taylor_rows(jets_b) * scale, -1.0)
+    out = _mul(np.array(transition_poly(m).coeffs), tb - ta)
+    out[..., : m + 1] += ta
+    return out
+
+
+def _unit_to_local(rows, gaps):
+    """Rows in the unit variable s = u / gap, rewritten in u."""
+    return rows / np.power.outer(gaps, np.arange(rows.shape[-1]))
+
+
+def _end_rows(jets, width):
+    """Taylor rows of the two extreme jets, zero-padded to width."""
+    return _padded(_taylor_rows(jets[[0, -1]]), width)
 
 
 def extend(whitney_field):
@@ -211,19 +243,14 @@ def extend(whitney_field):
     Taylor polynomial of the extreme jet.  Linear in the field, exact on
     the jets at every node, degree at most 3m+1.
     """
-    m = whitney_field.order
-    nodes = whitney_field.nodes
-    jets = whitney_field.jets
-    s_poly = transition_poly(m)
-
-    centers = [nodes[0]]
-    pieces = [jet_poly(jets[0])]
-    for i in range(len(nodes) - 1):
-        pieces.append(_blend(jets[i], jets[i + 1], nodes[i + 1] - nodes[i], s_poly))
-        centers.append(nodes[i])
-    pieces.append(jet_poly(jets[-1]))
-    centers.append(nodes[-1])
-    return PiecewiseCm(nodes, centers, pieces, m)
+    t = np.array(whitney_field.nodes)
+    jets = np.array(whitney_field.jets, dtype=float)
+    gaps = np.diff(t)
+    blends = _unit_to_local(_blend(jets[:-1], jets[1:], gaps), gaps)
+    ends = _end_rows(jets, blends.shape[-1])
+    rows = np.concatenate([ends[:1], blends, ends[1:]])
+    centers = np.concatenate([t[:1], t[:-1], t[-1:]])
+    return PiecewiseCm(t, centers, rows, whitney_field.order)
 
 
 def jets_from_samples(nodes, values, m):
@@ -243,24 +270,23 @@ def jets_from_samples(nodes, values, m):
         if b <= a:
             raise DuplicateNodeError("nodes must be strictly increasing")
 
-    jets = []
-    for i, a in enumerate(nodes):
-        lo = hi = i
-        while hi - lo + 1 < m + 1:
-            left_gap = a - nodes[lo - 1] if lo > 0 else math.inf
-            right_gap = nodes[hi + 1] - a if hi + 1 < n else math.inf
-            if left_gap <= right_gap:
-                lo -= 1
-            else:
-                hi += 1
-        # Interpolate in u = t - a so the jet does not depend on where t = 0 sits.
-        dp = newton_interp([t - a for t in nodes[lo : hi + 1]], values[lo : hi + 1])
-        jet = [values[i]]
-        for _ in range(m):
-            dp = dp.derivative()
-            jet.append(dp(0.0))
-        jets.append(tuple(jet))
-    return WhitneyField(nodes, tuple(jets))
+    # Grow every stencil [lo, hi] by m steps toward its nearer neighbour.
+    t, v = np.array(nodes), np.array(values)
+    lo = hi = np.arange(n)
+    for _ in range(m):
+        left = np.where(lo > 0, t - t[lo - 1], math.inf)
+        right = np.where(hi + 1 < n, t[np.minimum(hi + 1, n - 1)] - t, math.inf)
+        lo, hi = np.where(left <= right, lo - 1, lo), np.where(left <= right, hi, hi + 1)
+    # Interpolate in u = t - a so the jet does not depend on where t = 0 sits,
+    # and cut the coefficients as a Poly would.
+    stencil = lo[:, None] + np.arange(m + 1)
+    u = t[stencil] - t[:, None]
+    p = _trim_rows(_monomial_rows(_newton_columns(u, v[stencil]), u))
+    jets = [v]
+    for _ in range(m):
+        p = _deriv(p)
+        jets.append(p[:, 0])
+    return WhitneyField(nodes, tuple(map(tuple, np.column_stack(jets).tolist())))
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,46 @@ def test_run_synthesize_polynomial_exits_0_with_small_grid_defect(tmp_path):
     assert max(float(row[4]) for row in grid) <= 1e-9
 
 
+def test_synthesize_report_audit_matches_direct_evaluation(tmp_path):
+    from heiswhit import synthesize
+
+    input_path = write_csv(tmp_path / "circle.csv", circle_rows(24))
+    docs = []
+    for name in ("a.json", "b.json"):
+        report_path = tmp_path / name
+        config = RunConfig(mode="synthesize", input_path=input_path, m=2,
+                           report_path=str(report_path))
+        assert run(config) == 0
+        docs.append(json.loads(report_path.read_text()))
+    audit = docs[0]["audit"]
+    assert audit == docs[1]["audit"]
+
+    samples = parse_input(input_path)
+    curve = synthesize(samples, 2)
+    nodes = samples.nodes
+    repro = max(
+        abs(got - want)
+        for t, point in zip(nodes, samples.points)
+        for got, want in zip(curve(t), point)
+    )
+    assert audit["node_error"] == repro
+    assert audit["node_error"] <= 1e-10
+    for name, ext in zip("fgh", (curve.f, curve.g, curve.h)):
+        assert audit["breakpoint_jumps"][name] == ext.breakpoint_jumps(2)
+        assert len(audit["breakpoint_jumps"][name]) == 3
+    grid = np.linspace(nodes[0], nodes[-1], 10_001)
+    residual = [
+        abs(curve.h(t, 1) - 2.0 * (curve.f(t, 1) * curve.g(t) - curve.f(t) * curve.g(t, 1)))
+        for t in grid.tolist()
+    ]
+    assert audit["defect_t"] == grid[int(np.argmax(residual))]
+    assert max(residual) == docs[0]["defect"]
+    amps = docs[0]["bump_amplitudes"]
+    top = amps.index(max(amps))
+    assert audit["max_bump"] == max(amps) > 0.0
+    assert audit["max_bump_gap"] == [nodes[top], nodes[top + 1]]
+
+
 def test_run_missing_input_exits_3(tmp_path, capsys):
     config = RunConfig(mode="check-c1", input_path=str(tmp_path / "nope.csv"))
     assert run(config) == 3
