@@ -15,14 +15,13 @@ terms, and diam(subset) replaces b - a in V.  Both run through one kernel,
 _av, on rows of polynomial coefficients.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadSubsetError, OrderViolationError, TooFewNodesError
 from .divdiff import _monomial_rows, _newton_columns, _newton_table
-from .poly import _abs_integral, _antideriv, _deriv, _horner, _mul, _roots
+from .poly import _abs_integral, _antideriv, _deriv, _horner, _mul, _roots, _taylor_rows
 from .profiles import banded_sup, delta_grid
 
 
@@ -42,7 +41,7 @@ class AVPair:
         return self.area / self.velocity
 
 
-def _av(p, q, a, b, ha, hb, length, m, tol=1e-12):
+def _av(p, q, a, b, ha, hb, length, m):
     """A without the Taylor corrections, and V, for endpoint pairs of rows.
 
     p and q hold ascending coefficients of f and g along their last axis;
@@ -60,24 +59,23 @@ def _av(p, q, a, b, ha, hb, length, m, tol=1e-12):
     area = hb - ha - 2.0 * (_horner(anti, b) - _horner(anti, a))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     hull = lo.min(-1), hi.max(-1)
-    speed = _abs_integral(dp, lo, hi, _roots(dp, *hull, tol)) + _abs_integral(
-        dq, lo, hi, _roots(dq, *hull, tol)
+    speed = _abs_integral(dp, lo, hi, _roots(dp, *hull)) + _abs_integral(
+        dq, lo, hi, _roots(dq, *hull)
     )
     return area, length ** (2 * m) + length ** m * speed
 
 
-def _taylor_av(f, g, h, ia, ib, u, m, tol=1e-12):
+def _taylor_av(f, g, h, ia, ib, u, m):
     """A and V of the Taylor pairs at nodes ia against nodes ib.
 
     f, g and h hold jets (value, first derivative, ..) along the last axis
     and one node per entry of the axis before it; u holds b - a per pair.
     Each pair is its own row, so its roots are isolated between a and b.
     """
-    fact = np.array([math.factorial(k) for k in range(m + 1)], dtype=float)
-    tf, tg = f[..., ia, : m + 1] / fact, g[..., ia, : m + 1] / fact
+    tf, tg = _taylor_rows(f[..., ia, : m + 1]), _taylor_rows(g[..., ia, : m + 1])
     col = u[..., None]
     area, velocity = _av(
-        tf, tg, np.zeros_like(col), col, h[..., ia, :1], h[..., ib, :1], col, m, tol
+        tf, tg, np.zeros_like(col), col, h[..., ia, :1], h[..., ib, :1], col, m
     )
     area = (
         area[..., 0]
@@ -95,12 +93,12 @@ def _jet_arrays(jets, m):
     return [np.array(js, dtype=float) for js in (jets.fjets, jets.gjets, jets.hjets)]
 
 
-def _jets_pair(jets, a, b, m, tol=1e-12):
+def _jets_pair(jets, a, b, m):
     ia, ib = jets.index(a), jets.index(b)
     if ia == ib:
         raise OrderViolationError("need two distinct nodes")
     u = np.array([b - a])
-    area, velocity = _taylor_av(*_jet_arrays(jets, m), [ia], [ib], u, m, tol)
+    area, velocity = _taylor_av(*_jet_arrays(jets, m), [ia], [ib], u, m)
     return float(area[0]), float(velocity[0])
 
 
@@ -113,14 +111,14 @@ def area_discrepancy(jets, a, b, m):
     return _jets_pair(jets, a, b, m)[0]
 
 
-def av_pair(jets, a, b, m, tol=1e-12):
+def av_pair(jets, a, b, m):
     """AVPair for nodes a < b using the jets stored at a."""
     if not (a < b):
         raise OrderViolationError(f"need a < b, got a={a}, b={b}")
-    return AVPair(*_jets_pair(jets, a, b, m, tol))
+    return AVPair(*_jets_pair(jets, a, b, m))
 
 
-def discrete_av_pair(samples, subset, a, b, m, tol=1e-12):
+def discrete_av_pair(samples, subset, a, b, m):
     """AVPair built from interpolants through an (m+1)-node subset.
 
     subset is a collection of node values containing a and b with a < b;
@@ -143,11 +141,11 @@ def discrete_av_pair(samples, subset, a, b, m, tol=1e-12):
     values = np.array([samples.fs, samples.gs, samples.hs])[:, sub]
     pf, pg = _monomial_rows(_newton_columns(u, values[:2]), u)
     ia, ib = [x.index(a)], [x.index(b)]
-    area, velocity = _av(pf, pg, u[ia], u[ib], values[2, ia], values[2, ib], u[-1], m, tol)
+    area, velocity = _av(pf, pg, u[ia], u[ib], values[2, ia], values[2, ib], u[-1], m)
     return AVPair(float(area[0]), float(velocity[0]))
 
 
-def av_profile(jets, m, deltas=None, ratio=0.5, tol=1e-12):
+def av_profile(jets, m, deltas=None, ratio=0.5):
     """Banded sup of |A/V| over node pairs, scaled by pair separation."""
     nodes = jets.nodes
     if len(nodes) < m + 1:
@@ -159,13 +157,13 @@ def av_profile(jets, m, deltas=None, ratio=0.5, tol=1e-12):
     ia, ib = np.triu_indices(len(nodes), 1)
     t = np.array(nodes, dtype=float)
     sep = t[ib] - t[ia]
-    area, velocity = _taylor_av(*_jet_arrays(jets, m), ia, ib, sep, m, tol)
+    area, velocity = _taylor_av(*_jet_arrays(jets, m), ia, ib, sep, m)
     return banded_sup(
         np.column_stack((sep, np.abs(area / velocity))), deltas, name="av_ratio"
     )
 
 
-def _discrete_av_profile(samples, m, table, deltas, tol=1e-12):
+def _discrete_av_profile(samples, m, table, deltas):
     """Banded sup of |A[X]/V[X]| over the subsets of a Newton table.
 
     Each subset's interpolants live in u = t - t_first, so they never carry
@@ -177,15 +175,13 @@ def _discrete_av_profile(samples, m, table, deltas, tol=1e-12):
     hs = np.array(samples.hs)[idx]
     ia, ib = np.triu_indices(m + 1, 1)
     diam = u[:, -1:]
-    area, velocity = _av(pf, pg, u[:, ia], u[:, ib], hs[:, ia], hs[:, ib], diam, m, tol)
+    area, velocity = _av(pf, pg, u[:, ia], u[:, ib], hs[:, ia], hs[:, ib], diam, m)
     ratios = np.abs(area / velocity)
     items = np.column_stack((np.broadcast_to(diam, ratios.shape).ravel(), ratios.ravel()))
     return banded_sup(items, deltas, name="discrete_av_ratio")
 
 
-def discrete_av_profile(
-    samples, m, window=None, deltas=None, ratio=0.5, full_enum=False, tol=1e-12
-):
+def discrete_av_profile(samples, m, window=None, deltas=None, ratio=0.5, full_enum=False):
     """Banded sup of |A[X]/V[X]| over windowed (m+1)-subsets.
 
     Subsets are drawn from sliding windows of consecutive nodes (default
@@ -197,4 +193,4 @@ def discrete_av_profile(
     if deltas is None:
         deltas = delta_grid(samples.diam, samples.min_gap, ratio)
     table = _newton_table(samples, m, window, full_enum)
-    return _discrete_av_profile(samples, m, table, deltas, tol)
+    return _discrete_av_profile(samples, m, table, deltas)

@@ -1,7 +1,8 @@
 """Command-line front end: parse samples, run a check, write a report.
 
 Exit codes: 0 consistent (or successful synthesis), 1 inconsistent (or a
-failed synthesis audit), 2 inconclusive, 3 input or configuration error.
+failed synthesis audit), 2 inconclusive, 3 any error: bad input, usage,
+configuration or environment value, or too little memory for the scan.
 Every flag can also be set through an environment variable with the
 HEISWHIT_ prefix (flag --delta-ratio becomes HEISWHIT_DELTA_RATIO); the
 flag wins when both are present.
@@ -12,10 +13,11 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .divdiff import SampledCurve
 from .errors import HeisWhitError, ParseError, SynthesisDefectError
@@ -68,6 +70,8 @@ class RunConfig:
             raise ParseError("grid-samples must be at least 2")
         if not (0.0 < self.delta_ratio < 1.0):
             raise ParseError("delta-ratio must lie in (0, 1)")
+        if self.tol is not None and not (0.0 < self.tol < math.inf):
+            raise ParseError("tol must be positive and finite")
 
     def policy(self):
         if self.tol is None:
@@ -309,7 +313,7 @@ def run(config):
 
         if config.plot_out and plot_profiles:
             emit_plot_data(plot_profiles, config.plot_out)
-    except (HeisWhitError, OSError, ValueError) as exc:
+    except (HeisWhitError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
@@ -324,64 +328,53 @@ def run(config):
     return code
 
 
-def _env_default(name, fallback=None):
-    return os.environ.get(ENV_PREFIX + name, fallback)
+# Every flag once, as (flag, RunConfig field, add_argument keywords).  Its
+# HEISWHIT_ variable is its string default, which argparse converts and
+# checks like the flag's own argument; a flag set nowhere leaves its field
+# to RunConfig's default.
+FLAGS = (
+    ("--mode", "mode", {"choices": MODES}),
+    ("--input", "input_path", {"help": "sample file (.csv with header t,x,y,z, or .json)"}),
+    ("--m", "m", {"type": int}),
+    ("--tol", "tol", {"type": float}),
+    ("--window", "window", {"type": int}),
+    ("--delta-ratio", "delta_ratio", {"type": float}),
+    ("--omega", "omega", {"help": "modulus spec power:<c>:<s>"}),
+    ("--report", "report_path", {"help": "JSON report path (default: stdout)"}),
+    ("--grid-out", "grid_out", {"help": "CSV grid export for synthesize mode"}),
+    ("--plot-out", "plot_out", {"help": "CSV profile export (delta,value,series)"}),
+    ("--grid-samples", "grid_samples", {"type": int}),
+    ("--full-enum", "full_enum", {"action": "store_true"}),
+)
 
 
-def _env_flag(name):
-    val = os.environ.get(ENV_PREFIX + name)
-    return val is not None and val.strip().lower() in ("1", "true", "yes", "on")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ParseError(message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heiswhit",
         description="Check sampled curves for horizontal C^m interpolants, "
         "synthesize the interpolant, or scan finiteness constants.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--mode", choices=MODES, default=_env_default("MODE"),
-                        required=_env_default("MODE") is None)
-    parser.add_argument("--input", default=_env_default("INPUT"),
-                        required=_env_default("INPUT") is None,
-                        help="sample file (.csv with header t,x,y,z, or .json)")
-    parser.add_argument("--m", type=int, default=int(_env_default("M", "1")))
-    parser.add_argument("--tol", type=float,
-                        default=_env_default("TOL") and float(_env_default("TOL")))
-    parser.add_argument("--window", type=int,
-                        default=_env_default("WINDOW") and int(_env_default("WINDOW")))
-    parser.add_argument("--delta-ratio", type=float,
-                        default=float(_env_default("DELTA_RATIO", "0.5")))
-    parser.add_argument("--omega", default=_env_default("OMEGA", "power:1:1"),
-                        help="modulus spec power:<c>:<s>")
-    parser.add_argument("--report", default=_env_default("REPORT"),
-                        help="JSON report path (default: stdout)")
-    parser.add_argument("--grid-out", default=_env_default("GRID_OUT"),
-                        help="CSV grid export for synthesize mode")
-    parser.add_argument("--plot-out", default=_env_default("PLOT_OUT"),
-                        help="CSV profile export (delta,value,series)")
-    parser.add_argument("--grid-samples", type=int,
-                        default=int(_env_default("GRID_SAMPLES", "1000")))
-    parser.add_argument("--full-enum", action="store_true",
-                        default=_env_flag("FULL_ENUM"))
+    required = {f.name for f in fields(RunConfig) if f.default is MISSING}
+    for flag, dest, kw in FLAGS:
+        env = os.environ.get(ENV_PREFIX + flag[2:].upper().replace("-", "_"))
+        if env is None:
+            kw = {**kw, "required": dest in required}
+        elif kw.get("action") == "store_true":  # a switch takes no argument to convert
+            kw = {**kw, "default": env.strip().lower() in ("1", "true", "yes", "on")}
+        else:
+            kw = {**kw, "default": env}
+        parser.add_argument(flag, dest=dest, **kw)
     return parser
 
 
 def config_from_args(argv=None):
-    args = build_parser().parse_args(argv)
-    return RunConfig(
-        mode=args.mode,
-        input_path=args.input,
-        m=args.m,
-        tol=args.tol,
-        window=args.window,
-        delta_ratio=args.delta_ratio,
-        omega=args.omega,
-        report_path=args.report,
-        grid_out=args.grid_out,
-        plot_out=args.plot_out,
-        grid_samples=args.grid_samples,
-        full_enum=args.full_enum,
-    )
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv=None):

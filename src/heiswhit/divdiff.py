@@ -53,12 +53,6 @@ class SampledCurve:
             tuple(HPoint(float(r[1]), float(r[2]), float(r[3])) for r in rows),
         )
 
-    @classmethod
-    def from_function(cls, fn, nodes):
-        """Sample fn(t) -> (x, y, z) on the given nodes."""
-        nodes = sorted(float(t) for t in nodes)
-        return cls(tuple(nodes), tuple(HPoint(*fn(t)) for t in nodes))
-
     @property
     def fs(self):
         return tuple(p.x for p in self.points)

@@ -66,7 +66,7 @@ class SynthesisDefectError(HeisWhitError):
 
 
 class ParseError(HeisWhitError):
-    """The input file is malformed."""
+    """The input file, a flag or an environment value is malformed."""
 
 
 class NonFiniteError(HeisWhitError):

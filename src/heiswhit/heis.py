@@ -61,7 +61,16 @@ def pansu_dq(pa, pb, a, b):
     """Group-dilated difference quotient delta_{1/(b-a)}(pa^-1 * pb)."""
     if a == b:
         raise CoincidentNodesError("difference quotient needs a != b")
-    return dilate(1.0 / (b - a), group_mul(inverse(pa), pb))
+    if math.isinf(b - a):
+        raise ZeroDilationError("dilation by 0 collapses the group")
+    return HPoint(*_pansu_quotient(pa, pb, a, b))
+
+
+def _pansu_quotient(pa, pb, a, b):
+    """pansu_dq unchecked, on (x, y, z) of floats or arrays: inverse, product, dilation."""
+    (xa, ya, za), (xb, yb, zb) = pa, pb
+    r = 1.0 / (b - a)
+    return r * (-xa + xb), r * (-ya + yb), r * r * (-za + zb + 2.0 * (-ya * xb - -xa * yb))
 
 
 def leibniz_stack(fjet, gjet, m):

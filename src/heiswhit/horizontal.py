@@ -25,7 +25,7 @@ from .errors import (
     SynthesisDefectError,
     TooFewNodesError,
 )
-from .heis import CurveJets, _horizontality_residual, leibniz_stack
+from .heis import CurveJets, _horizontality_residual, _pansu_quotient, leibniz_stack
 from .poly import Poly, _antideriv, _deriv, _horner, _mul, _padded
 from .profiles import (
     CONSISTENT,
@@ -96,6 +96,10 @@ class GapPieces:
     lam: float
     sigma: float
     deficit: float
+
+
+# Synthesis audits horizontality on this many evenly spaced points.
+AUDIT_POINTS = 10_001
 
 
 def _verdict(profiles, policy, constants=None):
@@ -255,7 +259,6 @@ def synthesize(
     window=None,
     full_enum=False,
     ratio=0.5,
-    audit_points=10_001,
     defect_tol=1e-9,
 ):
     """Build a horizontal C^m interpolant of the samples.
@@ -302,7 +305,7 @@ def synthesize(
     )
 
     f_ext, g_ext, h_ext = exts
-    grid = np.linspace(nodes[0], nodes[-1], audit_points)
+    grid = np.linspace(nodes[0], nodes[-1], AUDIT_POINTS)
     fv, dfv = f_ext(grid), f_ext(grid, 1)
     gv, dgv = g_ext(grid), g_ext(grid, 1)
     dhv = h_ext(grid, 1)
@@ -355,6 +358,16 @@ def _empirical_modulus(exts, m, nodes, points=513):
     return out
 
 
+def _scan_window(samples, m, window):
+    """Window width of an order-m scan; it and the samples need m + 2 nodes."""
+    if len(samples.nodes) < m + 2:
+        raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
+    window = _window_width(window, m)
+    if window < m + 2:
+        raise TooFewNodesError(f"window must be at least {m + 2}")
+    return window
+
+
 def check_c1(samples, policy=None, deltas=None, ratio=0.5):
     """First-order check: group difference quotients must settle.
 
@@ -371,25 +384,15 @@ def check_c1(samples, policy=None, deltas=None, ratio=0.5):
         deltas = delta_grid(samples.diam, samples.min_gap, ratio)
 
     t = np.array(nodes)
-    x, y, z = (np.array(c) for c in (samples.fs, samples.gs, samples.hs))
-
-    def quotients(i, j):
-        # pansu_dq(points[i], points[j], t[i], t[j]) for index arrays, with
-        # its order of operations: inverse, group product, dilation.
-        r = 1.0 / (t[j] - t[i])
-        return (
-            r * (-x[i] + x[j]),
-            r * (-y[i] + y[j]),
-            r * r * (-z[i] + z[j] + 2.0 * (-y[i] * x[j] - -x[i] * y[j])),
-        )
+    xyz = np.array([samples.fs, samples.gs, samples.hs])
 
     # Local means of the adjacent quotients around each node.
-    steps = quotients(np.arange(n - 1), np.arange(1, n))
+    steps = _pansu_quotient(xyz[:, :-1], xyz[:, 1:], t[:-1], t[1:])
     lo, hi = np.maximum(np.arange(n) - 1, 0), np.minimum(np.arange(n), n - 2)
     mx, my = (np.where(lo == hi, s[lo], (s[lo] + s[hi]) / 2) for s in steps[:2])
 
     i, j = np.triu_indices(n, 1)
-    qx, qy, qz = quotients(i, j)
+    qx, qy, qz = _pansu_quotient(xyz[:, i], xyz[:, j], t[i], t[j])
     d = t[j] - t[i]
     z_items = np.column_stack((d, np.abs(qz)))
     osc = [np.maximum(np.abs(qx - mx[k]), np.abs(qy - my[k])) for k in (i, j)]
@@ -412,8 +415,7 @@ def check_cm(
     subsets.
     """
     policy = policy or ThresholdPolicy()
-    if len(samples.nodes) < m + 2:
-        raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
+    window = _scan_window(samples, m, window)
     if deltas is None:
         deltas = delta_grid(samples.diam, samples.min_gap, ratio)
     table = _newton_table(samples, m, window, full_enum)
@@ -433,8 +435,7 @@ def check_cm_via_w(
     """
     policy = policy or ThresholdPolicy()
     nodes = samples.nodes
-    if len(nodes) < m + 2:
-        raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
+    window = _scan_window(samples, m, window)
     if deltas is None:
         deltas = delta_grid(samples.diam, samples.min_gap, ratio)
     f_field = jets_from_samples(nodes, samples.fs, m)
@@ -489,15 +490,9 @@ def finiteness_check(
     over its hull.  Bounded constants under refinement are the evidence
     that a horizontal extension with modulus sqrt(omega) exists.
     """
-    nodes = samples.nodes
-    n = len(nodes)
-    if n < m + 2:
-        raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
-    window = _window_width(window, m)
-    if window < m + 2:
-        raise TooFewNodesError(f"window must be at least {m + 2}")
+    window = _scan_window(samples, m, window)
     if full_enum is None:
-        full_enum = n <= 20
+        full_enum = len(samples.nodes) <= 20
     deltas = delta_grid(samples.diam, samples.min_gap, ratio)
 
     _, _, xs, coeffs = _newton_table(samples, m + 1, window, full_enum)

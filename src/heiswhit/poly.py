@@ -8,7 +8,6 @@ origin are therefore expanded in local coordinates by their owners; this
 module never needs to know.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,9 @@ from .errors import IdenticallyZeroError, RootBudgetError
 
 # Trailing coefficients below TRIM_REL * max|c| are dropped on construction.
 TRIM_REL = 1e-14
+# Root brackets are bisected down to ROOT_TOL, in at most BISECT_BUDGET steps.
+ROOT_TOL = 1e-12
+BISECT_BUDGET = 200
 
 
 def _trim(coeffs):
@@ -48,6 +50,12 @@ def _deriv(c):
 def _antideriv(c):
     """Antiderivative with zero constant term along the last axis."""
     return np.concatenate([np.zeros_like(c[..., :1]), c / np.arange(1, c.shape[-1] + 1)], -1)
+
+
+def _taylor_rows(jets):
+    """Ascending Taylor coefficients jet[k] / k! of every row of jets."""
+    fact = np.cumprod(np.concatenate([[1.0], np.arange(1.0, jets.shape[-1])]))
+    return jets / fact
 
 
 def _trim_rows(c):
@@ -174,7 +182,7 @@ def jet_poly(jet):
     jet[k] holds the k-th derivative at the center, so the coefficient of
     u**k is jet[k] / k!.
     """
-    return Poly([jet[k] / math.factorial(k) for k in range(len(jet))])
+    return Poly(_taylor_rows(np.asarray(jet, dtype=float)))
 
 
 def signed_integral(p, a, b):
@@ -188,18 +196,18 @@ def integrate(p, iv):
     return signed_integral(p, iv.lo, iv.hi)
 
 
-def _bisect(c, a, b, fa, active, tol, budget=200):
+def _bisect(c, a, b, fa, active):
     """Bisect every active bracket [a, b] of rows c whose ends change sign.
 
-    A bracket ends when b - a <= tol, when its midpoint hits a zero, or when
-    the midpoint equals one of its ends (far from 0, neighbouring floats lie
-    farther apart than tol).  Returns the midpoints, NaN where inactive.
+    A bracket ends when b - a <= ROOT_TOL, when its midpoint hits a zero, or
+    when the midpoint equals one of its ends (far from 0, neighbouring floats
+    lie farther apart than ROOT_TOL).  Returns the midpoints, NaN if inactive.
     """
     root = np.full(a.shape, np.nan)
-    for _ in range(budget):
+    for _ in range(BISECT_BUDGET):
         mid = 0.5 * (a + b)
         fm = _horner(c, mid)
-        done = active & ((b - a <= tol) | (mid == a) | (mid == b) | (fm == 0.0))
+        done = active & ((b - a <= ROOT_TOL) | (mid == a) | (mid == b) | (fm == 0.0))
         root[done] = mid[done]
         active = active & ~done
         if not active.any():
@@ -211,7 +219,7 @@ def _bisect(c, a, b, fa, active, tol, budget=200):
     raise RootBudgetError(f"bisection budget exhausted on [{a[tuple(bad)]}, {b[tuple(bad)]}]")
 
 
-def _roots(c, lo, hi, tol=1e-12):
+def _roots(c, lo, hi):
     """Roots in [lo, hi] of every row of ascending coefficients c.
 
     Rows run along the leading axes of c, and lo and hi broadcast against
@@ -222,7 +230,7 @@ def _roots(c, lo, hi, tol=1e-12):
     where |p| <= 1e-14 (1 + scale) is a root, and so is a critical point
     where |p| <= 1e-10 (1 + scale) that ends no bisected piece: p touches
     zero there without a sign change to bracket.  Roots within
-    max(tol, 1e-12 max(1, |lo|, |hi|)) of a smaller one merge into it.
+    ROOT_TOL max(1, |lo|, |hi|) of a smaller one merge into it.
     Returns the roots of each row sorted along the last axis, NaN-padded.
     """
     rows = c.shape[:-1]
@@ -230,7 +238,7 @@ def _roots(c, lo, hi, tol=1e-12):
     hi = np.broadcast_to(np.asarray(hi, dtype=float), rows)[..., None]
     if c.shape[-1] < 2:
         return np.full(rows + (0,), np.nan)
-    crit = _roots(_deriv(c), lo[..., 0], hi[..., 0], tol)
+    crit = _roots(_deriv(c), lo[..., 0], hi[..., 0])
     inside = (lo < crit) & (crit < hi)
     # Critical points off the open interval (and the NaN padding) repeat an
     # end, so the cuts stay sorted and their extra pieces have length zero.
@@ -247,9 +255,9 @@ def _roots(c, lo, hi, tol=1e-12):
     at_cut[..., 1:] &= ~split
     candidates = np.sort(np.concatenate([
         np.where(at_cut, cuts, np.nan),
-        _bisect(c, cuts[..., :-1], cuts[..., 1:], va, split, tol),
+        _bisect(c, cuts[..., :-1], cuts[..., 1:], va, split),
     ], -1), axis=-1)
-    merge = np.maximum(tol, 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+    merge = ROOT_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     keep = ~np.isnan(candidates)
     last = candidates[..., :1]
     for j in range(1, candidates.shape[-1]):
@@ -259,11 +267,11 @@ def _roots(c, lo, hi, tol=1e-12):
     return roots[..., : keep.sum(-1).max(initial=0)]
 
 
-def real_roots(p, iv, tol=1e-12):
-    """Roots of p inside iv, sorted, deduplicated to within tol (see _roots)."""
+def real_roots(p, iv):
+    """Roots of p inside iv, sorted and deduplicated (see _roots)."""
     if p.is_zero:
         raise IdenticallyZeroError("the zero polynomial vanishes everywhere")
-    return _roots(np.array(p.coeffs), iv.lo, iv.hi, tol).tolist()
+    return _roots(np.array(p.coeffs), iv.lo, iv.hi).tolist()
 
 
 def _abs_integral(c, a, b, roots):
@@ -279,9 +287,9 @@ def _abs_integral(c, a, b, roots):
     return np.cumsum(np.abs(anti[..., 1:] - anti[..., :-1]), axis=-1)[..., -1]
 
 
-def abs_integral(p, iv, tol=1e-12):
+def abs_integral(p, iv):
     """Integral of |p| over iv: split at the roots, sum unsigned pieces."""
     if p.is_zero or iv.hi == iv.lo:
         return 0.0
     c, lo, hi = np.array(p.coeffs), np.array([iv.lo]), np.array([iv.hi])
-    return float(_abs_integral(c, lo, hi, _roots(c, iv.lo, iv.hi, tol))[0])
+    return float(_abs_integral(c, lo, hi, _roots(c, iv.lo, iv.hi))[0])

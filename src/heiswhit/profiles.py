@@ -123,16 +123,16 @@ class ThresholdPolicy:
     to a terminal value small relative to scale.  It is inconsistent when it
     is flat or growing while the terminal value stays large.  Everything in
     between is inconclusive.  The numbers are policy, chosen so the stock
-    fixtures separate cleanly at 32 nodes and beyond; tighten rel_tol for
-    stricter runs.
+    fixtures separate cleanly at 32 nodes and beyond; rel_tol is the one
+    field, tightened for stricter runs, and the rest are class constants.
     """
 
-    slope_consistent: float = 0.25
-    slope_flat: float = 0.05
     rel_tol: float = 0.25
-    zero_tol: float = 1e-9
-    deadband: float = 10.0
-    decades: float = 3.0
+    slope_consistent = 0.25
+    slope_flat = 0.05
+    zero_tol = 1e-9
+    deadband = 10.0
+    decades = 3.0
 
     def classify(self, profile, scale=None):
         """Return (status, slope) for one profile."""

@@ -23,7 +23,7 @@ from .errors import (
     TooFewNodesError,
 )
 from .divdiff import _monomial_rows, _newton_columns
-from .poly import Poly, _deriv, _horner, _mul, _padded, _trim_rows
+from .poly import Poly, _deriv, _horner, _mul, _padded, _taylor_rows, _trim_rows
 from .profiles import Profile, banded_sup, delta_grid
 
 
@@ -204,12 +204,6 @@ def _shift(c, x):
     return _monomial_rows(c, np.multiply.outer(-np.asarray(x), np.ones(c.shape[-1])))
 
 
-def _taylor_rows(jets):
-    """Ascending Taylor coefficients jet[k] / k! of every row of jets."""
-    fact = np.cumprod(np.concatenate([[1.0], np.arange(1.0, jets.shape[-1])]))
-    return jets / fact
-
-
 def _blend(jets_a, jets_b, gaps):
     """T_a + S(s) (T_b - T_a) in the unit variable s = (t - a) / gap.
 
@@ -327,9 +321,8 @@ def validate_field(whitney_field, mode="cm", omega=None, deltas=None, ratio=0.5)
     t, jet = np.array(nodes), np.array(jets, dtype=float)
     u = t[ib] - t[ia]
     d = np.abs(u)
-    fact = np.array([math.factorial(j) for j in range(m + 1)], dtype=float)
     rs = [
-        np.abs(jet[ib, k] - _horner(jet[ia, k:] / fact[: m + 1 - k], u)) / d ** (m - k)
+        np.abs(jet[ib, k] - _horner(_taylor_rows(jet[ia, k:]), u)) / d ** (m - k)
         for k in range(m + 1)
     ]
     per_k = {

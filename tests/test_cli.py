@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import bounded_horizontal_triple, circle_rows, line_curve
+from heiswhit import cli
 from heiswhit.cli import (
     RunConfig,
     config_from_args,
@@ -256,6 +257,16 @@ def test_run_single_sample_json_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_maps_memory_error_to_exit_3(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 695. GiB")
+
+    monkeypatch.setitem(cli.CHECKERS, "check-cm", exhausted)
+    path = write_csv(tmp_path / "circle.csv", circle_rows(12))
+    assert run(RunConfig(mode="check-cm", input_path=path)) == 3
+    assert "error: Unable to allocate" in capsys.readouterr().err
+
+
 def test_run_finiteness_inconclusive_exits_2(tmp_path):
     report_path = tmp_path / "report.json"
     config = RunConfig(
@@ -351,6 +362,9 @@ def test_config_validation():
         RunConfig(mode="synthesize", input_path="x.csv", grid_samples=1)
     with pytest.raises(ParseError):
         RunConfig(mode="check-c1", input_path="x.csv", delta_ratio=1.0)
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParseError):
+            RunConfig(mode="check-c1", input_path="x.csv", tol=tol)
 
 
 def test_parse_omega():
@@ -388,3 +402,31 @@ def test_main_maps_bad_input_to_exit_3(tmp_path, capsys):
     code = main(["--mode", "check-c1", "--input", str(tmp_path / "nope.csv")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+CHECK_CM = ["--mode", "check-cm", "--input", "IN"]
+
+
+@pytest.mark.parametrize("argv,env,message", [
+    (["--mode", "paint", "--input", "IN"], {}, "argument --mode: invalid choice"),
+    (["--mode", "check-c1"], {}, "the following arguments are required: --input"),
+    ([*CHECK_CM, "--m", "abc"], {}, "argument --m: invalid int value"),
+    (CHECK_CM, {"HEISWHIT_M": "abc"}, "argument --m: invalid int value"),
+    (CHECK_CM, {"HEISWHIT_DELTA_RATIO": "x"}, "argument --delta-ratio: invalid float"),
+    ([*CHECK_CM, "--tol", "-1"], {}, "tol must be positive and finite"),
+    ([*CHECK_CM, "--window", "0"], {}, "window must be at least 3"),
+    ([*CHECK_CM, "--window", "2"], {}, "window must be at least 3"),
+    (["--mode", "check-cm-w", "--input", "IN", "--m", "2", "--window", "3"], {},
+     "window must be at least 4"),
+    (["--mode", "synthesize", "--input", "IN", "--window", "2"], {},
+     "window must be at least 3"),
+])
+def test_main_maps_usage_and_setting_errors_to_exit_3(
+    tmp_path, capsys, monkeypatch, argv, env, message
+):
+    path = write_csv(tmp_path / "circle.csv", circle_rows(12))
+    monkeypatch.delenv("HEISWHIT_INPUT", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main([path if a == "IN" else a for a in argv]) == 3
+    assert f"error: {message}" in capsys.readouterr().err

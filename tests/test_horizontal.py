@@ -399,6 +399,13 @@ def test_finiteness_input_validation():
         finiteness_check(curve, 1, ModulusFn(), window=2)
 
 
+@pytest.mark.parametrize("scan", [check_cm, check_cm_via_w, synthesize])
+@pytest.mark.parametrize("m,window", [(1, 0), (1, 2), (2, 3)])
+def test_order_m_scans_reject_windows_below_m_plus_2(scan, m, window):
+    with pytest.raises(TooFewNodesError, match=f"window must be at least {m + 2}"):
+        scan(circle_curve(12), m, window=window)
+
+
 def test_one_row_curve_is_rejected():
     with pytest.raises(TooFewNodesError):
         SampledCurve.from_rows([(0.0, 0.0, 0.0, 0.0)])
