@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSubsetError, OrderViolationError, TooFewNodesError
-from .divdiff import _monomial_rows, _newton_columns, _newton_table
+from .divdiff import _monomial_rows, _newton_columns, _newton_table, _width
 from .poly import _abs_integral, _antideriv, _deriv, _horner, _mul, _roots, _taylor_rows
 from .profiles import banded_sup, delta_grid
 
@@ -163,16 +163,9 @@ def av_profile(jets, m, deltas=None, ratio=0.5):
     )
 
 
-def _discrete_av_profile(samples, m, table, deltas):
-    """Banded sup of |A[X]/V[X]| over the subsets of a Newton table.
-
-    Each subset's interpolants live in u = t - t_first, so they never carry
-    the subset's distance from t = 0.
-    """
-    idx, _, xs, coeffs = table
-    u = xs - xs[:, :1]
-    pf, pg = _monomial_rows(coeffs[:2], u)
-    hs = np.array(samples.hs)[idx]
+def _discrete_av_profile(table, m, deltas):
+    """Banded sup of |A[X]/V[X]| over the subsets of a Newton table."""
+    u, (pf, pg, _), hs = table.u, table.rows, table.values[2]
     ia, ib = np.triu_indices(m + 1, 1)
     diam = u[:, -1:]
     area, velocity = _av(pf, pg, u[:, ia], u[:, ib], hs[:, ia], hs[:, ib], diam, m)
@@ -188,9 +181,10 @@ def discrete_av_profile(samples, m, window=None, deltas=None, ratio=0.5, full_en
     width 2m+4) and every admissible endpoint pair inside each subset is
     scanned; items are binned at scale diam(X).
     """
-    if len(samples.nodes) < m + 1:
+    n = len(samples.nodes)
+    if n < m + 1:
         raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
     if deltas is None:
         deltas = delta_grid(samples.diam, samples.min_gap, ratio)
-    table = _newton_table(samples, m, window, full_enum)
-    return _discrete_av_profile(samples, m, table, deltas)
+    table = _newton_table(samples, m, _width(n, m, window, full_enum))
+    return _discrete_av_profile(table, m, deltas)

@@ -35,6 +35,9 @@ from .whitney import ModulusFn
 MODES = ("check-c1", "check-cm", "check-cm-w", "synthesize", "finiteness")
 EXIT_BY_STATUS = {"consistent": 0, "inconsistent": 1, "inconclusive": 2}
 ENV_PREFIX = "HEISWHIT_"
+# What a switch's HEISWHIT_ variable may hold, stripped and lowercased.
+SWITCH_VALUES = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+                 **dict.fromkeys(("0", "false", "no", "off"), False)}
 # The verdict modes, each called as checker(curve, m, window=, policy=,
 # ratio=, full_enum=).
 CHECKERS = {
@@ -280,9 +283,7 @@ def run(config):
             report["worst_subset"] = list(rep.worst_subset)
             report["worst_pair"] = list(rep.worst_pair)
             report["profiles"] = {
-                "finiteness_ratio": _profile_entry(
-                    rep.profile, rep.status, rep.profile.slope(policy.decades)
-                )
+                "finiteness_ratio": _profile_entry(rep.profile, *policy.bounded(rep.profile))
             }
             code = EXIT_BY_STATUS[rep.status]
             plot_profiles = {"finiteness_ratio": rep.profile}
@@ -362,11 +363,14 @@ def build_parser():
     )
     required = {f.name for f in fields(RunConfig) if f.default is MISSING}
     for flag, dest, kw in FLAGS:
-        env = os.environ.get(ENV_PREFIX + flag[2:].upper().replace("-", "_"))
+        name = ENV_PREFIX + flag[2:].upper().replace("-", "_")
+        env = os.environ.get(name)
         if env is None:
             kw = {**kw, "required": dest in required}
         elif kw.get("action") == "store_true":  # a switch takes no argument to convert
-            kw = {**kw, "default": env.strip().lower() in ("1", "true", "yes", "on")}
+            if env.strip().lower() not in SWITCH_VALUES:
+                raise ParseError(f"{name}={env!r}: use 1/true/yes/on or 0/false/no/off")
+            kw = {**kw, "default": SWITCH_VALUES[env.strip().lower()]}
         else:
             kw = {**kw, "default": env}
         parser.add_argument(flag, dest=dest, **kw)

@@ -9,6 +9,7 @@ the profiles here measure exactly that shrinkage.
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,13 +78,6 @@ class SampledCurve:
         """Left translate p * curve, sample by sample."""
         return SampledCurve(
             self.nodes, tuple(group_mul(p, q) for q in self.points)
-        )
-
-    def subset(self, indices):
-        indices = sorted(indices)
-        return SampledCurve(
-            tuple(self.nodes[i] for i in indices),
-            tuple(self.points[i] for i in indices),
         )
 
 
@@ -208,9 +202,17 @@ def hermite_genocchi(fm, nodes, tol=1e-9, budget=2_000_000):
     return level(1, pts[0], 1.0)
 
 
-def _window_width(window, m):
-    """Sliding-window width of an order-m scan: 2m+4 nodes unless given."""
-    return 2 * m + 4 if window is None else window
+def _width(n, m, window, full_enum):
+    """Index span of an order-m subset family on n nodes.
+
+    Windows hold 2m+4 consecutive nodes unless window is given.  full_enum,
+    or a window of at least n, spans every node; full_enum None means full
+    enumeration up to 20 nodes.
+    """
+    if full_enum is None:
+        full_enum = n <= 20
+    window = 2 * m + 4 if window is None else window
+    return n if full_enum or window >= n else window
 
 
 def dd_windows(n, m, window, full_enum=False):
@@ -218,9 +220,10 @@ def dd_windows(n, m, window, full_enum=False):
 
     Returns (subsets, window_span): subsets is the sorted list of index
     tuples whose last index lies less than window_span past the first.
-    With full_enum (or window >= n) every subset is enumerated.
+    The span follows _width: 2m+4 nodes by default, every node with
+    full_enum or a window >= n.
     """
-    width = n if full_enum or window is None or window >= n else window
+    width = _width(n, m, window, full_enum)
     subsets = [
         (first, *rest)
         for first in range(n)
@@ -229,20 +232,50 @@ def dd_windows(n, m, window, full_enum=False):
     return subsets, width
 
 
-def _newton_table(samples, m, window, full_enum):
-    """Newton tables of f, g and h on every windowed (m+1)-subset.
+class _Table(NamedTuple):
+    """Interpolants of f, g and h through every subset of a scan."""
 
-    Returns (idx, width, xs, coeffs): subsets as sorted rows of node indices,
-    the window width, the subsets' nodes, and coeffs[c, s] the dd_coefficients
-    of component c (f, g, h) on subset s, bit for bit.
+    idx: np.ndarray  # (S, k) sorted node indices per subset
+    width: int
+    xs: np.ndarray  # (S, k) the subsets' nodes
+    values: np.ndarray  # (3, S, k) sampled f, g, h on them
+    u: np.ndarray  # (S, k) local coordinate xs - xs[:, :1]
+    rows: np.ndarray  # (3, S, k) ascending monomial coefficients in u
+
+
+def _newton_table(samples, m, width):
+    """Newton interpolants of f, g and h on every (m+1)-subset of a width.
+
+    The divided differences run on the global nodes and the interpolants
+    are expanded in u = t - t_first, so they never carry the subset's
+    distance from t = 0, and the top coefficient of each row is the
+    dd_coefficients divided difference bit for bit.
     """
-    subsets, width = dd_windows(
-        len(samples.nodes), m, _window_width(window, m), full_enum
-    )
+    subsets, width = dd_windows(len(samples.nodes), m, width)
     idx = np.array(subsets)
     xs = np.array(samples.nodes)[idx]
-    col = np.array([samples.fs, samples.gs, samples.hs])[:, idx]
-    return idx, width, xs, _newton_columns(xs, col)
+    values = np.array([samples.fs, samples.gs, samples.hs])[:, idx]
+    u = xs - xs[:, :1]
+    rows = _monomial_rows(_newton_columns(xs, values), u)
+    return _Table(idx, width, xs, values, u, rows)
+
+
+def _scan(samples, m, window, full_enum, ratio, deltas=None, order=None):
+    """Checked set-up of an order-m scan: its Newton table and scale grid.
+
+    The samples and the window need m + 2 nodes.  The table is of the
+    given order (m unless set) on the subset family of _width, and deltas
+    default to the geometric grid from diam down to the smallest gap.
+    """
+    n = len(samples.nodes)
+    if n < m + 2:
+        raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
+    if window is not None and window < m + 2:
+        raise TooFewNodesError(f"window must be at least {m + 2}")
+    if deltas is None:
+        deltas = delta_grid(samples.diam, samples.min_gap, ratio)
+    width = _width(n, m, window, full_enum)
+    return _newton_table(samples, m if order is None else order, width), deltas
 
 
 def _dd_profiles(table, deltas):
@@ -252,7 +285,7 @@ def _dd_profiles(table, deltas):
     consecutive indices.  Rows are sorted, so the union of row i and a later
     row j starts at idx[i, 0], and only rows before stop[i] can qualify.
     """
-    idx, width, xs, coeffs = table
+    idx, width, xs = table.idx, table.width, table.xs
     first, rows = idx[:, 0], np.arange(len(idx))
     stop = np.searchsorted(first, first + width)
     offsets = np.arange(1, (stop - rows).max())
@@ -261,7 +294,7 @@ def _dd_profiles(table, deltas):
     keep = idx[j, -1] - first[i] < width
     i, j = i[keep], j[keep]
     diams = np.maximum(xs[i, -1], xs[j, -1]) - xs[i, 0]
-    top = coeffs[..., -1]
+    top = table.rows[..., -1]
     return {
         name: banded_sup(
             np.column_stack((diams, np.abs(top[c, i] - top[c, j]))),
@@ -285,4 +318,4 @@ def dd_profile(samples, m, window=None, deltas=None, ratio=0.5, full_enum=False)
         raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
     if deltas is None:
         deltas = delta_grid(samples.diam, samples.min_gap, ratio)
-    return _dd_profiles(_newton_table(samples, m, window, full_enum), deltas)
+    return _dd_profiles(_newton_table(samples, m, _width(n, m, window, full_enum)), deltas)

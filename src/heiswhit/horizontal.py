@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .av import _discrete_av_profile, _taylor_av, av_profile
-from .divdiff import (
-    _dd_profiles, _monomial_rows, _newton_table, _window_width, dd_profile,
-)
+from .divdiff import _dd_profiles, _scan
 from .errors import (
     DegenerateGapError,
     OrderMismatchError,
@@ -28,8 +26,6 @@ from .errors import (
 from .heis import CurveJets, _horizontality_residual, _pansu_quotient, leibniz_stack
 from .poly import Poly, _antideriv, _deriv, _horner, _mul, _padded
 from .profiles import (
-    CONSISTENT,
-    INCONCLUSIVE,
     INCONSISTENT,
     Profile,
     ThresholdPolicy,
@@ -102,19 +98,12 @@ class GapPieces:
 AUDIT_POINTS = 10_001
 
 
-def _verdict(profiles, policy, constants=None):
+def _verdict(profiles, policy):
     statuses, slopes = {}, {}
     for name, prof in profiles.items():
-        status, slope = policy.classify(prof)
-        statuses[name] = status
-        slopes[name] = slope
+        statuses[name], slopes[name] = policy.classify(prof)
     return Verdict(
-        combine_statuses(list(statuses.values())),
-        profiles,
-        statuses,
-        slopes,
-        policy,
-        constants or {},
+        combine_statuses(list(statuses.values())), profiles, statuses, slopes, policy
     )
 
 
@@ -358,16 +347,6 @@ def _empirical_modulus(exts, m, nodes, points=513):
     return out
 
 
-def _scan_window(samples, m, window):
-    """Window width of an order-m scan; it and the samples need m + 2 nodes."""
-    if len(samples.nodes) < m + 2:
-        raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
-    window = _window_width(window, m)
-    if window < m + 2:
-        raise TooFewNodesError(f"window must be at least {m + 2}")
-    return window
-
-
 def check_c1(samples, policy=None, deltas=None, ratio=0.5):
     """First-order check: group difference quotients must settle.
 
@@ -414,14 +393,10 @@ def check_cm(
     area/velocity ratio, both read off one Newton table of the windowed
     subsets.
     """
-    policy = policy or ThresholdPolicy()
-    window = _scan_window(samples, m, window)
-    if deltas is None:
-        deltas = delta_grid(samples.diam, samples.min_gap, ratio)
-    table = _newton_table(samples, m, window, full_enum)
+    table, deltas = _scan(samples, m, window, full_enum, ratio, deltas)
     profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
-    profiles["av_discrete"] = _discrete_av_profile(samples, m, table, deltas)
-    return _verdict(profiles, policy)
+    profiles["av_discrete"] = _discrete_av_profile(table, m, deltas)
+    return _verdict(profiles, policy or ThresholdPolicy())
 
 
 def check_cm_via_w(
@@ -433,24 +408,15 @@ def check_cm_via_w(
     area/velocity ratio of the fitted jets alongside the raw
     divided-difference decay.
     """
-    policy = policy or ThresholdPolicy()
     nodes = samples.nodes
-    window = _scan_window(samples, m, window)
-    if deltas is None:
-        deltas = delta_grid(samples.diam, samples.min_gap, ratio)
+    table, deltas = _scan(samples, m, window, full_enum, ratio, deltas)
     f_field = jets_from_samples(nodes, samples.fs, m)
     g_field = jets_from_samples(nodes, samples.gs, m)
     h_field = jets_from_samples(nodes, samples.hs, m)
     jets = CurveJets(tuple(nodes), f_field.jets, g_field.jets, h_field.jets)
-    dd = dd_profile(samples, m, window=window, deltas=deltas, ratio=ratio,
-                    full_enum=full_enum)
-    profiles = {
-        "dd_f": dd["f"],
-        "dd_g": dd["g"],
-        "dd_h": dd["h"],
-        "av_w": av_profile(jets, m, deltas=deltas, ratio=ratio),
-    }
-    return _verdict(profiles, policy)
+    profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
+    profiles["av_w"] = av_profile(jets, m, deltas=deltas, ratio=ratio)
+    return _verdict(profiles, policy or ThresholdPolicy())
 
 
 @dataclass(frozen=True)
@@ -490,21 +456,17 @@ def finiteness_check(
     over its hull.  Bounded constants under refinement are the evidence
     that a horizontal extension with modulus sqrt(omega) exists.
     """
-    window = _scan_window(samples, m, window)
-    if full_enum is None:
-        full_enum = len(samples.nodes) <= 20
-    deltas = delta_grid(samples.diam, samples.min_gap, ratio)
-
-    _, _, xs, coeffs = _newton_table(samples, m + 1, window, full_enum)
-    # Interpolants and their jets live in u = t - x[0]; node values and
-    # separations are read off the global x.
-    u = xs - xs[:, :1]
-    polys = _monomial_rows(coeffs, u)
-    jets, p = [], polys
+    table, deltas = _scan(samples, m, window, full_enum, ratio, order=m + 1)
+    # Interpolants and their jets live in u; node values and separations
+    # are read off the global nodes xs.  The Taylor kernel reads h's values
+    # only.
+    xs, u, polys = table.xs, table.u, table.rows
+    jets, p = [], polys[:2]
     for _ in range(m + 1):
         jets.append(_horner(p[..., None, :], u))
         p = _deriv(p)
-    f, g, h = np.stack(jets, axis=-1)
+    f, g = np.stack(jets, axis=-1)
+    h = _horner(polys[2][:, None, :], u)[..., None]
     ia, ib = np.triu_indices(m + 2, 1)
     area, velocity = _taylor_av(f, g, h, ia, ib, u[:, ib] - u[:, ia], m)
     # Bin at the pair separation, not diam(X): a short pair inside a wide
@@ -524,22 +486,7 @@ def finiteness_check(
     c2_hat = float(np.max(_seminorm(slope, xs[:, -1] - xs[:, 0], omega), initial=0.0))
 
     profile = banded_sup(items, deltas, name="finiteness_ratio")
-    status = _bounded_status(profile, policy or ThresholdPolicy())
+    status, _ = (policy or ThresholdPolicy()).bounded(profile)
     return FinitenessReport(
         m_hat, c2_hat, worst_subset, worst_pair, profile, status, len(xs)
     )
-
-
-def _bounded_status(profile, policy):
-    """Boundedness verdict: collapsed, flat, or decaying is fine; growth is not."""
-    if len(profile) == 0:
-        return INCONCLUSIVE
-    if profile.terminal <= policy.zero_tol * max(1.0, profile.top):
-        return CONSISTENT
-    slope = profile.slope(policy.decades)
-    top = max(profile.top, policy.zero_tol)
-    if slope <= -policy.slope_consistent and profile.terminal >= policy.deadband * top:
-        return INCONSISTENT
-    if slope >= -policy.slope_flat * 2.0:
-        return CONSISTENT
-    return INCONCLUSIVE

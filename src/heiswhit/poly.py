@@ -171,10 +171,6 @@ class Interval:
         if not (self.lo <= self.hi):
             raise ValueError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def length(self):
-        return self.hi - self.lo
-
 
 def jet_poly(jet):
     """Taylor polynomial of a jet in the local variable u = x - center.

@@ -118,13 +118,15 @@ INCONCLUSIVE = "inconclusive"
 class ThresholdPolicy:
     """Maps a profile to consistent / inconsistent / inconclusive.
 
-    A profile is consistent when it has already collapsed (terminal below
-    zero_tol relative to its own scale) or decays with a healthy slope down
-    to a terminal value small relative to scale.  It is inconsistent when it
-    is flat or growing while the terminal value stays large.  Everything in
-    between is inconclusive.  The numbers are policy, chosen so the stock
-    fixtures separate cleanly at 32 nodes and beyond; rel_tol is the one
-    field, tightened for stricter runs, and the rest are class constants.
+    classify judges a profile that must decay, bounded one that need only
+    stay bounded.  Under classify a profile is consistent when it has
+    already collapsed (terminal below zero_tol relative to its own scale)
+    or decays with a healthy slope down to a terminal value small relative
+    to scale.  It is inconsistent when it is flat or growing while the
+    terminal value stays large.  Everything in between is inconclusive.
+    The numbers are policy, chosen so the stock fixtures separate cleanly
+    at 32 nodes and beyond; rel_tol is the one field, tightened for
+    stricter runs, and the rest are class constants.
     """
 
     rel_tol: float = 0.25
@@ -148,6 +150,25 @@ class ThresholdPolicy:
             return CONSISTENT, slope
         if slope <= self.slope_flat and term >= self.deadband * self.rel_tol * scale:
             return INCONSISTENT, slope
+        return INCONCLUSIVE, slope
+
+    def bounded(self, profile):
+        """Return (status, slope) for a profile that need only stay bounded.
+
+        Collapsed, flat or decaying is consistent; growth toward small
+        scales to a terminal value deadband times the top is inconsistent.
+        """
+        if len(profile) == 0:
+            return INCONCLUSIVE, 0.0
+        slope = profile.slope(self.decades)
+        term, top = profile.terminal, profile.top
+        if term <= self.zero_tol * max(1.0, top):
+            return CONSISTENT, slope
+        growing = slope <= -self.slope_consistent
+        if growing and term >= self.deadband * max(top, self.zero_tol):
+            return INCONSISTENT, slope
+        if slope >= -self.slope_flat * 2.0:
+            return CONSISTENT, slope
         return INCONCLUSIVE, slope
 
 

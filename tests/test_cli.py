@@ -398,6 +398,17 @@ def test_env_defaults_and_flag_priority(tmp_path, monkeypatch):
     assert config.input_path == "flag.csv"
 
 
+@pytest.mark.parametrize("value,want", [
+    ("1", True), (" TRUE ", True), ("Yes", True), ("on", True),
+    ("0", False), ("False", False), ("NO", False), (" off", False),
+])
+def test_full_enum_env_reads_switch_values(monkeypatch, value, want):
+    monkeypatch.setenv("HEISWHIT_FULL_ENUM", value)
+    argv = ["--mode", "check-cm", "--input", "in.csv"]
+    assert config_from_args(argv).full_enum is want
+    assert config_from_args([*argv, "--full-enum"]).full_enum is True
+
+
 def test_main_maps_bad_input_to_exit_3(tmp_path, capsys):
     code = main(["--mode", "check-c1", "--input", str(tmp_path / "nope.csv")])
     assert code == 3
@@ -420,6 +431,7 @@ CHECK_CM = ["--mode", "check-cm", "--input", "IN"]
      "window must be at least 4"),
     (["--mode", "synthesize", "--input", "IN", "--window", "2"], {},
      "window must be at least 3"),
+    (CHECK_CM, {"HEISWHIT_FULL_ENUM": "ture"}, "HEISWHIT_FULL_ENUM='ture': use 1/true/yes/on"),
 ])
 def test_main_maps_usage_and_setting_errors_to_exit_3(
     tmp_path, capsys, monkeypatch, argv, env, message

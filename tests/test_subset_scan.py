@@ -16,7 +16,8 @@ import pytest
 
 from conftest import bounded_horizontal_triple, circle_curve, line_curve, poly_curve
 from heiswhit import (
-    SampledCurve, ThresholdPolicy, check_c1, check_cm, divided_difference, synthesize,
+    ModulusFn, SampledCurve, ThresholdPolicy, check_c1, check_cm, check_cm_via_w,
+    divided_difference, finiteness_check, synthesize,
 )
 from heiswhit.av import discrete_av_profile
 from heiswhit.cli import RunConfig, dump_samples_json, run
@@ -170,6 +171,51 @@ def test_check_cm_profiles_equal_the_standalone_profiles(m, window, full_enum, n
         assert verdict.profiles == {
             "dd_f": dd["f"], "dd_g": dd["g"], "dd_h": dd["h"], "av_discrete": av,
         }
+
+
+# One subset-family rule: full enumeration, or a window of at least n, spans
+# every node; finiteness_check enumerates fully up to 20 nodes by default.
+FAMILY_SCANS = {
+    "check_cm": lambda s, **kw: check_cm(s, 2, **kw),
+    "check_cm_via_w": lambda s, **kw: check_cm_via_w(s, 2, **kw),
+    "dd_profile": lambda s, **kw: dd_profile(s, 2, **kw),
+    "discrete_av_profile": lambda s, **kw: discrete_av_profile(s, 2, **kw),
+    "finiteness_check": lambda s, **kw: finiteness_check(
+        s, 1, ModulusFn(), **{"full_enum": False, **kw}
+    ),
+}
+
+
+@pytest.mark.parametrize("scan", FAMILY_SCANS.values(), ids=FAMILY_SCANS)
+def test_full_enum_equals_a_window_spanning_every_node(scan):
+    n = 12
+    samples = smooth_curve(n)
+    full = scan(samples, full_enum=True)
+    assert scan(samples, window=n) == full
+    assert scan(samples, window=n + 5) == full
+
+
+def test_dd_windows_default_to_the_scan_window():
+    for m in (1, 2, 3):
+        assert dd_windows(30, m, None) == dd_windows(30, m, 2 * m + 4)
+        assert dd_windows(12, m, None)[1] < dd_windows(12, m, None, True)[1] == 12
+
+
+@pytest.mark.parametrize("window,full_enum", [(None, False), (9, False), (None, True)])
+def test_check_cm_via_w_reads_the_dd_profiles_of_check_cm(window, full_enum):
+    for samples in (smooth_curve(14), rough_curve(14, seed=3)):
+        cm = check_cm(samples, 2, window=window, full_enum=full_enum)
+        via_w = check_cm_via_w(samples, 2, window=window, full_enum=full_enum)
+        for name in ("dd_f", "dd_g", "dd_h"):
+            assert via_w.profiles[name] == cm.profiles[name]
+
+
+@pytest.mark.parametrize("n", [20, 21])
+def test_finiteness_enumerates_fully_up_to_20_nodes(n):
+    samples, omega = smooth_curve(n), ModulusFn()
+    default = finiteness_check(samples, 1, omega)
+    assert default == finiteness_check(samples, 1, omega, full_enum=n <= 20)
+    assert (default.subsets_scanned == math.comb(n, 3)) == (n <= 20)
 
 
 def test_grid_defect_column_is_the_heis_residual(tmp_path):
