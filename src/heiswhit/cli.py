@@ -382,17 +382,22 @@ def config_from_args(argv=None):
 
 
 def main(argv=None):
+    # argparse and the indenting JSON encoder leave reference cycles on every
+    # call, which pin allocator arenas in a process that calls main repeatedly
+    # (about 0.7 MB of RSS per four calls) unless collected here.  A heap frozen
+    # on entry keeps that collection to this call's objects; a caller's stays frozen.
+    thaw = gc.get_freeze_count() == 0
+    if thaw:
+        gc.freeze()
     try:
-        config = config_from_args(argv)
+        return run(config_from_args(argv))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    code = run(config)
-    # argparse and the indenting JSON encoder leave reference cycles on every
-    # call; left to a late full collection they pin allocator arenas in a
-    # process that calls main repeatedly (about 0.7 MB of RSS per four calls).
-    gc.collect()
-    return code
+    finally:
+        gc.collect()
+        if thaw:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -281,28 +281,37 @@ def _scan(samples, m, window, full_enum, ratio, deltas=None, order=None):
 def _dd_profiles(table, deltas):
     """Banded sup of |gamma[X] - gamma[Y]| at scale diam(X u Y), per component.
 
-    X and Y run over pairs of table rows whose union spans fewer than width
-    consecutive indices.  Rows are sorted, so the union of row i and a later
-    row j starts at idx[i, 0], and only rows before stop[i] can qualify.
+    X != Y run over pairs of table rows whose union spans fewer than width
+    consecutive indices.  That union is an interval [s, e] with e - s > m:
+    one member starts at s and the other ends at e, or one spans [s, e] and
+    the other lies inside.  So the interval's largest item is the larger
+    spread (max of one group minus min of the other) of those two group
+    pairs, read from running extrema by (first, span) and (last, span).
+    Rounding is monotone, so this is the pair maximum bit for bit.
     """
-    idx, width, xs = table.idx, table.width, table.xs
-    first, rows = idx[:, 0], np.arange(len(idx))
-    stop = np.searchsorted(first, first + width)
-    offsets = np.arange(1, (stop - rows).max())
-    i, k = np.nonzero(rows[:, None] + offsets < stop[:, None])
-    j = i + offsets[k]
-    keep = idx[j, -1] - first[i] < width
-    i, j = i[keep], j[keep]
-    diams = np.maximum(xs[i, -1], xs[j, -1]) - xs[i, 0]
-    top = table.rows[..., -1]
-    return {
-        name: banded_sup(
-            np.column_stack((diams, np.abs(top[c, i] - top[c, j]))),
-            deltas,
-            name=f"dd_{name}",
-        )
-        for c, name in enumerate("fgh")
-    }
+    idx, width, top = table.idx, table.width, table.rows[..., -1]
+    n, m = idx[-1, -1] + 1, idx.shape[1] - 1
+    span = idx[:, -1] - idx[:, 0]
+    # Max and -min of each component, by (first, span) and by (last, span).
+    by = np.full((2, 6, n * width), -np.inf)
+    for rows, key in zip(by, (idx[:, 0] * width + span, idx[:, -1] * width + span)):
+        for row, values in zip(rows, (*top, *-top)):
+            np.maximum.at(row, key, values)
+    exact, ending = by.reshape(2, 2, 3, n, width)
+    inside = exact.copy()  # rows within [s, s + d]
+    for d in range(1, width):
+        shorter = np.maximum(inside[..., :-1, d - 1], inside[..., 1:, d - 1])
+        np.maximum(inside[..., :-1, d], shorter, out=inside[..., :-1, d])
+    s, d = np.nonzero((np.arange(width) > m) & (np.arange(n)[:, None] + np.arange(width) < n))
+    starts = np.maximum.accumulate(exact, axis=-1)[..., s, d]  # from s, within [s, s + d]
+    ends = np.maximum.accumulate(ending, axis=-1)[..., s + d, d]  # to s + d, within it
+    spread = np.maximum(starts + ends[::-1], exact[..., s, d] + inside[::-1, :, s, d])
+    x = np.empty(n)
+    x[idx] = table.xs
+    diams = x[s + d] - x[s]
+    # abs turns a -0.0 from signed-zero samples into the pair scan's +0.0
+    items = (np.column_stack((diams, np.abs(v))) for v in spread.max(axis=0))
+    return {c: banded_sup(i, deltas, name=f"dd_{c}") for c, i in zip("fgh", items)}
 
 
 def dd_profile(samples, m, window=None, deltas=None, ratio=0.5, full_enum=False):
@@ -311,7 +320,8 @@ def dd_profile(samples, m, window=None, deltas=None, ratio=0.5, full_enum=False)
     For each pair of (m+1)-subsets X, Y whose union spans fewer than window
     consecutive nodes, the item |gamma[X] - gamma[Y]| is recorded at scale
     diam(X u Y); the profile is the banded sup over the geometric scale
-    grid.  window defaults to 2m+4 consecutive nodes.
+    grid.  window defaults to 2m+4 consecutive nodes.  No pair is listed:
+    each index interval's largest item comes from extrema (_dd_profiles).
     """
     n = len(samples.nodes)
     if n < m + 2:

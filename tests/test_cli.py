@@ -1,6 +1,7 @@
 """Input parsing, report emission, exit codes, and configuration."""
 
 import csv
+import gc
 import json
 import math
 
@@ -442,3 +443,29 @@ def test_main_maps_usage_and_setting_errors_to_exit_3(
         monkeypatch.setenv(name, value)
     assert main([path if a == "IN" else a for a in argv]) == 3
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_main_collects_the_cycles_each_call_leaves(tmp_path):
+    path = write_csv(tmp_path / "circle.csv", circle_rows(16))
+    argv = ["--mode", "check-cm", "--input", path, "--report", str(tmp_path / "r.json")]
+    for _ in range(3):  # fill import-time and first-call caches
+        main(argv)
+    gc.collect()
+    objects = len(gc.get_objects())
+    for _ in range(5):
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    assert len(gc.get_objects()) <= objects
+    assert gc.get_freeze_count() == 0
+
+
+def test_main_leaves_a_frozen_heap_frozen(tmp_path):
+    path = write_csv(tmp_path / "circle.csv", circle_rows(16))
+    argv = ["--mode", "check-c1", "--input", path, "--report", str(tmp_path / "r.json")]
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main(argv) == 0
+        assert gc.get_freeze_count() >= frozen
+    finally:
+        gc.unfreeze()
