@@ -19,16 +19,10 @@ import sys
 import time
 from dataclasses import MISSING, dataclass, fields
 
+from . import horizontal
 from .divdiff import SampledCurve
 from .errors import HeisWhitError, ParseError, SynthesisDefectError
 from .heis import _horizontality_residual
-from .horizontal import (
-    check_c1,
-    check_cm,
-    check_cm_via_w,
-    finiteness_check,
-    synthesize,
-)
 from .profiles import ThresholdPolicy
 from .whitney import ModulusFn
 
@@ -39,11 +33,12 @@ ENV_PREFIX = "HEISWHIT_"
 SWITCH_VALUES = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                  **dict.fromkeys(("0", "false", "no", "off"), False)}
 # The verdict modes, each called as checker(curve, m, window=, policy=,
-# ratio=, full_enum=).
+# ratio=, full_enum=).  Every check is looked up on horizontal when it runs,
+# so a wrapper put on that module later (a tracer, a test) is the one called.
 CHECKERS = {
-    "check-c1": lambda curve, m, window, full_enum, **kw: check_c1(curve, **kw),
-    "check-cm": check_cm,
-    "check-cm-w": check_cm_via_w,
+    "check-c1": lambda curve, m, window, full_enum, **kw: horizontal.check_c1(curve, **kw),
+    "check-cm": lambda *args, **kw: horizontal.check_cm(*args, **kw),
+    "check-cm-w": lambda *args, **kw: horizontal.check_cm_via_w(*args, **kw),
 }
 
 
@@ -269,7 +264,7 @@ def run(config):
             code = EXIT_BY_STATUS[verdict.status]
             plot_profiles = verdict.profiles
         elif config.mode == "finiteness":
-            rep = finiteness_check(
+            rep = horizontal.finiteness_check(
                 curve, m, config.modulus(), window=config.window,
                 policy=policy, full_enum=config.full_enum or None,
                 ratio=config.delta_ratio,
@@ -289,7 +284,7 @@ def run(config):
             plot_profiles = {"finiteness_ratio": rep.profile}
         else:  # synthesize
             try:
-                curve_obj = synthesize(
+                curve_obj = horizontal.synthesize(
                     curve, m, window=config.window, policy=policy,
                     ratio=config.delta_ratio, full_enum=config.full_enum,
                 )

@@ -8,6 +8,7 @@ the profiles here measure exactly that shrinkage.
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,6 +18,7 @@ from .errors import (
     DuplicateNodeError,
     NonFiniteError,
     QuadratureBudgetError,
+    ScanTooLargeError,
     TooFewNodesError,
 )
 from .heis import HPoint, group_mul
@@ -232,6 +234,16 @@ def dd_windows(n, m, window, full_enum=False):
     return subsets, width
 
 
+def _subset_count(n, m, width):
+    """len(dd_windows(n, m, width)[0]), in closed form."""
+    return sum(math.comb(min(width, n - first) - 1, m) for first in range(n))
+
+
+def _physical_memory():
+    """Bytes of physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 class _Table(NamedTuple):
     """Interpolants of f, g and h through every subset of a scan."""
 
@@ -249,9 +261,19 @@ def _newton_table(samples, m, width):
     The divided differences run on the global nodes and the interpolants
     are expanded in u = t - t_first, so they never carry the subset's
     distance from t = 0, and the top coefficient of each row is the
-    dd_coefficients divided difference bit for bit.
+    dd_coefficients divided difference bit for bit.  A table whose arrays
+    would not fit in physical memory raises ScanTooLargeError before any
+    of it is built.
     """
-    subsets, width = dd_windows(len(samples.nodes), m, width)
+    n = len(samples.nodes)
+    count = _subset_count(n, m, width)
+    size = 9 * 8 * (m + 1) * count  # the table's nine (count, m + 1) arrays
+    if size > _physical_memory():
+        raise ScanTooLargeError(
+            f"{count} subsets of {m + 1} nodes need a {size / 2**30:.3g} GiB table, "
+            "more than physical memory"
+        )
+    subsets, width = dd_windows(n, m, width)
     idx = np.array(subsets)
     xs = np.array(samples.nodes)[idx]
     values = np.array([samples.fs, samples.gs, samples.hs])[:, idx]

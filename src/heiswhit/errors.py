@@ -10,7 +10,7 @@ class IdenticallyZeroError(HeisWhitError):
 
 
 class RootBudgetError(HeisWhitError):
-    """Bisection failed to reach the requested width within its budget."""
+    """A root bracket did not close within its step budget."""
 
 
 class ZeroDilationError(HeisWhitError):
@@ -71,3 +71,7 @@ class ParseError(HeisWhitError):
 
 class NonFiniteError(HeisWhitError):
     """Input values must be finite."""
+
+
+class ScanTooLargeError(HeisWhitError):
+    """A scan's subset table would not fit in physical memory."""

@@ -440,7 +440,7 @@ def _seminorm(slope, diam, omega):
     if omega.kind == "power":
         return np.abs(slope) * diam ** (1.0 - omega.exponent) / omega.coeff
     d = diam * 0.5 ** np.arange(60)[:, None]  # 60 halvings of each diam
-    w = np.vectorize(omega, otypes=[float])(d)
+    w = omega(d)
     out = np.zeros(np.shape(slope)[:-1] + d.shape)
     return np.divide(np.abs(slope)[..., None, :] * d, w, out=out, where=w > 0).max(-2)
 
@@ -472,7 +472,7 @@ def finiteness_check(
     # Bin at the pair separation, not diam(X): a short pair inside a wide
     # window would otherwise hide growth in the top bands.
     sep = xs[:, ib] - xs[:, ia]
-    w = np.array([omega(s) for s in sep.ravel().tolist()]).reshape(sep.shape)
+    w = omega(sep)
     ratios = np.full(sep.shape, math.inf)
     np.divide(np.abs(area), velocity * w, out=ratios, where=w > 0)
     items = np.column_stack((sep.ravel(), ratios.ravel()))

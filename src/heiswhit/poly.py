@@ -16,9 +16,9 @@ from .errors import IdenticallyZeroError, RootBudgetError
 
 # Trailing coefficients below TRIM_REL * max|c| are dropped on construction.
 TRIM_REL = 1e-14
-# Root brackets are bisected down to ROOT_TOL, in at most BISECT_BUDGET steps.
+# Root brackets are solved to ROOT_TOL, in at most ROOT_BUDGET steps.
 ROOT_TOL = 1e-12
-BISECT_BUDGET = 200
+ROOT_BUDGET = 200
 
 
 def _trim(coeffs):
@@ -192,27 +192,48 @@ def integrate(p, iv):
     return signed_integral(p, iv.lo, iv.hi)
 
 
-def _bisect(c, a, b, fa, active):
-    """Bisect every active bracket [a, b] of rows c whose ends change sign.
+def _in_bracket(y, a, b):
+    """y where it lies inside the open bracket (a, b), else the midpoint."""
+    return np.where((a < y) & (y < b), y, 0.5 * (a + b))
 
-    A bracket ends when b - a <= ROOT_TOL, when its midpoint hits a zero, or
-    when the midpoint equals one of its ends (far from 0, neighbouring floats
-    lie farther apart than ROOT_TOL).  Returns the midpoints, NaN if inactive.
+
+def _solve_brackets(c, a, b, fa, fb, active):
+    """Safeguarded Newton on every active bracket [a, b] of rows c.
+
+    Each active row is monotone on its bracket, where its end values fa and
+    fb differ in sign.  The first iterate is the secant point, the root
+    itself for a row of degree 1.  Each step evaluates p and p' at the
+    iterate x, moves the end whose sign p(x) shares to x, and takes
+    x - p(x)/p'(x) as the next iterate, or the midpoint when that leaves
+    the open bracket or p'(x) is 0 or not finite.  A bracket ends when the
+    Newton step is at most ROOT_TOL (p(x) == 0 makes it 0), when b - a <=
+    ROOT_TOL, or when the next iterate equals an end (far from 0,
+    neighbouring floats lie farther apart than ROOT_TOL).  Returns the
+    roots, NaN if inactive.
     """
     root = np.full(a.shape, np.nan)
-    for _ in range(BISECT_BUDGET):
-        mid = 0.5 * (a + b)
-        fm = _horner(c, mid)
-        done = active & ((b - a <= ROOT_TOL) | (mid == a) | (mid == b) | (fm == 0.0))
-        root[done] = mid[done]
+    if not active.any():
+        return root
+    dc = _deriv(c)
+    with np.errstate(all="ignore"):
+        x = _in_bracket(a - fa * (b - a) / (fb - fa), a, b)
+    for _ in range(ROOT_BUDGET):
+        fx = _horner(c, x)
+        with np.errstate(all="ignore"):
+            step = np.where(fx == 0.0, 0.0, fx / _horner(dc, x))
+        left = (fx > 0.0) == (fa > 0.0)
+        a, fa = np.where(left, x, a), np.where(left, fx, fa)
+        b = np.where(left, b, x)
+        near = np.abs(step) <= ROOT_TOL
+        y = _in_bracket(x - step, a, b)
+        done = active & (near | (b - a <= ROOT_TOL) | (y == a) | (y == b))
+        root[done] = np.where(near, np.clip(x - step, a, b), y)[done]
         active = active & ~done
         if not active.any():
             return root
-        left = (fm > 0.0) == (fa > 0.0)
-        a, fa = np.where(left, mid, a), np.where(left, fm, fa)
-        b = np.where(left, b, mid)
+        x = y
     bad = np.argwhere(active)[0]
-    raise RootBudgetError(f"bisection budget exhausted on [{a[tuple(bad)]}, {b[tuple(bad)]}]")
+    raise RootBudgetError(f"root budget exhausted on [{a[tuple(bad)]}, {b[tuple(bad)]}]")
 
 
 def _roots(c, lo, hi):
@@ -221,12 +242,12 @@ def _roots(c, lo, hi):
     Rows run along the leading axes of c, and lo and hi broadcast against
     them.  The critical points of a row (the roots of its derivative, found
     by this same rule) cut [lo, hi] into pieces on which it is monotone, so
-    each piece holds at most one root; a piece whose ends change sign is
-    bisected.  With scale the largest |p| over the cuts, an end of [lo, hi]
-    where |p| <= 1e-14 (1 + scale) is a root, and so is a critical point
-    where |p| <= 1e-10 (1 + scale) that ends no bisected piece: p touches
-    zero there without a sign change to bracket.  Roots within
-    ROOT_TOL max(1, |lo|, |hi|) of a smaller one merge into it.
+    each piece holds at most one root; a piece whose ends change sign is a
+    bracket, closed by _solve_brackets.  With scale the largest |p| over
+    the cuts, an end of [lo, hi] where |p| <= 1e-14 (1 + scale) is a root,
+    and so is a critical point where |p| <= 1e-10 (1 + scale) that ends no
+    bracket: p touches zero there without a sign change to bracket.  Roots
+    within ROOT_TOL max(1, |lo|, |hi|) of a smaller one merge into it.
     Returns the roots of each row sorted along the last axis, NaN-padded.
     """
     rows = c.shape[:-1]
@@ -251,7 +272,7 @@ def _roots(c, lo, hi):
     at_cut[..., 1:] &= ~split
     candidates = np.sort(np.concatenate([
         np.where(at_cut, cuts, np.nan),
-        _bisect(c, cuts[..., :-1], cuts[..., 1:], va, split),
+        _solve_brackets(c, cuts[..., :-1], cuts[..., 1:], va, vb, split),
     ], -1), axis=-1)
     merge = ROOT_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     keep = ~np.isnan(candidates)

@@ -11,7 +11,6 @@ keeps it linear in the field and exact on the jets at the nodes.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +95,18 @@ class ModulusFn:
             raise ValueError(f"unknown modulus kind {self.kind!r}")
 
     def __call__(self, t):
-        t = abs(float(t))
+        """omega(|t|): a float for a scalar t, elementwise for an array."""
+        u = np.abs(np.asarray(t, dtype=float))
         if self.kind == "power":
-            return self.coeff * t ** self.exponent
-        ts = [abscissa for abscissa, _ in self.table]
-        ws = [w for _, w in self.table]
-        if t <= ts[0]:
-            return ws[0] * (t / ts[0]) if ts[0] > 0 else ws[0]
-        if t >= ts[-1]:
-            return ws[-1]
-        i = bisect_right(ts, t) - 1
-        frac = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return ws[i] + frac * (ws[i + 1] - ws[i])
+            out = self.coeff * np.power(u, self.exponent)
+        else:
+            ts, ws = np.array(self.table, dtype=float).T
+            i = np.clip(np.searchsorted(ts, u, side="right") - 1, 0, len(ts) - 2)
+            frac = (u - ts[i]) / (ts[i + 1] - ts[i])
+            out = ws[i] + frac * (ws[i + 1] - ws[i])
+            below = ws[0] * (u / ts[0]) if ts[0] > 0 else ws[0]
+            out = np.where(u <= ts[0], below, np.where(u >= ts[-1], ws[-1], out))
+        return out if isinstance(t, np.ndarray) else float(out)
 
 
 class PiecewiseCm:
@@ -333,6 +332,6 @@ def validate_field(whitney_field, mode="cm", omega=None, deltas=None, ratio=0.5)
     combined = banded_sup(np.column_stack((dk, r)), deltas, name="remainders")
     omega_c = None
     if mode == "cm_omega":
-        w = np.array([omega(x) for x in dk.tolist()])
+        w = omega(dk)
         omega_c = float(np.divide(r, w, out=np.full_like(r, math.inf), where=w > 0).max())
     return FieldReport(per_k, combined, float(r.max()), omega_c, len(u))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import bounded_horizontal_triple, circle_rows, line_curve
-from heiswhit import cli
+from heiswhit import cli, divdiff, horizontal
 from heiswhit.cli import (
     RunConfig,
     config_from_args,
@@ -266,6 +266,39 @@ def test_run_maps_memory_error_to_exit_3(tmp_path, capsys, monkeypatch):
     path = write_csv(tmp_path / "circle.csv", circle_rows(12))
     assert run(RunConfig(mode="check-cm", input_path=path)) == 3
     assert "error: Unable to allocate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, name", [("check-c1", "check_c1"), ("check-cm", "check_cm"), ("check-cm-w", "check_cm_via_w")]
+)
+def test_main_calls_the_checker_bound_on_horizontal_now(tmp_path, monkeypatch, mode, name):
+    # A wrapper put on heiswhit.horizontal after import (a tracer's, say)
+    # is the one main calls.
+    seen, checker = [], getattr(horizontal, name)
+
+    def patched(curve, *args, **kwargs):
+        seen.append(len(curve.nodes))
+        return checker(curve, *args, **kwargs)
+
+    monkeypatch.setattr(horizontal, name, patched)
+    path = write_csv(tmp_path / "circle.csv", circle_rows(12))
+    assert main(["--mode", mode, "--input", path, "--report", str(tmp_path / "r.json")]) == 0
+    assert seen == [12]
+
+
+def test_main_refuses_a_subset_table_beyond_physical_memory(tmp_path, monkeypatch, capsys):
+    # 64 nodes, m = 3, windows of 40: the table is checked against the
+    # memory figure before dd_windows lists a single subset.
+    def unlisted(*args, **kwargs):
+        raise AssertionError("the subset list was built")
+
+    monkeypatch.setattr(divdiff, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(divdiff, "dd_windows", unlisted)
+    path = write_csv(tmp_path / "circle.csv", circle_rows(64))
+    argv = ["--mode", "check-cm", "--m", "3", "--window", "40", "--input", path]
+    assert main(argv) == 3
+    count = sum(math.comb(min(40, 64 - first) - 1, 3) for first in range(64))
+    assert f"error: {count} subsets of 4 nodes" in capsys.readouterr().err
 
 
 def test_run_finiteness_inconclusive_exits_2(tmp_path):

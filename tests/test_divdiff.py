@@ -12,7 +12,7 @@ from heiswhit import (
     hermite_genocchi,
     newton_interp,
 )
-from heiswhit.divdiff import dd_profile
+from heiswhit.divdiff import _subset_count, dd_profile, dd_windows
 from heiswhit.errors import DuplicateNodeError, TooFewNodesError
 
 
@@ -177,3 +177,11 @@ def test_dd_profile_half_order_kink(m):
 def test_dd_profile_needs_enough_nodes():
     with pytest.raises(TooFewNodesError):
         dd_profile(power_curve(1, 3, 0.0, 1.0), 2)
+
+
+def test_subset_count_closed_form_matches_dd_windows():
+    for n in range(2, 15):
+        for m in range(1, 5):
+            for window in range(2, 17):
+                subsets, width = dd_windows(n, m, window)
+                assert _subset_count(n, m, width) == len(subsets)

@@ -1,15 +1,25 @@
 """Polynomial engine: arithmetic, calculus, root isolation, |p| integrals."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import abs_quad_oracle, integrate_exact, random_poly
-from heiswhit import Interval, Poly, abs_integral, integrate, real_roots
-from heiswhit.errors import IdenticallyZeroError
+from conftest import abs_quad_oracle, circle_curve, integrate_exact, random_poly
+from heiswhit import (
+    Interval,
+    ModulusFn,
+    Poly,
+    abs_integral,
+    finiteness_check,
+    integrate,
+    poly,
+    real_roots,
+)
+from heiswhit.errors import IdenticallyZeroError, RootBudgetError
 
 EPS = np.finfo(float).eps
 
@@ -208,3 +218,144 @@ def test_abs_integral_against_subdivision_oracle():
         want = abs_quad_oracle(p, lo, hi, tol=1e-12)
         got = abs_integral(p, Interval(lo, hi))
         assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+
+# -- the bracket solver against plain bisection ---------------------------------
+
+
+def bisect_brackets(c, a, b, fa, fb, active):
+    """The bisection the Newton bracket solver replaced, kept as its oracle.
+
+    Halves every active bracket until b - a <= ROOT_TOL, the midpoint hits
+    a zero, or the midpoint equals one of the ends; returns the midpoints.
+    """
+    root = np.full(a.shape, np.nan)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = poly._horner(c, mid)
+        done = active & ((b - a <= poly.ROOT_TOL) | (mid == a) | (mid == b) | (fm == 0.0))
+        root[done] = mid[done]
+        active = active & ~done
+        if not active.any():
+            return root
+        left = (fm > 0.0) == (fa > 0.0)
+        a, fa = np.where(left, mid, a), np.where(left, fm, fa)
+        b = np.where(left, b, mid)
+    raise AssertionError("bisection did not close a bracket in 200 steps")
+
+
+def oracle_roots(c, lo, hi):
+    """poly._roots with every bracket bisected instead."""
+    with mock.patch.object(poly, "_solve_brackets", bisect_brackets):
+        return poly._roots(c, lo, hi)
+
+
+def root_noise(c, r):
+    """How far rounding in evaluating p can move a computed root r of row c.
+
+    With eta = eps * sum |c_k r^k| the rounding in p near r, a root can sit
+    anywhere |p| <= eta: within eta / |p'(r)| of r, and within
+    sqrt(2 eta / |p''(r)|) where p' vanishes (touches, close pairs).
+    """
+    ar = np.abs(r) ** np.arange(c.size)
+    eta = EPS * (np.abs(c) @ ar)
+    if not eta:
+        return 0.0  # p is exact at r
+    dc = np.polynomial.polynomial.polyder(c)
+    slope = abs(np.polynomial.polynomial.polyval(r, dc))
+    curv = abs(np.polynomial.polynomial.polyval(r, np.polynomial.polynomial.polyder(dc)))
+    with np.errstate(divide="ignore"):
+        return min(eta / slope, math.sqrt(2.0 * eta / curv) if curv else math.inf)
+
+
+@st.composite
+def root_rows(draw):
+    """(coefficients, lo, hi) of rows of degree 1-4 built from their roots.
+
+    Roots lie at least 1e-2 apart in [-1, 1], or in [2e4 - 1, 2e4 + 1]
+    (degree 1 and 2), where neighbouring floats lie farther apart than
+    ROOT_TOL.  A row near 0 may also hold one of: a close pair (1e-5 to
+    1e-2 apart), a double root (a touch), or a factor with two complex
+    roots.
+    """
+    far = draw(st.booleans())
+    deg = draw(st.integers(1, 2 if far else 4))
+    special = draw(st.sampled_from(["close", "touch", "complex", None]))
+    unit = st.floats(-1.0, 1.0)
+    roots = []
+    if special == "close" and deg >= 2 and not far:
+        roots = [0.0, 10.0 ** draw(st.floats(-5.0, -2.0))]
+    elif special == "touch" and deg >= 2 and not far:
+        roots = [0.0, 0.0]
+    elif special == "complex" and deg >= 3:
+        roots = [complex(0.0, draw(st.floats(0.1, 1.0))), complex(0.0, -1.0)]
+        roots[1] = roots[0].conjugate()
+    shift = draw(unit) if roots else 0.0
+    free = draw(st.lists(unit, min_size=deg - len(roots), max_size=deg - len(roots)))
+    real = [x.real + shift for x in roots[:1]] + free
+    assume(_separated(real))
+    c = np.polynomial.polynomial.polyfromroots(
+        np.array([x + shift for x in roots] + free) + (2e4 if far else 0.0)
+    )
+    c = np.real(c) * draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return (c, 2e4 - 1.5, 2e4 + 1.5) if far else (c, -1.5, 1.5)
+
+
+@settings(max_examples=300, deadline=None)
+@example((np.array([60001.28477690172, -3.0]), 0.0, 3e4))
+@example((np.polynomial.polynomial.polyfromroots([0.5, 0.5001]), 0.0, 1.0))
+@example((np.polynomial.polynomial.polyfromroots([0.0, 1.0, 1.0]), -1.0, 2.0))
+@given(root_rows())
+def test_newton_roots_match_bisection(row):
+    c, lo, hi = row
+    got, want = poly._roots(c, lo, hi), oracle_roots(c, lo, hi)
+    assert got.shape == want.shape
+    for g, r in zip(got, want):
+        assert abs(g - r) <= poly.ROOT_TOL * max(1.0, abs(r)) + 8.0 * root_noise(c, r)
+    # |p| integrates the same to a few ulps of its antiderivative's size.
+    a, b = np.array([lo]), np.array([hi])
+    size = np.abs(poly._antideriv(c)) @ max(abs(lo), abs(hi)) ** np.arange(c.size + 1)
+    assert abs(poly._abs_integral(c, a, b, got)[0] - poly._abs_integral(c, a, b, want)[0]) <= (
+        4.0 * EPS * size
+    )
+
+
+def test_three_steps_resolve_degree_1_rows(monkeypatch):
+    # The first iterate, the secant point, is the root of a degree-1 row up
+    # to rounding, so its step ends the bracket; rows with roots near 1e4
+    # can take two more steps, since floats there lie farther apart than
+    # ROOT_TOL.
+    rng = np.random.default_rng(5)
+    r = rng.uniform(-1e3, 1e3, 2000)
+    slope = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-3.0, 3.0, 2000)
+    lo = r - 10.0 ** rng.uniform(-3.0, 4.0, 2000)
+    hi = r + 10.0 ** rng.uniform(-3.0, 4.0, 2000)
+    c = np.column_stack((-r * slope, slope))
+    want = oracle_roots(c, lo, hi)
+    monkeypatch.setattr(poly, "ROOT_BUDGET", 3)
+    got = poly._roots(c, lo, hi)
+    assert got.shape == want.shape == (2000, 1)
+    assert np.all(np.abs(got - want) <= poly.ROOT_TOL * np.maximum(1.0, np.abs(want)))
+
+
+def test_three_steps_resolve_the_degree_2_rows_of_the_av_kernel(monkeypatch):
+    # At m = 2 every row the AV kernel integrates |p'| of is p' of a
+    # degree-2 Taylor or interpolant row: degree 1, so three steps suffice.
+    curve, omega = circle_curve(13), ModulusFn("power", 1.0, 1.0)
+    want = finiteness_check(curve, 2, omega, full_enum=True)
+    monkeypatch.setattr(poly, "ROOT_BUDGET", 3)
+    got = finiteness_check(curve, 2, omega, full_enum=True)
+    assert got.profile.points == want.profile.points
+    assert (got.m_hat, got.worst_pair) == (want.m_hat, want.worst_pair)
+
+
+def test_root_budget_error_when_a_bracket_needs_more_steps(monkeypatch):
+    # x^2 - 2 on [0, 2]: one bracket, Newton from the secant point 1 needs
+    # several steps to reach sqrt(2).
+    monkeypatch.setattr(poly, "ROOT_BUDGET", 1)
+    with pytest.raises(RootBudgetError):
+        real_roots(Poly([-2.0, 0.0, 1.0]), Interval(0.0, 2.0))
+    monkeypatch.setattr(poly, "ROOT_BUDGET", 200)
+    assert real_roots(Poly([-2.0, 0.0, 1.0]), Interval(0.0, 2.0)) == pytest.approx(
+        [math.sqrt(2.0)], abs=1e-15
+    )

@@ -5,6 +5,7 @@ breaks one of them fails here rather than on the next manual run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,27 @@ def load(name):
 def test_script_main_exits_0(name, capsys):
     assert load(name).main(RUNS[name]) == 0
     assert capsys.readouterr().out.strip()
+
+
+def digest_call(code, value, slope=-1.0):
+    report = {"status": {0: "consistent", 1: "inconsistent"}[code], "exit_code": code,
+              "profiles": {"dd_f": {"points": [[1.0, value], [0.5, 0.25]], "slope": slope,
+                                    "status": "consistent", "terminal": 0.25}}}
+    return {"exit": code, "report": report, "plot": f"delta,value,series\n1.0,{value!r},dd_f\n",
+            "grid": None}
+
+
+def test_report_digest_diff_reports_exit_and_rounding_changes(tmp_path, capsys):
+    before = {"same": digest_call(0, 0.5), "exit": digest_call(0, 0.5),
+              "rounding": digest_call(0, 0.5)}
+    after = {"same": digest_call(0, 0.5), "exit": digest_call(1, 0.5),
+             "rounding": digest_call(0, 0.5 * (1.0 + 2.0**-52))}
+    paths = [tmp_path / "before.json", tmp_path / "after.json"]
+    for path, digest in zip(paths, (before, after)):
+        path.write_text(json.dumps(digest), encoding="utf-8")
+    assert load("report_digest").main(["--diff", *map(str, paths)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("exit: exit 0 -> 1, status consistent -> inconsistent")
+    assert lines[1].startswith("rounding: exit 0 -> 0, status consistent -> consistent; "
+                               "values 1.11e-16 absolute, 2.22e-16 relative")
+    assert lines[-1] == "3 calls: 1 identical, 2 differ, 1 change their exit code"

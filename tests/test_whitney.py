@@ -24,6 +24,7 @@ from heiswhit.errors import (
     NonFiniteError,
     TooFewNodesError,
 )
+from heiswhit.horizontal import _seminorm
 from heiswhit.poly import Poly, jet_poly
 from heiswhit.profiles import banded_sup, delta_grid
 
@@ -343,6 +344,66 @@ def test_tabulated_modulus_interpolates():
     assert w(2.0) == pytest.approx(4.0, rel=1e-12)
     assert w(0.5) == pytest.approx(1.0, rel=1e-12)  # linear through zero
     assert w(10.0) == 6.0
+
+
+def scalar_modulus(omega, t):
+    """omega(t) as ModulusFn computed it one Python float at a time."""
+    t = abs(float(t))
+    if omega.kind == "power":
+        return omega.coeff * t ** omega.exponent
+    ts = [abscissa for abscissa, _ in omega.table]
+    ws = [w for _, w in omega.table]
+    if t <= ts[0]:
+        return ws[0] * (t / ts[0]) if ts[0] > 0 else ws[0]
+    if t >= ts[-1]:
+        return ws[-1]
+    i = bisect_right(ts, t) - 1
+    frac = (t - ts[i]) / (ts[i + 1] - ts[i])
+    return ws[i] + frac * (ws[i + 1] - ws[i])
+
+
+class ScalarModulus:
+    """A modulus that evaluates an array with scalar_modulus, element by element."""
+
+    def __init__(self, omega):
+        self.omega, self.kind = omega, omega.kind
+
+    def __call__(self, t):
+        return np.vectorize(lambda x: scalar_modulus(self.omega, x), otypes=[float])(t)
+
+
+TABULATED = (
+    ModulusFn(kind="tabulated", table=((0.1, 0.5), (1.0, 1.0), (3.0, 2.0))),
+    ModulusFn(kind="tabulated", table=((0.0, 0.25), (0.5, 0.25), (2.0, 4.0))),
+)
+MODULI = (ModulusFn(), ModulusFn(coeff=2.0, exponent=0.5), ModulusFn(coeff=0.7, exponent=0.3), *TABULATED)
+
+
+@pytest.mark.parametrize("omega", MODULI)
+def test_modulus_on_an_array_matches_scalar_calls(omega):
+    rng = np.random.default_rng(31)
+    special = [0.0, -0.0, -0.05, -2.0, 1e-9, 0.05, 0.1, 0.5, 1.0, 2.0, 3.0, 3.5, 1e6, -1e6]
+    ts = np.concatenate([special, rng.uniform(-4.0, 4.0, 58)]).reshape(8, 9)
+    got = omega(ts)
+    assert got.shape == ts.shape
+    for t, w in zip(ts.ravel().tolist(), got.ravel().tolist()):
+        assert type(omega(t)) is float and omega(t) == w
+        want = scalar_modulus(omega, t)
+        if omega.kind == "tabulated":
+            assert w == want
+        else:  # numpy's array pow may round the last bit unlike the C library's
+            assert abs(w - want) <= np.spacing(want)
+
+
+@pytest.mark.parametrize("omega", TABULATED)
+def test_tabulated_modulus_gives_the_scalar_results(omega):
+    rng = np.random.default_rng(32)
+    nodes = tuple(sorted(distinct_nodes(rng, 9, 0.0, 4.0)))
+    field = WhitneyField(nodes, tuple(tuple(rng.uniform(-2.0, 2.0, 3)) for _ in nodes))
+    got = validate_field(field, mode="cm_omega", omega=omega)
+    assert got == validate_field(field, mode="cm_omega", omega=ScalarModulus(omega))
+    slope, diam = rng.normal(size=(3, 5)), rng.uniform(0.01, 4.0, 5)
+    assert np.array_equal(_seminorm(slope, diam, omega), _seminorm(slope, diam, ScalarModulus(omega)))
     with pytest.raises(ValueError):
         ModulusFn(kind="tabulated", table=((1.0, 2.0),))
     with pytest.raises(ValueError):
