@@ -5,25 +5,10 @@ interpolant, the interpolant is synthesized when compatible, and the
 finite-subset constants behind the guarantee are measured.
 """
 
-from .av import AVPair, av_pair, av_profile, discrete_av_pair, discrete_av_profile
-from .divdiff import (
-    SampledCurve,
-    dd_profile,
-    divided_difference,
-    hermite_genocchi,
-    newton_interp,
-)
+from .av import AVPair, av_pair, av_profile, discrete_av_pair
+from .divdiff import SampledCurve
 from .errors import HeisWhitError
-from .heis import (
-    CurveJets,
-    HPoint,
-    dilate,
-    group_mul,
-    horizontality_defect,
-    inverse,
-    leibniz_stack,
-    pansu_dq,
-)
+from .heis import CurveJets, HPoint, dilate, group_mul, horizontality_defect, inverse, pansu_dq
 from .horizontal import (
     FinitenessReport,
     HorizontalCurve,
@@ -32,11 +17,9 @@ from .horizontal import (
     check_cm,
     check_cm_via_w,
     finiteness_check,
-    gap_horizontalize,
-    horizontal_jet_completion,
     synthesize,
 )
-from .poly import Interval, Poly, abs_integral, integrate, real_roots
+from .poly import Interval, Poly, abs_integral, real_roots
 from .profiles import Profile, ThresholdPolicy
 from .whitney import (
     ModulusFn,
@@ -72,23 +55,14 @@ __all__ = [
     "check_c1",
     "check_cm",
     "check_cm_via_w",
-    "dd_profile",
     "dilate",
     "discrete_av_pair",
-    "discrete_av_profile",
-    "divided_difference",
     "extend",
     "finiteness_check",
-    "gap_horizontalize",
     "group_mul",
-    "hermite_genocchi",
-    "horizontal_jet_completion",
     "horizontality_defect",
-    "integrate",
     "inverse",
     "jets_from_samples",
-    "leibniz_stack",
-    "newton_interp",
     "pansu_dq",
     "real_roots",
     "synthesize",

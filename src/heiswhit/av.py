@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSubsetError, OrderViolationError, TooFewNodesError
-from .divdiff import _monomial_rows, _newton_columns, _newton_table, _width
+from .divdiff import _monomial_rows, _newton_columns
 from .poly import _abs_integral, _antideriv, _deriv, _horner, _mul, _roots, _taylor_rows
 from .profiles import banded_sup, delta_grid
 
@@ -136,10 +136,13 @@ def discrete_av_pair(samples, subset, a, b, m):
     if not (a < b):
         raise OrderViolationError(f"need a < b, got a={a}, b={b}")
 
+    # As in the scan's Newton table: divided differences on the global
+    # nodes, interpolants expanded in u = t - t_first.
     sub = [samples.nodes.index(t) for t in x]
-    u = np.array(x) - x[0]
+    xs = np.array(x)
+    u = xs - xs[0]
     values = np.array([samples.fs, samples.gs, samples.hs])[:, sub]
-    pf, pg = _monomial_rows(_newton_columns(u, values[:2]), u)
+    pf, pg = _monomial_rows(_newton_columns(xs, values[:2]), u)
     ia, ib = [x.index(a)], [x.index(b)]
     area, velocity = _av(pf, pg, u[ia], u[ib], values[2, ia], values[2, ib], u[-1], m)
     return AVPair(float(area[0]), float(velocity[0]))
@@ -173,18 +176,3 @@ def _discrete_av_profile(table, m, deltas):
     items = np.column_stack((np.broadcast_to(diam, ratios.shape).ravel(), ratios.ravel()))
     return banded_sup(items, deltas, name="discrete_av_ratio")
 
-
-def discrete_av_profile(samples, m, window=None, deltas=None, ratio=0.5, full_enum=False):
-    """Banded sup of |A[X]/V[X]| over windowed (m+1)-subsets.
-
-    Subsets are drawn from sliding windows of consecutive nodes (default
-    width 2m+4) and every admissible endpoint pair inside each subset is
-    scanned; items are binned at scale diam(X).
-    """
-    n = len(samples.nodes)
-    if n < m + 1:
-        raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
-    if deltas is None:
-        deltas = delta_grid(samples.diam, samples.min_gap, ratio)
-    table = _newton_table(samples, m, _width(n, m, window, full_enum))
-    return _discrete_av_profile(table, m, deltas)

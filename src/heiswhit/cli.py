@@ -156,21 +156,6 @@ def _load_json(path):
     return SampledCurve.from_rows(rows), m_hint
 
 
-def dump_samples_json(curve, path, m=None):
-    """Write samples as JSON that parse_input reads back bit-exactly."""
-    doc = {
-        "samples": [
-            {"t": t, "x": p.x, "y": p.y, "z": p.z}
-            for t, p in zip(curve.nodes, curve.points)
-        ]
-    }
-    if m is not None:
-        doc["m"] = m
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def emit_plot_data(profiles, path):
     """Write profiles as CSV rows delta,value,series.
 

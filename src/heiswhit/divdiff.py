@@ -335,19 +335,3 @@ def _dd_profiles(table, deltas):
     items = (np.column_stack((diams, np.abs(v))) for v in spread.max(axis=0))
     return {c: banded_sup(i, deltas, name=f"dd_{c}") for c, i in zip("fgh", items)}
 
-
-def dd_profile(samples, m, window=None, deltas=None, ratio=0.5, full_enum=False):
-    """Decay profiles of m-th divided-difference differences, per component.
-
-    For each pair of (m+1)-subsets X, Y whose union spans fewer than window
-    consecutive nodes, the item |gamma[X] - gamma[Y]| is recorded at scale
-    diam(X u Y); the profile is the banded sup over the geometric scale
-    grid.  window defaults to 2m+4 consecutive nodes.  No pair is listed:
-    each index interval's largest item comes from extrema (_dd_profiles).
-    """
-    n = len(samples.nodes)
-    if n < m + 2:
-        raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
-    if deltas is None:
-        deltas = delta_grid(samples.diam, samples.min_gap, ratio)
-    return _dd_profiles(_newton_table(samples, m, _width(n, m, window, full_enum)), deltas)

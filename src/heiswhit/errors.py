@@ -53,14 +53,6 @@ class BadSubsetError(HeisWhitError):
     """The node subset does not match the required shape."""
 
 
-class OrderMismatchError(HeisWhitError):
-    """The supplied pieces do not carry jets of the requested order."""
-
-
-class DegenerateGapError(HeisWhitError):
-    """A gap construction needs a strictly positive gap."""
-
-
 class SynthesisDefectError(HeisWhitError):
     """The synthesized curve failed its audit."""
 

@@ -73,31 +73,6 @@ def _pansu_quotient(pa, pb, a, b):
     return r * (-xa + xb), r * (-ya + yb), r * r * (-za + zb + 2.0 * (-ya * xb - -xa * yb))
 
 
-def leibniz_stack(fjet, gjet, m):
-    """Derivatives of the horizontal velocity from the jets of f and g.
-
-    Returns [H^1, .., H^m] where
-
-        H^k = 2 * sum_{i=0}^{k-1} C(k-1, i) (F^{k-i} G^i - G^{k-i} F^i),
-
-    the k-th derivative of h when h' = 2(f'g - g'f) and F^j, G^j are the
-    j-th derivatives of f and g.
-    """
-    if len(fjet) < m + 1 or len(gjet) < m + 1:
-        raise LengthMismatchError(
-            f"jets of length >= {m + 1} required, got {len(fjet)}, {len(gjet)}"
-        )
-    out = []
-    for k in range(1, m + 1):
-        acc = 0.0
-        for i in range(k):
-            acc += math.comb(k - 1, i) * (
-                fjet[k - i] * gjet[i] - gjet[k - i] * fjet[i]
-            )
-        out.append(2.0 * acc)
-    return out
-
-
 def _horizontality_residual(f, df, g, dg, dh):
     """h' - 2(f'g - fg') from values of f, f', g, g' and h' (floats or arrays)."""
     return dh - 2.0 * (df * g - f * dg)
@@ -161,15 +136,6 @@ class CurveJets:
                 derivs.append(derivs[-1].derivative())
             jets.append(tuple(tuple(d(t) for d in derivs) for t in nodes))
         return cls(nodes, *jets)
-
-    @classmethod
-    def from_callables(cls, nodes, fd, gd, hd, m):
-        """Jets from derivative oracles fd(t, k) etc."""
-        nodes = tuple(float(t) for t in nodes)
-        fj = tuple(tuple(fd(t, k) for k in range(m + 1)) for t in nodes)
-        gj = tuple(tuple(gd(t, k) for k in range(m + 1)) for t in nodes)
-        hj = tuple(tuple(hd(t, k) for k in range(m + 1)) for t in nodes)
-        return cls(nodes, fj, gj, hj)
 
     def translated(self, p):
         """Jets of the left translate p * curve.

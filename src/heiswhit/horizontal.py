@@ -17,14 +17,9 @@ import numpy as np
 
 from .av import _discrete_av_profile, _taylor_av, av_profile
 from .divdiff import _dd_profiles, _scan
-from .errors import (
-    DegenerateGapError,
-    OrderMismatchError,
-    SynthesisDefectError,
-    TooFewNodesError,
-)
-from .heis import CurveJets, _horizontality_residual, _pansu_quotient, leibniz_stack
-from .poly import Poly, _antideriv, _deriv, _horner, _mul, _padded
+from .errors import SynthesisDefectError, TooFewNodesError
+from .heis import CurveJets, _horizontality_residual, _pansu_quotient
+from .poly import _antideriv, _deriv, _horner, _mul, _padded
 from .profiles import (
     INCONSISTENT,
     Profile,
@@ -35,13 +30,11 @@ from .profiles import (
 )
 from .whitney import (
     PiecewiseCm,
-    WhitneyField,
     _blend,
     _end_rows,
     _shift,
     _unit_to_local,
     jets_from_samples,
-    validate_field,
 )
 
 
@@ -75,27 +68,10 @@ class HorizontalCurve:
         return (self.f(t, deriv), self.g(t, deriv), self.h(t, deriv))
 
 
-@dataclass(frozen=True)
-class GapPieces:
-    """One horizontalized gap: three sub-pieces per component.
-
-    Each sub-piece lives in local coordinates at the point nearest to it:
-    t - a, t - mid (the bump midpoint) and t - b, so its Horner terms stay
-    tame even when the bump amplitude is large on a short gap.
-    """
-
-    breaks: tuple  # (a + L/3, a + 2L/3); both sub-breakpoints interior
-    f_pieces: tuple
-    g_pieces: tuple
-    h_pieces: tuple
-    centers: tuple
-    lam: float
-    sigma: float
-    deficit: float
-
-
-# Synthesis audits horizontality on this many evenly spaced points.
+# Synthesis audits horizontality on this many evenly spaced points, and
+# fails on a defect above DEFECT_TOL relative to the size of h' and 2(f'g - fg').
 AUDIT_POINTS = 10_001
+DEFECT_TOL = 1e-9
 
 
 def _verdict(profiles, policy):
@@ -105,27 +81,6 @@ def _verdict(profiles, policy):
     return Verdict(
         combine_statuses(list(statuses.values())), profiles, statuses, slopes, policy
     )
-
-
-def horizontal_jet_completion(f_ext, g_ext, nodes, hvals, m):
-    """Complete h-samples to jets forced by horizontality.
-
-    H^0 is the sample; H^k for k >= 1 is the (k-1)-th derivative of the
-    horizontal velocity 2(f'g - g'f) of the given extensions at the node.
-    Returns the completed field together with its Taylor-remainder report.
-    """
-    if f_ext.order < m or g_ext.order < m:
-        raise OrderMismatchError(
-            f"extensions carry order {min(f_ext.order, g_ext.order)}, need {m}"
-        )
-    if len(nodes) != len(hvals):
-        raise TooFewNodesError("one h sample per node required")
-    jets = tuple(
-        (float(h0), *leibniz_stack(f_ext.jet(a, m), g_ext.jet(a, m), m))
-        for a, h0 in zip(nodes, hvals)
-    )
-    hfield = WhitneyField(tuple(nodes), jets)
-    return hfield, validate_field(hfield, "cm")
 
 
 def _velocity_anti(f, g):
@@ -180,8 +135,11 @@ def _bump_rows(m):
 
 
 def _horizontalize_gaps(fa, ga, fb, gb, ha, hb, a, b, m):
-    """gap_horizontalize for every gap at once, one row of jets per gap.
+    """Horizontalize every gap at once, one row of jets per gap (a, b).
 
+    f and g blend the Taylor polynomials of the end jets, a bump pair
+    closes the area deficit, and h integrates the horizontal velocity,
+    chained from h(a) and reaching h(b) by choice of the bump amplitude.
     Area integrals are invariant under affine changes of variable, so the
     work runs in s = (t - a) / gap, where coefficients stay tame on short
     gaps.  Returns the rows of the sub-pieces in t - a, t - mid and t - b,
@@ -219,37 +177,7 @@ def _horizontalize_gaps(fa, ga, fb, gb, ha, hb, a, b, m):
     return f, g, h, lam, sigma, deficit
 
 
-def gap_horizontalize(fjet_a, gjet_a, fjet_b, gjet_b, ha, hb, a, b, m):
-    """Horizontalize one gap: blend the jets, bump away the area deficit.
-
-    Returns GapPieces whose h sub-pieces are exact antiderivatives of the
-    horizontal velocity, chained continuously from h(a) and hitting h(b)
-    at the far end by choice of the bump amplitude.
-    """
-    if not (b > a):
-        raise DegenerateGapError(f"need b > a, got a={a}, b={b}")
-    rows = [np.array([jet[: m + 1]], dtype=float) for jet in (fjet_a, gjet_a, fjet_b, gjet_b)]
-    ends = (np.array([float(v)]) for v in (ha, hb, a, b))
-    f, g, h, lam, sigma, deficit = _horizontalize_gaps(*rows, *ends, m)
-    gap = b - a
-    return GapPieces(
-        (a + gap / 3.0, a + 2.0 * gap / 3.0),
-        *(tuple(Poly(r) for r in c[0]) for c in (f, g, h)),
-        (a, a + 0.5 * gap, b),
-        *(float(x[0]) for x in (lam, sigma, deficit)),
-    )
-
-
-def synthesize(
-    samples,
-    m,
-    force=False,
-    policy=None,
-    window=None,
-    full_enum=False,
-    ratio=0.5,
-    defect_tol=1e-9,
-):
+def synthesize(samples, m, force=False, policy=None, window=None, full_enum=False, ratio=0.5):
     """Build a horizontal C^m interpolant of the samples.
 
     Fits jets to f and g, then horizontalizes every gap: f and g blend the
@@ -303,9 +231,9 @@ def synthesize(
         np.max(np.abs(dhv)) + 2.0 * np.max(np.abs(dfv * gv)) + 2.0 * np.max(np.abs(fv * dgv))
     )
     defect = float(np.max(np.abs(residual)))
-    if defect > defect_tol * scale:
+    if defect > DEFECT_TOL * scale:
         raise SynthesisDefectError(
-            f"horizontality defect {defect:.3e} exceeds {defect_tol:.1e} * {scale:.3e}"
+            f"horizontality defect {defect:.3e} exceeds {DEFECT_TOL:.1e} * {scale:.3e}"
         )
     # One row per node, so argwhere meets failures node by node.
     got = np.array([ext(t) for ext in exts]).T

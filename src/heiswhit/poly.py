@@ -172,26 +172,6 @@ class Interval:
             raise ValueError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
 
 
-def jet_poly(jet):
-    """Taylor polynomial of a jet in the local variable u = x - center.
-
-    jet[k] holds the k-th derivative at the center, so the coefficient of
-    u**k is jet[k] / k!.
-    """
-    return Poly(_taylor_rows(np.asarray(jet, dtype=float)))
-
-
-def signed_integral(p, a, b):
-    """Integral of p from a to b, exact up to rounding, any order of a, b."""
-    anti = p.antiderivative()
-    return anti(b) - anti(a)
-
-
-def integrate(p, iv):
-    """Exact signed integral of p over an Interval."""
-    return signed_integral(p, iv.lo, iv.hi)
-
-
 def _in_bracket(y, a, b):
     """y where it lies inside the open bracket (a, b), else the midpoint."""
     return np.where((a < y) & (y < b), y, 0.5 * (a + b))

@@ -139,10 +139,6 @@ class PiecewiseCm:
         self.order = int(order)
         self._tables = {0: _trim_rows(pieces.astype(float))}
 
-    @classmethod
-    def single(cls, poly, order, center=0.0):
-        return cls((), (center,), (poly,), order)
-
     @property
     def pieces(self):
         """The pieces as Polys in their local variables."""
@@ -174,12 +170,6 @@ class PiecewiseCm:
             right = _horner(table[1:], b - self.centers[1:])
             jumps.append(float(np.max(np.abs(left - right), initial=0.0)))
         return jumps
-
-    @property
-    def hull(self):
-        if not len(self.breakpoints):
-            return (float(self.centers[0]), float(self.centers[0]))
-        return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
 
 def transition_poly(m):

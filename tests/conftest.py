@@ -6,12 +6,16 @@ the partial-fraction form of divided differences), so agreement is
 evidence rather than a comparison of one code path with itself.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from heiswhit import CurveJets, Poly, SampledCurve
+from heiswhit.errors import LengthMismatchError
+from heiswhit.horizontal import _horizontalize_gaps
+from heiswhit.poly import _taylor_rows
 
 
 # fixture builders -----------------------------------------------------------
@@ -35,13 +39,11 @@ def circle_jets(nodes, m):
             return -2.0 * t
         return -2.0 if k == 1 else 0.0
 
-    return CurveJets.from_callables(
-        nodes,
-        lambda t, k: math.cos(t + 0.5 * math.pi * k),
-        lambda t, k: math.sin(t + 0.5 * math.pi * k),
-        hd,
-        m,
-    )
+    nodes = tuple(float(t) for t in nodes)
+    fd = lambda t, k: math.cos(t + 0.5 * math.pi * k)
+    gd = lambda t, k: math.sin(t + 0.5 * math.pi * k)
+    jets = (tuple(tuple(d(t, k) for k in range(m + 1)) for t in nodes) for d in (fd, gd, hd))
+    return CurveJets(nodes, *jets)
 
 
 def line_curve(n, lo=0.0, hi=1.0):
@@ -91,6 +93,34 @@ def poly_curve(pf, pg, ph, nodes):
     return SampledCurve.from_rows([(t, pf(t), pg(t), ph(t)) for t in nodes])
 
 
+def dump_samples_json(curve, path, m=None):
+    """Write samples as JSON that the CLI reads back bit-exactly."""
+    doc = {
+        "samples": [
+            {"t": t, "x": p.x, "y": p.y, "z": p.z}
+            for t, p in zip(curve.nodes, curve.points)
+        ]
+    }
+    if m is not None:
+        doc["m"] = m
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def one_gap(fjet_a, gjet_a, fjet_b, gjet_b, ha, hb, a, b, m):
+    """Synthesis's gap step on the single gap (a, b).
+
+    Returns the f, g and h sub-pieces as Polys in t - a, t - mid and t - b,
+    and lam, sigma and the area deficit as floats.
+    """
+    rows = [np.array([jet[: m + 1]], dtype=float) for jet in (fjet_a, gjet_a, fjet_b, gjet_b)]
+    ends = (np.array([float(v)]) for v in (ha, hb, a, b))
+    f, g, h, *scalars = _horizontalize_gaps(*rows, *ends, m)
+    pieces = (tuple(Poly(r) for r in c[0]) for c in (f, g, h))
+    return (*pieces, *(float(x[0]) for x in scalars))
+
+
 def distinct_nodes(rng, count, lo=0.0, hi=1.0, min_gap=None):
     """Sorted draws from [lo, hi] with a guaranteed minimum separation."""
     if min_gap is None:
@@ -102,6 +132,51 @@ def distinct_nodes(rng, count, lo=0.0, hi=1.0, min_gap=None):
 
 
 # oracles --------------------------------------------------------------------
+
+
+def jet_poly(jet):
+    """Taylor polynomial of a jet in the local variable u = x - center.
+
+    jet[k] holds the k-th derivative at the center, so the coefficient of
+    u**k is jet[k] / k!.
+    """
+    return Poly(_taylor_rows(np.asarray(jet, dtype=float)))
+
+
+def signed_integral(p, a, b):
+    """Integral of p from a to b, exact up to rounding, any order of a, b."""
+    anti = p.antiderivative()
+    return anti(b) - anti(a)
+
+
+def integrate(p, iv):
+    """Exact signed integral of p over an Interval."""
+    return signed_integral(p, iv.lo, iv.hi)
+
+
+def leibniz_stack(fjet, gjet, m):
+    """Derivatives of the horizontal velocity from the jets of f and g.
+
+    Returns [H^1, .., H^m] where
+
+        H^k = 2 * sum_{i=0}^{k-1} C(k-1, i) (F^{k-i} G^i - G^{k-i} F^i),
+
+    the k-th derivative of h when h' = 2(f'g - g'f) and F^j, G^j are the
+    j-th derivatives of f and g.
+    """
+    if len(fjet) < m + 1 or len(gjet) < m + 1:
+        raise LengthMismatchError(
+            f"jets of length >= {m + 1} required, got {len(fjet)}, {len(gjet)}"
+        )
+    out = []
+    for k in range(1, m + 1):
+        acc = 0.0
+        for i in range(k):
+            acc += math.comb(k - 1, i) * (
+                fjet[k - i] * gjet[i] - gjet[k - i] * fjet[i]
+            )
+        out.append(2.0 * acc)
+    return out
 
 
 def integrate_exact(p, lo, hi):

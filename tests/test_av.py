@@ -1,5 +1,6 @@
 """Area and velocity functionals, continuous and discrete."""
 
+import itertools
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from heiswhit import (
     SampledCurve,
     av_pair,
     av_profile,
+    check_cm,
     discrete_av_pair,
-    discrete_av_profile,
     group_mul,
 )
-from heiswhit.av import area_discrepancy
+from heiswhit.av import _av, area_discrepancy
+from heiswhit.divdiff import _newton_table
 from heiswhit.errors import (
     BadSubsetError,
     NodeNotFoundError,
@@ -192,6 +194,29 @@ def test_discrete_left_invariance():
         )
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_discrete_pair_equals_the_scan_kernel_on_its_table_row(m):
+    # discrete_av_pair builds its rows as the scan's Newton table does, so
+    # its A and V are the kernel's on the table row, bit for bit, wherever
+    # the nodes sit.  A random scale takes the nodes off numpy's 2**-53
+    # grid, where every node difference would be exact.
+    rng = np.random.default_rng(41 + m)
+    for offset in (0.0, *rng.uniform(-1e3, 1e3, 5)):
+        scale = rng.uniform(0.1, 10.0)
+        nodes = [offset + scale * t for t in distinct_nodes(rng, m + 4)]
+        curve = SampledCurve.from_rows([(t, *rng.uniform(-1.0, 1.0, 3)) for t in nodes])
+        table = _newton_table(curve, m, len(nodes))
+        (pf, pg, _), u, hs = table.rows, table.u, table.values[2]
+        rows = rng.choice(len(u), 5, replace=False)
+        for s, (i, j) in itertools.product(rows, itertools.combinations(range(m + 1), 2)):
+            area, velocity = _av(
+                pf[s], pg[s], u[s, [i]], u[s, [j]], hs[s, [i]], hs[s, [j]], u[s, -1], m
+            )
+            x = table.xs[s].tolist()
+            pair = discrete_av_pair(curve, x, x[i], x[j], m)
+            assert (pair.area, pair.velocity) == (area[0], velocity[0])
+
+
 def test_discrete_pair_rejects_bad_subsets():
     curve = line_curve(5)
     nodes = curve.nodes
@@ -221,13 +246,13 @@ def test_profiles_vanish_for_horizontal_polynomials():
         jets = CurveJets.from_polys(nodes, pf, pg, ph, m)
         cont = av_profile(jets, m)
         assert all(v <= 1e-9 for _, v in cont.points)
-        disc = discrete_av_profile(poly_curve(pf, pg, ph, nodes), m)
+        disc = check_cm(poly_curve(pf, pg, ph, nodes), m).profiles["av_discrete"]
         assert all(v <= 1e-9 for _, v in disc.points)
 
 
 def test_drift_profiles_stay_bounded_below():
     curve = line_curve(17)
-    disc = discrete_av_profile(curve, 1)
+    disc = check_cm(curve, 1).profiles["av_discrete"]
     assert disc.points
     assert all(v >= 0.4 for _, v in disc.points)
     jets = drift_jets([i / 16.0 for i in range(17)], 1)
@@ -240,11 +265,11 @@ def test_profiles_reject_too_few_nodes():
         av_profile(circle_jets([0.0, 0.5], 2), 2)
     curve = line_curve(3)
     with pytest.raises(TooFewNodesError):
-        discrete_av_profile(curve, 3)
+        check_cm(curve, 3)
 
 
 def test_profile_deltas_strictly_decrease():
     curve = line_curve(33)
-    prof = discrete_av_profile(curve, 1)
+    prof = check_cm(curve, 1).profiles["av_discrete"]
     deltas = [d for d, _ in prof.points]
     assert all(big > small for big, small in zip(deltas, deltas[1:]))

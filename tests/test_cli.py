@@ -8,12 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bounded_horizontal_triple, circle_rows, line_curve
+from conftest import bounded_horizontal_triple, circle_rows, dump_samples_json, line_curve
 from heiswhit import cli, divdiff, horizontal
 from heiswhit.cli import (
     RunConfig,
     config_from_args,
-    dump_samples_json,
     emit_plot_data,
     main,
     parse_input,

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heiswhit.cli import dump_samples_json, main
+from heiswhit.cli import main
 from heiswhit.divdiff import SampledCurve, _dd_profiles, _newton_table, _width
 from heiswhit.profiles import banded_sup, delta_grid
 
-from conftest import circle_curve
+from conftest import circle_curve, dump_samples_json
 
 
 def dd_profiles_by_pairs(table, deltas):

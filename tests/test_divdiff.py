@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import dd_lagrange, distinct_nodes, random_poly
-from heiswhit import (
-    SampledCurve,
+from heiswhit import SampledCurve, check_cm
+from heiswhit.divdiff import (
+    _subset_count,
+    dd_windows,
     divided_difference,
     hermite_genocchi,
     newton_interp,
 )
-from heiswhit.divdiff import _subset_count, dd_profile, dd_windows
 from heiswhit.errors import DuplicateNodeError, TooFewNodesError
 
 
@@ -149,14 +150,14 @@ def power_curve(power, n, lo, hi):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_dd_profile_constant_for_exact_degree(m):
-    prof = dd_profile(power_curve(m, 24, 0.0, 1.0), m)
-    assert all(v <= 1e-10 for _, v in prof["f"].points)
-    assert all(v == 0.0 for _, v in prof["g"].points)
+    prof = check_cm(power_curve(m, 24, 0.0, 1.0), m).profiles
+    assert all(v <= 1e-10 for _, v in prof["dd_f"].points)
+    assert all(v == 0.0 for _, v in prof["dd_g"].points)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_dd_profile_linear_decay_one_degree_up(m):
-    prof = dd_profile(power_curve(m + 1, 33, 0.0, 1.0), m)["f"]
+    prof = check_cm(power_curve(m + 1, 33, 0.0, 1.0), m).profiles["dd_f"]
     # m-th divided difference of x^(m+1) is the node sum, so the spread
     # within a window is at most (m+1) times the window diameter.
     for delta, value in prof.points:
@@ -170,13 +171,13 @@ def test_dd_profile_half_order_kink(m):
     ks = range(14)
     ts = sorted({0.0} | {2.0**-k for k in ks} | {-(2.0**-k) for k in ks})
     rows = [(t, abs(t) ** (m + 0.5), 0.0, 0.0) for t in ts]
-    prof = dd_profile(SampledCurve.from_rows(rows), m)["f"]
+    prof = check_cm(SampledCurve.from_rows(rows), m).profiles["dd_f"]
     assert 0.4 <= prof.slope(decades=5.0) <= 0.6
 
 
 def test_dd_profile_needs_enough_nodes():
     with pytest.raises(TooFewNodesError):
-        dd_profile(power_curve(1, 3, 0.0, 1.0), 2)
+        check_cm(power_curve(1, 3, 0.0, 1.0), 2)
 
 
 def test_subset_count_closed_form_matches_dd_windows():

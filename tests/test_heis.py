@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import horizontal_triple
+from conftest import horizontal_triple, leibniz_stack
 from heiswhit import (
     CurveJets,
     HPoint,
@@ -17,7 +17,6 @@ from heiswhit import (
     group_mul,
     horizontality_defect,
     inverse,
-    leibniz_stack,
     pansu_dq,
 )
 from heiswhit.errors import (
@@ -156,7 +155,7 @@ def test_leibniz_stack_reproduces_horizontal_h_jets():
 
 
 def piecewise_line(coeffs, order=1):
-    return PiecewiseCm.single(Poly(coeffs), order)
+    return PiecewiseCm((), (0.0,), (Poly(coeffs),), order)
 
 
 def test_defect_of_flat_line_is_zero():

@@ -8,105 +8,52 @@ import pytest
 from conftest import (
     bounded_horizontal_triple,
     circle_curve,
-    distinct_nodes,
     flat_curve,
+    leibniz_stack,
     line_curve,
+    one_gap,
     poly_curve,
-    random_poly,
 )
 from heiswhit import (
     HPoint,
     ModulusFn,
-    PiecewiseCm,
     SampledCurve,
     check_c1,
     check_cm,
     check_cm_via_w,
-    extend,
     finiteness_check,
-    gap_horizontalize,
     group_mul,
-    horizontal_jet_completion,
+    horizontal,
     jets_from_samples,
-    leibniz_stack,
     synthesize,
 )
-from heiswhit.divdiff import dd_profile
+from heiswhit.heis import ORIGIN
 from heiswhit.horizontal import _seminorm
-from heiswhit.av import discrete_av_profile
-from heiswhit.errors import (
-    DegenerateGapError,
-    OrderMismatchError,
-    SynthesisDefectError,
-    TooFewNodesError,
-)
-from heiswhit.poly import Poly
+from heiswhit.errors import DuplicateNodeError, SynthesisDefectError, TooFewNodesError
 
 ZERO2 = (0.0, 0.0)
 
 
-# -- horizontal_jet_completion -----------------------------------------------
-
-
-def test_completion_of_flat_motion_has_zero_velocity_jets():
-    f_ext = PiecewiseCm.single(Poly((0.0, 1.0)), 2)
-    g_ext = PiecewiseCm.single(Poly((0.0,)), 2)
-    nodes = (0.0, 0.5, 1.0)
-    field, report = horizontal_jet_completion(f_ext, g_ext, nodes, (0.0,) * 3, 2)
-    assert field.jets == ((0.0, 0.0, 0.0),) * 3
-    assert report.max_remainder == 0.0
-
-
-def test_completion_tracks_circle_velocity():
-    for m in (1, 2):
-        errs, gaps = [], []
-        for n in (9, 17, 33):
-            nodes = [i / (n - 1) for i in range(n)]
-            f_ext = extend(
-                jets_from_samples(nodes, [math.cos(t) for t in nodes], m)
-            )
-            g_ext = extend(
-                jets_from_samples(nodes, [math.sin(t) for t in nodes], m)
-            )
-            field, _ = horizontal_jet_completion(
-                f_ext, g_ext, nodes, [-2.0 * t for t in nodes], m
-            )
-            errs.append(max(abs(jet[1] + 2.0) for jet in field.jets))
-            gaps.append(1.0 / (n - 1))
-        assert all(e <= gap**m for e, gap in zip(errs, gaps))
-        slope = float(np.polyfit(np.log(gaps), np.log(errs), 1)[0])
-        assert slope >= 0.9 * m
-
-
-def test_completion_rejects_low_order_extensions():
-    low = PiecewiseCm.single(Poly((0.0, 1.0)), 1)
-    with pytest.raises(OrderMismatchError):
-        horizontal_jet_completion(low, low, (0.0, 1.0), (0.0, 0.0), 2)
-    good = PiecewiseCm.single(Poly((0.0, 1.0)), 1)
-    with pytest.raises(TooFewNodesError):
-        horizontal_jet_completion(good, good, (0.0, 1.0), (0.0,), 1)
-
-
-# -- gap_horizontalize -------------------------------------------------------
+# -- the gap step ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_gap_with_nothing_to_close_is_all_zero(m):
     zero = (0.0,) * (m + 1)
-    gp = gap_horizontalize(zero, zero, zero, zero, 0.0, 0.0, 0.0, 1.0, m)
-    assert gp.lam == 0.0
-    assert gp.deficit == 0.0
-    assert all(p.is_zero for p in gp.f_pieces + gp.g_pieces + gp.h_pieces)
+    f, g, h, lam, _, deficit = one_gap(zero, zero, zero, zero, 0.0, 0.0, 0.0, 1.0, m)
+    assert lam == 0.0
+    assert deficit == 0.0
+    assert all(p.is_zero for p in f + g + h)
 
 
 def test_pure_height_gap_closes_exactly_with_sqrt_amplitude():
     lams = []
     for c in (1e-2, 1e-4, 1e-6):
-        gp = gap_horizontalize(ZERO2, ZERO2, ZERO2, ZERO2, 0.0, c, 0.0, 1.0, 1)
-        h_end = gp.h_pieces[2](1.0 - gp.centers[2])
+        _, _, h, lam, _, _ = one_gap(ZERO2, ZERO2, ZERO2, ZERO2, 0.0, c, 0.0, 1.0, 1)
+        h_end = h[2](0.0)  # the last sub-piece lives in t - b
         assert abs(h_end - c) <= 1e-12 * (1.0 + c)
-        assert gp.lam / math.sqrt(c) == pytest.approx(12.5499, abs=1e-3)
-        lams.append(gp.lam)
+        assert lam / math.sqrt(c) == pytest.approx(12.5499, abs=1e-3)
+        lams.append(lam)
     for big, small in zip(lams, lams[1:]):
         assert big / small == pytest.approx(10.0, rel=0.5)
 
@@ -120,12 +67,12 @@ def test_consistent_endpoints_need_no_bump():
         gj = tuple(pg.deriv_at(a, k) for k in range(m + 1))
         fj_b = tuple(pf.deriv_at(b, k) for k in range(m + 1))
         gj_b = tuple(pg.deriv_at(b, k) for k in range(m + 1))
-        gp = gap_horizontalize(fj, gj, fj_b, gj_b, ph(a), ph(b), a, b, m)
-        assert gp.lam == 0.0
+        _, _, h, lam, _, _ = one_gap(fj, gj, fj_b, gj_b, ph(a), ph(b), a, b, m)
+        assert lam == 0.0
         for us, piece, center in zip(
             ((0.0, 0.1, 0.2), (0.3, 0.35), (0.5, 0.6, 0.7)),
-            gp.h_pieces,
-            gp.centers,
+            h,
+            (a, 0.5 * (a + b), b),
         ):
             for u in us:
                 t = a + u
@@ -134,10 +81,11 @@ def test_consistent_endpoints_need_no_bump():
 
 
 def test_degenerate_gap_rejected():
-    with pytest.raises(DegenerateGapError):
-        gap_horizontalize(ZERO2, ZERO2, ZERO2, ZERO2, 0.0, 0.0, 1.0, 1.0, 1)
-    with pytest.raises(DegenerateGapError):
-        gap_horizontalize(ZERO2, ZERO2, ZERO2, ZERO2, 0.0, 0.0, 1.0, 0.5, 1)
+    # Synthesis only meets gaps b > a: the samples refuse any other.
+    with pytest.raises(DuplicateNodeError):
+        SampledCurve((1.0, 1.0), (ORIGIN, ORIGIN))
+    with pytest.raises(ValueError):
+        SampledCurve((1.0, 0.5), (ORIGIN, ORIGIN))
 
 
 # -- check_c1 ----------------------------------------------------------------
@@ -236,18 +184,12 @@ def test_removing_nodes_never_raises_sup_profiles():
     ]
     sub = SampledCurve.from_rows(sub_rows)
     deltas = [1.0, 0.5, 0.25, 0.125]
-    full_dd = dd_profile(curve, 1, deltas=deltas, full_enum=True)
-    sub_dd = dd_profile(sub, 1, deltas=deltas, full_enum=True)
-    for name in ("f", "g", "h"):
-        full_by_delta = dict(full_dd[name].points)
-        for d, v in sub_dd[name].points:
+    full = check_cm(curve, 1, deltas=deltas, full_enum=True).profiles
+    part = check_cm(sub, 1, deltas=deltas, full_enum=True).profiles
+    for name in ("dd_f", "dd_g", "dd_h", "av_discrete"):
+        full_by_delta = dict(full[name].points)
+        for d, v in part[name].points:
             assert v <= full_by_delta[d] + 1e-12
-    full_av = dict(
-        discrete_av_profile(curve, 1, deltas=deltas, full_enum=True).points
-    )
-    sub_av = discrete_av_profile(sub, 1, deltas=deltas, full_enum=True).points
-    for d, v in sub_av:
-        assert v <= full_av[d] + 1e-12
 
 
 # -- synthesize --------------------------------------------------------------
@@ -303,12 +245,13 @@ def test_synthesis_leibniz_jets_at_nodes():
             assert abs(got - wi) <= 1e-9 * scale
 
 
-def test_synthesis_gate_and_error_paths():
+def test_synthesis_gate_and_error_paths(monkeypatch):
     with pytest.raises(SynthesisDefectError):
         synthesize(line_curve(32), 1)
     # force bypasses the gate; an impossible tolerance then trips the audit
+    monkeypatch.setattr(horizontal, "DEFECT_TOL", 0.0)
     with pytest.raises(SynthesisDefectError):
-        synthesize(circle_curve(8), 1, force=True, defect_tol=0.0)
+        synthesize(circle_curve(8), 1, force=True)
     two = SampledCurve.from_rows([(0.0, 0, 0, 0), (1.0, 1, 0, 0)])
     with pytest.raises(TooFewNodesError):
         synthesize(two, 2, force=True)

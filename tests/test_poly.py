@@ -8,14 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import abs_quad_oracle, circle_curve, integrate_exact, random_poly
+from conftest import abs_quad_oracle, circle_curve, integrate, integrate_exact, random_poly
 from heiswhit import (
     Interval,
     ModulusFn,
     Poly,
     abs_integral,
     finiteness_check,
-    integrate,
     poly,
     real_roots,
 )

@@ -1,7 +1,9 @@
-"""The experiment scripts run end to end on tiny sizes.
+"""The experiment scripts and the benchmark tracer run end to end on tiny sizes.
 
 Each script's main(argv) is called in-process, so a library change that
-breaks one of them fails here rather than on the next manual run.
+breaks one of them fails here rather than on the next manual run.  The
+tracer is loaded from perfbench/ as it is, so a renamed method in its
+tables fails here rather than only under perfbench/run.py --trace 1.
 """
 
 import importlib.util
@@ -10,7 +12,11 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from conftest import circle_rows
+from heiswhit import cli, horizontal
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 RUNS = {
     "bump_scaling": ["--mismatches", "1e-2", "1e-4", "--m", "1"],
@@ -19,8 +25,8 @@ RUNS = {
 }
 
 
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load(name, folder=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -54,3 +60,22 @@ def test_report_digest_diff_reports_exit_and_rounding_changes(tmp_path, capsys):
     assert lines[1].startswith("rounding: exit 0 -> 0, status consistent -> consistent; "
                                "values 1.11e-16 absolute, 2.22e-16 relative")
     assert lines[-1] == "3 calls: 1 identical, 2 differ, 1 change their exit code"
+
+
+def test_benchmark_tracer_sees_the_checkers_and_uninstalls(tmp_path):
+    path = tmp_path / "circle.csv"
+    path.write_text("t,x,y,z\n" + "".join(f"{t!r},{x!r},{y!r},{z!r}\n"
+                                          for t, x, y, z in circle_rows(9)))
+    report = str(tmp_path / "report.json")
+    original = horizontal.check_cm
+    tracer = load("tracer", ROOT / "perfbench").Tracer()
+    tracer.install()
+    try:
+        for mode in ("check-cm", "finiteness"):
+            assert cli.main(["--mode", mode, "--input", str(path), "--report", report]) < 3
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"horizontal.check_cm", "horizontal.finiteness_check"} <= names
+    assert tracer.counts["divdiff.subsets"] > 0
+    assert horizontal.check_cm is original

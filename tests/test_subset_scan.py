@@ -1,10 +1,11 @@
 """The shared subset scan of check_cm and the single horizontality residual.
 
-dd_profile pairs two (m+1)-subsets when their union spans fewer than the
-window width; the oracle here pairs them window by window instead, the way
-the scan used to, and both must give the same profiles bit for bit.  The
-same goes for the subsets themselves (collected window by window into a
-set) and for check_c1 (one pansu_dq per node pair).
+check_cm's dd profiles pair two (m+1)-subsets when their union spans fewer
+than the window width; the oracle here pairs them window by window instead,
+the way the scan used to, and both must give the same profiles bit for bit.
+The same goes for the subsets themselves (collected window by window into a
+set) and for check_c1 (one pansu_dq per node pair).  Its discrete AV profile
+is checked against one discrete_av_pair per subset and endpoint pair.
 """
 
 import csv
@@ -14,14 +15,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bounded_horizontal_triple, circle_curve, line_curve, poly_curve
+from conftest import (
+    bounded_horizontal_triple, circle_curve, dump_samples_json, line_curve, poly_curve,
+)
 from heiswhit import (
     ModulusFn, SampledCurve, ThresholdPolicy, check_c1, check_cm, check_cm_via_w,
-    divided_difference, finiteness_check, synthesize,
+    discrete_av_pair, finiteness_check, synthesize,
 )
-from heiswhit.av import discrete_av_profile
-from heiswhit.cli import RunConfig, dump_samples_json, run
-from heiswhit.divdiff import dd_profile, dd_windows
+from heiswhit.cli import RunConfig, run
+from heiswhit.divdiff import dd_windows, divided_difference
+from heiswhit.errors import TooFewNodesError
 from heiswhit.heis import _horizontality_residual, horizontality_defect, pansu_dq
 from heiswhit.profiles import banded_sup, delta_grid
 
@@ -48,6 +51,21 @@ def dd_profile_by_windows(samples, m, window, deltas, full_enum=False):
         for c in comps:
             items[c].append((d, abs(dd[s1][c] - dd[s2][c])))
     return {c: banded_sup(items[c], deltas, name=f"dd_{c}") for c in comps}
+
+
+def av_profile_by_subsets(samples, m, window, deltas, full_enum=False):
+    """Brute force: one discrete_av_pair per subset and endpoint pair."""
+    nodes = samples.nodes
+    items = []
+    for sub in dd_windows_by_set(len(nodes), m, window, full_enum)[0]:
+        x = [nodes[i] for i in sub]
+        for a, b in itertools.combinations(x, 2):
+            items.append((x[-1] - x[0], abs(discrete_av_pair(samples, x, a, b, m).ratio)))
+    return banded_sup(items, deltas, name="discrete_av_ratio")
+
+
+def dd_of(verdict):
+    return {c: verdict.profiles[f"dd_{c}"] for c in "fgh"}
 
 
 def rough_curve(n, seed):
@@ -144,7 +162,7 @@ def test_dd_profile_matches_window_by_window_pairing(m, label, full_enum):
     n = sizes(m)[label]
     samples = rough_curve(n, seed=10 * m + n)
     deltas = delta_grid(samples.diam, samples.min_gap)
-    got = dd_profile(samples, m, deltas=deltas, full_enum=full_enum)
+    got = dd_of(check_cm(samples, m, deltas=deltas, full_enum=full_enum))
     want = dd_profile_by_windows(samples, m, 2 * m + 4, deltas, full_enum)
     assert got == want
 
@@ -153,7 +171,11 @@ def test_dd_profile_matches_window_by_window_pairing(m, label, full_enum):
 def test_dd_profile_matches_window_by_window_pairing_for_given_window(window):
     samples = smooth_curve(15)
     deltas = delta_grid(samples.diam, samples.min_gap)
-    got = dd_profile(samples, 2, window=window, deltas=deltas)
+    if window < 4:  # a window below m + 2 nodes holds no pair to compare
+        with pytest.raises(TooFewNodesError):
+            check_cm(samples, 2, window=window, deltas=deltas)
+        return
+    got = dd_of(check_cm(samples, 2, window=window, deltas=deltas))
     assert got == dd_profile_by_windows(samples, 2, window, deltas)
 
 
@@ -161,16 +183,21 @@ def test_dd_profile_matches_window_by_window_pairing_for_given_window(window):
 @pytest.mark.parametrize("window,full_enum,n", [(None, False, 14), (9, False, 14),
                                                 (None, True, 11)])
 def test_check_cm_profiles_equal_the_standalone_profiles(m, window, full_enum, n):
+    width = 2 * m + 4 if window is None else window
     for samples in (circle_curve(n), smooth_curve(n), rough_curve(n, seed=m)):
         verdict = check_cm(samples, m, window=window, full_enum=full_enum)
         deltas = delta_grid(samples.diam, samples.min_gap)
-        dd = dd_profile(samples, m, window=window, deltas=deltas, full_enum=full_enum)
-        av = discrete_av_profile(
-            samples, m, window=window, deltas=deltas, full_enum=full_enum
-        )
-        assert verdict.profiles == {
-            "dd_f": dd["f"], "dd_g": dd["g"], "dd_h": dd["h"], "av_discrete": av,
-        }
+        assert dd_of(verdict) == dd_profile_by_windows(samples, m, width, deltas, full_enum)
+    # One discrete_av_pair per subset and pair takes about 1 ms at m = 3
+    # (3,276 calls here), so only on the last curve, the rough one, and up
+    # to m = 2.  A pair's roots are bracketed on its own hull there and on
+    # the subset's in the scan, so the values agree to rounding.
+    if m < 3:
+        got = verdict.profiles["av_discrete"].points
+        want = av_profile_by_subsets(samples, m, width, deltas, full_enum).points
+        assert [d for d, _ in got] == [d for d, _ in want]
+        for (_, v), (_, w) in zip(got, want):
+            assert abs(v - w) <= 1e-12 * w
 
 
 # One subset-family rule: full enumeration, or a window of at least n, spans
@@ -178,8 +205,6 @@ def test_check_cm_profiles_equal_the_standalone_profiles(m, window, full_enum, n
 FAMILY_SCANS = {
     "check_cm": lambda s, **kw: check_cm(s, 2, **kw),
     "check_cm_via_w": lambda s, **kw: check_cm_via_w(s, 2, **kw),
-    "dd_profile": lambda s, **kw: dd_profile(s, 2, **kw),
-    "discrete_av_profile": lambda s, **kw: discrete_av_profile(s, 2, **kw),
     "finiteness_check": lambda s, **kw: finiteness_check(
         s, 1, ModulusFn(), **{"full_enum": False, **kw}
     ),

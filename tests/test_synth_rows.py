@@ -11,13 +11,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bounded_horizontal_triple, circle_curve, distinct_nodes, poly_curve
+from conftest import (
+    bounded_horizontal_triple,
+    circle_curve,
+    distinct_nodes,
+    jet_poly,
+    one_gap,
+    poly_curve,
+    signed_integral,
+)
 from heiswhit import (
     PiecewiseCm,
     SampledCurve,
     WhitneyField,
     extend,
-    gap_horizontalize,
     jets_from_samples,
     synthesize,
     transition_poly,
@@ -25,7 +32,7 @@ from heiswhit import (
 from heiswhit.divdiff import newton_interp
 from heiswhit.errors import SynthesisDefectError
 from heiswhit.horizontal import _solve_amplitudes
-from heiswhit.poly import Poly, jet_poly, signed_integral
+from heiswhit.poly import Poly
 
 # -- oracles: the per-gap Poly path -----------------------------------------
 
@@ -199,18 +206,26 @@ def _gap_cases(rng, m, independent):
 def test_gap_rows_match_the_poly_path(m, independent):
     rng = np.random.default_rng(610 + m)
     for case in _gap_cases(rng, m, independent):
-        *_, ha, hb, a, b = case
-        got = gap_horizontalize(*case, m)
+        hb = case[5]
+        _, _, h_pieces, got_lam, got_sigma, _ = one_gap(*case, m)
         fp, gp, hp, centers, lam, sigma = gap_oracle(*case, m)
-        assert abs(got.lam - lam) <= 1e-9 * abs(lam), case
-        assert got.sigma == sigma, case
-        assert got.centers == (*centers[:2], b)
-        assert got.breaks == (a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0)
+        assert abs(got_lam - lam) <= 1e-9 * abs(lam), case
+        assert got_sigma == sigma, case
         # Independent jets need bumps of amplitude up to ~500 at m = 3, and
         # both paths then reach h(b) only to a few 1e-12.
         if not independent:
-            h_end = got.h_pieces[2](b - got.centers[2])
+            h_end = h_pieces[2](0.0)  # the last sub-piece lives in t - b
             assert abs(h_end - hb) <= 1e-12 * (1.0 + abs(hb)), case
+
+
+def test_gaps_break_in_thirds_with_pieces_at_a_mid_and_b():
+    rng = np.random.default_rng(611)
+    for *_, ha, hb, a, b in _gap_cases(rng, 1, False):
+        two = SampledCurve.from_rows([(a, 0.0, 0.0, ha), (b, 0.0, 0.0, hb)])
+        curve = synthesize(two, 1, force=True)
+        for ext in (curve.f, curve.g, curve.h):
+            assert ext.breakpoints.tolist() == [a, a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0, b]
+            assert ext.centers.tolist() == [a, a, a + 0.5 * (b - a), b, b]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import distinct_nodes, random_poly
+from conftest import distinct_nodes, jet_poly, random_poly
 from heiswhit import (
     ModulusFn,
     PiecewiseCm,
@@ -25,7 +25,7 @@ from heiswhit.errors import (
     TooFewNodesError,
 )
 from heiswhit.horizontal import _seminorm
-from heiswhit.poly import Poly, jet_poly
+from heiswhit.poly import Poly
 from heiswhit.profiles import banded_sup, delta_grid
 
 
@@ -471,6 +471,5 @@ def test_piecewise_shape_validation():
         PiecewiseCm((0.0,), (0.0,), (p,), 1)
     with pytest.raises(ValueError):
         PiecewiseCm((1.0, 0.0), (0.0, 0.0, 0.0), (p, p, p), 1)
-    single = PiecewiseCm.single(p, 1, center=2.0)
-    assert single.hull == (2.0, 2.0)
+    single = PiecewiseCm((), (2.0,), (p,), 1)
     assert single(3.0) == 1.0
