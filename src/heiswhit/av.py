@@ -148,19 +148,21 @@ def discrete_av_pair(samples, subset, a, b, m):
     return AVPair(float(area[0]), float(velocity[0]))
 
 
-def av_profile(jets, m, deltas=None, ratio=0.5):
+def av_profile(jets, m, ratio=0.5):
     """Banded sup of |A/V| over node pairs, scaled by pair separation."""
     nodes = jets.nodes
     if len(nodes) < m + 1:
         raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
-    if deltas is None:
-        diam = nodes[-1] - nodes[0]
-        gap = min(b - a for a, b in zip(nodes, nodes[1:]))
-        deltas = delta_grid(diam, gap, ratio)
-    ia, ib = np.triu_indices(len(nodes), 1)
     t = np.array(nodes, dtype=float)
+    deltas = delta_grid(t[-1] - t[0], np.diff(t).min(), ratio)
+    return _av_profile(t, *_jet_arrays(jets, m), m, deltas)
+
+
+def _av_profile(t, f, g, h, m, deltas):
+    """av_profile on arrays: nodes t, jets of f and g to order m, h's values in column 0."""
+    ia, ib = np.triu_indices(len(t), 1)
     sep = t[ib] - t[ia]
-    area, velocity = _taylor_av(*_jet_arrays(jets, m), ia, ib, sep, m)
+    area, velocity = _taylor_av(f, g, h, ia, ib, sep, m)
     return banded_sup(
         np.column_stack((sep, np.abs(area / velocity))), deltas, name="av_ratio"
     )

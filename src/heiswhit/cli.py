@@ -95,14 +95,11 @@ def parse_omega(spec):
         raise ParseError(str(exc)) from exc
 
 
-def parse_input(path):
-    """Load samples from a .csv (header t,x,y,z) or .json file."""
-    curve, _ = load_input(path)
-    return curve
-
-
 def load_input(path):
-    """Like parse_input but also returns the file's own order hint, if any."""
+    """Samples from a .csv (header t,x,y,z) or .json file, and the file's order hint.
+
+    Only a JSON file can carry the hint ("m"); it is None otherwise.
+    """
     if path.endswith(".csv"):
         return _load_csv(path), None
     if path.endswith(".json"):
@@ -219,11 +216,8 @@ def _write_grid(curve_obj, config):
     with open(config.grid_out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "x", "y", "z", "defect"])
-        for i in range(len(ts)):
-            writer.writerow(
-                [repr(float(ts[i])), repr(float(fv[i])), repr(float(gv[i])),
-                 repr(float(hv[i])), repr(float(defect[i]))]
-            )
+        # csv writes a float as its repr
+        writer.writerows(np.column_stack((ts, fv, gv, hv, defect)).tolist())
 
 
 def run(config):

@@ -209,10 +209,10 @@ def _width(n, m, window, full_enum):
 
     Windows hold 2m+4 consecutive nodes unless window is given.  full_enum,
     or a window of at least n, spans every node; full_enum None means full
-    enumeration up to 20 nodes.
+    enumeration when no window is given and n is at most 20.
     """
     if full_enum is None:
-        full_enum = n <= 20
+        full_enum = window is None and n <= 20
     window = 2 * m + 4 if window is None else window
     return n if full_enum or window >= n else window
 
@@ -220,18 +220,19 @@ def _width(n, m, window, full_enum):
 def dd_windows(n, m, window, full_enum=False):
     """(m+1)-subsets of node indices that fit in a sliding window.
 
-    Returns (subsets, window_span): subsets is the sorted list of index
-    tuples whose last index lies less than window_span past the first.
-    The span follows _width: 2m+4 nodes by default, every node with
-    full_enum or a window >= n.
+    Returns (subsets, window_span): subsets is an (S, m+1) array of index
+    rows, each ascending and its last index less than window_span past its
+    first, in lexicographic order.  The span follows _width: 2m+4 nodes by
+    default, every node with full_enum or a window >= n.  Each row is a
+    first index plus a row of one offset table, 0 and an m-combination of
+    1 .. span - 1.
     """
     width = _width(n, m, window, full_enum)
-    subsets = [
-        (first, *rest)
-        for first in range(n)
-        for rest in itertools.combinations(range(first + 1, min(first + width, n)), m)
-    ]
-    return subsets, width
+    offsets = np.array(
+        [(0, *rest) for rest in itertools.combinations(range(1, width), m)], dtype=np.intp
+    ).reshape(-1, m + 1)
+    rows = np.arange(n)[:, None, None] + offsets
+    return rows[rows[..., -1] < n], width
 
 
 def _subset_count(n, m, width):
@@ -273,8 +274,7 @@ def _newton_table(samples, m, width):
             f"{count} subsets of {m + 1} nodes need a {size / 2**30:.3g} GiB table, "
             "more than physical memory"
         )
-    subsets, width = dd_windows(n, m, width)
-    idx = np.array(subsets)
+    idx, width = dd_windows(n, m, width)
     xs = np.array(samples.nodes)[idx]
     values = np.array([samples.fs, samples.gs, samples.hs])[:, idx]
     u = xs - xs[:, :1]
@@ -282,20 +282,19 @@ def _newton_table(samples, m, width):
     return _Table(idx, width, xs, values, u, rows)
 
 
-def _scan(samples, m, window, full_enum, ratio, deltas=None, order=None):
+def _scan(samples, m, window, full_enum, ratio, order=None):
     """Checked set-up of an order-m scan: its Newton table and scale grid.
 
     The samples and the window need m + 2 nodes.  The table is of the
-    given order (m unless set) on the subset family of _width, and deltas
-    default to the geometric grid from diam down to the smallest gap.
+    given order (m unless set) on the subset family of _width, and the
+    scales are the geometric grid from diam down to the smallest gap.
     """
     n = len(samples.nodes)
     if n < m + 2:
         raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
     if window is not None and window < m + 2:
         raise TooFewNodesError(f"window must be at least {m + 2}")
-    if deltas is None:
-        deltas = delta_grid(samples.diam, samples.min_gap, ratio)
+    deltas = delta_grid(samples.diam, samples.min_gap, ratio)
     width = _width(n, m, window, full_enum)
     return _newton_table(samples, m if order is None else order, width), deltas
 

@@ -25,10 +25,6 @@ class LengthMismatchError(HeisWhitError):
     """Jet vectors are shorter than the requested order allows."""
 
 
-class DomainViolationError(HeisWhitError):
-    """An evaluation grid leaves the declared domain."""
-
-
 class DuplicateNodeError(HeisWhitError):
     """Nodes must be pairwise distinct."""
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     CoincidentNodesError,
-    DomainViolationError,
     LengthMismatchError,
     NodeNotFoundError,
     ZeroDilationError,
@@ -78,18 +77,13 @@ def _horizontality_residual(f, df, g, dg, dh):
     return dh - 2.0 * (df * g - f * dg)
 
 
-def horizontality_defect(f, g, h, grid, domain=None):
+def horizontality_defect(f, g, h, grid):
     """Max over the grid of |h'(t) - 2(f'(t) g(t) - f(t) g'(t))|.
 
     f, g, h are callables accepting (t, deriv=k) with t a numpy array, as
-    PiecewiseCm does; grid is an iterable of parameters.  When a (lo, hi)
-    domain is supplied, grid points outside it raise DomainViolationError.
+    PiecewiseCm does; grid is an iterable of parameters.
     """
     ts = np.asarray(grid, dtype=float)
-    if domain is not None:
-        outside = ts[~((domain[0] <= ts) & (ts <= domain[1]))]
-        if outside.size:
-            raise DomainViolationError(f"grid point {outside[0]} outside {domain}")
     residual = _horizontality_residual(f(ts), f(ts, 1), g(ts), g(ts, 1), h(ts, 1))
     return float(np.max(np.abs(residual), initial=0.0))
 

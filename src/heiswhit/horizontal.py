@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .av import _discrete_av_profile, _taylor_av, av_profile
+from .av import _av_profile, _discrete_av_profile, _taylor_av
 from .divdiff import _dd_profiles, _scan
 from .errors import SynthesisDefectError, TooFewNodesError
-from .heis import CurveJets, _horizontality_residual, _pansu_quotient
+from .heis import _horizontality_residual, _pansu_quotient
 from .poly import _antideriv, _deriv, _horner, _mul, _padded
 from .profiles import (
     INCONSISTENT,
@@ -32,9 +32,9 @@ from .whitney import (
     PiecewiseCm,
     _blend,
     _end_rows,
+    _jets,
     _shift,
     _unit_to_local,
-    jets_from_samples,
 )
 
 
@@ -191,10 +191,8 @@ def synthesize(samples, m, force=False, policy=None, window=None, full_enum=Fals
     if len(nodes) < m + 1:
         raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
     if not force:
-        gate = check_cm(
-            samples, m, window=window, policy=policy, ratio=ratio,
-            full_enum=full_enum,
-        )
+        gate = check_cm(samples, m, window=window, policy=policy, ratio=ratio,
+                        full_enum=full_enum)
         if gate.status == INCONSISTENT:
             raise SynthesisDefectError(
                 "samples judged inconsistent with a horizontal C^m curve; "
@@ -202,8 +200,7 @@ def synthesize(samples, m, force=False, policy=None, window=None, full_enum=Fals
             )
 
     t, hs = np.array(nodes), np.array(samples.hs)
-    fj = np.array(jets_from_samples(nodes, samples.fs, m).jets)
-    gj = np.array(jets_from_samples(nodes, samples.gs, m).jets)
+    fj, gj = _jets(t, np.array([samples.fs, samples.gs]), m)
     f, g, h, lam, _, _ = _horizontalize_gaps(
         fj[:-1], gj[:-1], fj[1:], gj[1:], hs[:-1], hs[1:], t[:-1], t[1:], m
     )
@@ -275,7 +272,7 @@ def _empirical_modulus(exts, m, nodes, points=513):
     return out
 
 
-def check_c1(samples, policy=None, deltas=None, ratio=0.5):
+def check_c1(samples, policy=None, ratio=0.5):
     """First-order check: group difference quotients must settle.
 
     Profiles the oscillation of the planar parts of the Pansu difference
@@ -287,8 +284,7 @@ def check_c1(samples, policy=None, deltas=None, ratio=0.5):
     policy = policy or ThresholdPolicy()
     nodes = samples.nodes
     n = len(nodes)
-    if deltas is None:
-        deltas = delta_grid(samples.diam, samples.min_gap, ratio)
+    deltas = delta_grid(samples.diam, samples.min_gap, ratio)
 
     t = np.array(nodes)
     xyz = np.array([samples.fs, samples.gs, samples.hs])
@@ -312,38 +308,31 @@ def check_c1(samples, policy=None, deltas=None, ratio=0.5):
     return _verdict(profiles, policy)
 
 
-def check_cm(
-    samples, m, window=None, policy=None, deltas=None, ratio=0.5, full_enum=False
-):
+def check_cm(samples, m, window=None, policy=None, ratio=0.5, full_enum=False):
     """Order-m check from raw samples.
 
     Divided-difference decay per component plus the decay of the discrete
     area/velocity ratio, both read off one Newton table of the windowed
     subsets.
     """
-    table, deltas = _scan(samples, m, window, full_enum, ratio, deltas)
+    table, deltas = _scan(samples, m, window, full_enum, ratio)
     profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
     profiles["av_discrete"] = _discrete_av_profile(table, m, deltas)
     return _verdict(profiles, policy or ThresholdPolicy())
 
 
-def check_cm_via_w(
-    samples, m, window=None, policy=None, deltas=None, ratio=0.5, full_enum=False
-):
+def check_cm_via_w(samples, m, window=None, policy=None, ratio=0.5, full_enum=False):
     """Order-m check through the extension operator.
 
-    Fits jets to all three components, and profiles the continuous
-    area/velocity ratio of the fitted jets alongside the raw
+    Fits jets to f and g, and profiles the continuous area/velocity ratio
+    of the fitted jets and the sampled h alongside the raw
     divided-difference decay.
     """
-    nodes = samples.nodes
-    table, deltas = _scan(samples, m, window, full_enum, ratio, deltas)
-    f_field = jets_from_samples(nodes, samples.fs, m)
-    g_field = jets_from_samples(nodes, samples.gs, m)
-    h_field = jets_from_samples(nodes, samples.hs, m)
-    jets = CurveJets(tuple(nodes), f_field.jets, g_field.jets, h_field.jets)
+    table, deltas = _scan(samples, m, window, full_enum, ratio)
+    t = np.array(samples.nodes)
+    f, g = _jets(t, np.array([samples.fs, samples.gs]), m)
     profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
-    profiles["av_w"] = av_profile(jets, m, deltas=deltas, ratio=ratio)
+    profiles["av_w"] = _av_profile(t, f, g, np.array(samples.hs)[:, None], m, deltas)
     return _verdict(profiles, policy or ThresholdPolicy())
 
 
@@ -373,9 +362,7 @@ def _seminorm(slope, diam, omega):
     return np.divide(np.abs(slope)[..., None, :] * d, w, out=out, where=w > 0).max(-2)
 
 
-def finiteness_check(
-    samples, m, omega, window=None, policy=None, full_enum=None, ratio=0.5
-):
+def finiteness_check(samples, m, omega, window=None, policy=None, full_enum=None, ratio=0.5):
     """Scan (m+2)-point subsets for the finiteness-principle constants.
 
     For each subset X the curve Gamma_X is the componentwise interpolant;

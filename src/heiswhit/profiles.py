@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Slopes are fitted over the smallest SLOPE_DECADES decades of delta.
+SLOPE_DECADES = 3.0
+
 
 @dataclass(frozen=True)
 class Profile:
@@ -41,13 +44,13 @@ class Profile:
         """Value at the smallest scale."""
         return self.points[-1][1] if self.points else 0.0
 
-    def slope(self, decades=3.0):
-        """Least-squares log-log slope over the smallest `decades` of delta.
+    def slope(self):
+        """Least-squares log-log slope over the smallest SLOPE_DECADES of delta.
 
         Positive slope means decay toward small scales.  Values are floored
         slightly above zero so an identically tiny profile fits flat.
         """
-        return fit_loglog_slope(self.points, decades)
+        return fit_loglog_slope(self.points)
 
 
 def delta_grid(diam, min_gap, ratio=0.5):
@@ -83,15 +86,15 @@ def banded_sup(items, deltas, name=""):
     return Profile(tuple(points), name=name)
 
 
-def fit_loglog_slope(points, decades=3.0):
-    """Slope of log(value) against log(delta) over the smallest decades.
+def fit_loglog_slope(points):
+    """Slope of log(value) against log(delta) over the smallest SLOPE_DECADES.
 
     Returns 0.0 when fewer than two usable points remain.
     """
     if len(points) < 2:
         return 0.0
     dmin = min(d for d, _ in points)
-    dmax_fit = dmin * 10.0 ** decades
+    dmax_fit = dmin * 10.0 ** SLOPE_DECADES
     sel = [(d, v) for d, v in points if d <= dmax_fit * (1.0 + 1e-12)]
     if len(sel) < 2:
         sel = sorted(points)[ : 2]
@@ -134,15 +137,13 @@ class ThresholdPolicy:
     slope_flat = 0.05
     zero_tol = 1e-9
     deadband = 10.0
-    decades = 3.0
 
-    def classify(self, profile, scale=None):
+    def classify(self, profile):
         """Return (status, slope) for one profile."""
         if len(profile) == 0:
             return INCONCLUSIVE, 0.0
-        if scale is None:
-            scale = max(1.0, profile.top)
-        slope = profile.slope(self.decades)
+        scale = max(1.0, profile.top)
+        slope = profile.slope()
         term = profile.terminal
         if term <= self.zero_tol * scale:
             return CONSISTENT, slope
@@ -160,7 +161,7 @@ class ThresholdPolicy:
         """
         if len(profile) == 0:
             return INCONCLUSIVE, 0.0
-        slope = profile.slope(self.decades)
+        slope = profile.slope()
         term, top = profile.terminal, profile.top
         if term <= self.zero_tol * max(1.0, top):
             return CONSISTENT, slope

@@ -253,8 +253,18 @@ def jets_from_samples(nodes, values, m):
         if b <= a:
             raise DuplicateNodeError("nodes must be strictly increasing")
 
+    jets = _jets(np.array(nodes), np.array(values), m)
+    return WhitneyField(nodes, tuple(map(tuple, jets.tolist())))
+
+
+def _jets(t, values, m):
+    """jets_from_samples on arrays: values (.., n) at increasing nodes t (n,).
+
+    Returns the jets, shape (.., n, m+1); every leading row of values
+    shares one stencil per node.
+    """
     # Grow every stencil [lo, hi] by m steps toward its nearer neighbour.
-    t, v = np.array(nodes), np.array(values)
+    n = len(t)
     lo = hi = np.arange(n)
     for _ in range(m):
         left = np.where(lo > 0, t - t[lo - 1], math.inf)
@@ -264,12 +274,12 @@ def jets_from_samples(nodes, values, m):
     # and cut the coefficients as a Poly would.
     stencil = lo[:, None] + np.arange(m + 1)
     u = t[stencil] - t[:, None]
-    p = _trim_rows(_monomial_rows(_newton_columns(u, v[stencil]), u))
-    jets = [v]
+    p = _trim_rows(_monomial_rows(_newton_columns(u, values[..., stencil]), u))
+    jets = [values]
     for _ in range(m):
         p = _deriv(p)
-        jets.append(p[:, 0])
-    return WhitneyField(nodes, tuple(map(tuple, np.column_stack(jets).tolist())))
+        jets.append(p[..., 0])
+    return np.stack(jets, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -283,31 +293,24 @@ class FieldReport:
     pair_count: int = 0
 
 
-def validate_field(whitney_field, mode="cm", omega=None, deltas=None, ratio=0.5):
+def validate_field(whitney_field, omega=None, ratio=0.5):
     """Taylor-remainder diagnostics of a field.
 
-    mode "cm": banded decay profiles of R_k per derivative order and
-    combined.  mode "cm_omega": additionally the smallest constant C with
+    Banded decay profiles of R_k per derivative order and combined, and,
+    given a modulus omega, the smallest constant C with
     R_k <= C * omega(|b - a|) over all ordered pairs.
     """
-    if mode not in ("cm", "cm_omega"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "cm_omega" and omega is None:
-        raise ValueError("cm_omega mode needs a modulus")
     m = whitney_field.order
     nodes = whitney_field.nodes
     jets = whitney_field.jets
     n = len(nodes)
     if n < 2:
         raise TooFewNodesError("remainder ratios need at least two nodes")
-    if deltas is None:
-        diam = nodes[-1] - nodes[0]
-        gap = min(b - a for a, b in zip(nodes, nodes[1:]))
-        deltas = delta_grid(diam, gap, ratio)
+    t, jet = np.array(nodes), np.array(jets, dtype=float)
+    deltas = delta_grid(t[-1] - t[0], np.diff(t).min(), ratio)
 
     # Every ordered pair (a, b) of distinct nodes, a major.
     ia, ib = np.nonzero(~np.eye(n, dtype=bool))
-    t, jet = np.array(nodes), np.array(jets, dtype=float)
     u = t[ib] - t[ia]
     d = np.abs(u)
     rs = [
@@ -321,7 +324,7 @@ def validate_field(whitney_field, mode="cm", omega=None, deltas=None, ratio=0.5)
     r, dk = np.concatenate(rs), np.tile(d, m + 1)
     combined = banded_sup(np.column_stack((dk, r)), deltas, name="remainders")
     omega_c = None
-    if mode == "cm_omega":
+    if omega is not None:
         w = omega(dk)
         omega_c = float(np.divide(r, w, out=np.full_like(r, math.inf), where=w > 0).max())
     return FieldReport(per_k, combined, float(r.max()), omega_c, len(u))

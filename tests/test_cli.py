@@ -14,8 +14,8 @@ from heiswhit.cli import (
     RunConfig,
     config_from_args,
     emit_plot_data,
+    load_input,
     main,
-    parse_input,
     parse_omega,
     run,
 )
@@ -50,13 +50,13 @@ def poly_csv(path, m=1, n=8, seed=89):
     return write_csv(path, [(t, pf(t), pg(t), ph(t)) for t in nodes])
 
 
-# -- parse_input -------------------------------------------------------------
+# -- load_input --------------------------------------------------------------
 
 
 def test_csv_two_rows(tmp_path):
     path = tmp_path / "two.csv"
     path.write_text("t,x,y,z\n0,0,0,0\n1,1,0,0\n")
-    curve = parse_input(str(path))
+    curve = load_input(str(path))[0]
     assert curve.nodes == (0.0, 1.0)
     assert tuple(curve.points[1]) == (1.0, 0.0, 0.0)
 
@@ -64,7 +64,7 @@ def test_csv_two_rows(tmp_path):
 def test_csv_rows_sorted_and_crlf_ok(tmp_path):
     path = tmp_path / "shuffled.csv"
     path.write_text("t,x,y,z\r\n1,1,0,0\r\n0,0,0,0\r\n0.5,2,0,0\r\n")
-    curve = parse_input(str(path))
+    curve = load_input(str(path))[0]
     assert curve.nodes == (0.0, 0.5, 1.0)
     assert curve.points[1].x == 2.0
 
@@ -83,21 +83,21 @@ def test_csv_rejects_duplicates_nonfinite_and_garbage(tmp_path):
         path = tmp_path / f"bad{i}.csv"
         path.write_text(text)
         with pytest.raises(err):
-            parse_input(str(path))
+            load_input(str(path))[0]
 
 
 def test_unknown_extension_rejected(tmp_path):
     path = tmp_path / "samples.txt"
     path.write_text("t,x,y,z\n0,0,0,0\n1,1,0,0\n")
     with pytest.raises(ParseError):
-        parse_input(str(path))
+        load_input(str(path))[0]
 
 
 def test_json_single_sample_surfaces_too_few_nodes(tmp_path):
     path = tmp_path / "one.json"
     path.write_text('{"m": 1, "samples": [{"t": 0, "x": 0, "y": 0, "z": 0}]}')
     with pytest.raises(TooFewNodesError):
-        parse_input(str(path))
+        load_input(str(path))[0]
 
 
 def test_json_shape_errors(tmp_path):
@@ -112,7 +112,7 @@ def test_json_shape_errors(tmp_path):
         path = tmp_path / f"bad{i}.json"
         path.write_text(text)
         with pytest.raises(ParseError):
-            parse_input(str(path))
+            load_input(str(path))[0]
 
 
 def test_json_round_trip_is_bit_exact(tmp_path):
@@ -126,7 +126,7 @@ def test_json_round_trip_is_bit_exact(tmp_path):
 
     curve = SampledCurve.from_rows(rows)
     dump_samples_json(curve, str(path), m=2)
-    back = parse_input(str(path))
+    back = load_input(str(path))[0]
     assert back.nodes == curve.nodes
     assert back.points == curve.points
 
@@ -217,7 +217,7 @@ def test_synthesize_report_audit_matches_direct_evaluation(tmp_path):
     audit = docs[0]["audit"]
     assert audit == docs[1]["audit"]
 
-    samples = parse_input(input_path)
+    samples = load_input(input_path)[0]
     curve = synthesize(samples, 2)
     nodes = samples.nodes
     repro = max(
@@ -314,6 +314,17 @@ def test_run_finiteness_inconclusive_exits_2(tmp_path):
     assert report["status"] == "inconclusive"
     assert set(report["constants"]) == {"M_hat", "C2_hat", "subsets_scanned"}
     assert len(report["worst_pair"]) == 2
+
+
+def test_finiteness_window_applies_on_twenty_nodes_or_fewer(tmp_path):
+    # Full enumeration up to 20 nodes is only the default when no window is set.
+    report_path = tmp_path / "report.json"
+    path = write_csv(tmp_path / "circle.csv", circle_rows(13))
+    argv = ["--mode", "finiteness", "--m", "2", "--window", "6", "--input", path,
+            "--report", str(report_path)]
+    assert main(argv) != 3
+    scanned = json.loads(report_path.read_text())["constants"]["subsets_scanned"]
+    assert scanned == divdiff._subset_count(13, 3, 6) < math.comb(13, 4)
 
 
 @pytest.mark.parametrize("rows,status", [

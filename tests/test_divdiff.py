@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import dd_lagrange, distinct_nodes, random_poly
-from heiswhit import SampledCurve, check_cm
+from heiswhit import SampledCurve, check_cm, profiles
 from heiswhit.divdiff import (
     _subset_count,
     dd_windows,
@@ -166,13 +166,15 @@ def test_dd_profile_linear_decay_one_degree_up(m):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_dd_profile_half_order_kink(m):
-    # Geometric clustering at the kink populates bands across many scales.
+def test_dd_profile_half_order_kink(m, monkeypatch):
+    # Geometric clustering at the kink populates bands across many scales,
+    # and the slope is fitted over five decades of them.
+    monkeypatch.setattr(profiles, "SLOPE_DECADES", 5.0)
     ks = range(14)
     ts = sorted({0.0} | {2.0**-k for k in ks} | {-(2.0**-k) for k in ks})
     rows = [(t, abs(t) ** (m + 0.5), 0.0, 0.0) for t in ts]
     prof = check_cm(SampledCurve.from_rows(rows), m).profiles["dd_f"]
-    assert 0.4 <= prof.slope(decades=5.0) <= 0.6
+    assert 0.4 <= prof.slope() <= 0.6
 
 
 def test_dd_profile_needs_enough_nodes():

@@ -132,7 +132,7 @@ def test_slope_sign_conventions():
 
 def test_slope_window_ignores_coarse_scales():
     points = ((1000.0, 1.0), (1.0, 1.0), (0.1, 0.1))
-    assert fit_loglog_slope(points, decades=3.0) == pytest.approx(1.0, abs=1e-9)
+    assert fit_loglog_slope(points) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_policy_collapsed_is_consistent():
@@ -148,13 +148,6 @@ def test_policy_decaying_is_consistent():
     status, slope = policy.classify(Profile(points))
     assert status == CONSISTENT
     assert slope == pytest.approx(1.0, abs=1e-6)
-
-
-def test_policy_flat_large_is_inconsistent_against_scale():
-    policy = ThresholdPolicy()
-    prof = Profile(tuple((0.5**i, 5.0) for i in range(6)))
-    status, _ = policy.classify(prof, scale=1.0)
-    assert status == INCONSISTENT
 
 
 def test_policy_growth_is_inconsistent():

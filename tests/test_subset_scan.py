@@ -116,7 +116,10 @@ def dd_windows_by_set(n, m, window, full_enum=False):
 def test_dd_windows_match_the_window_by_window_set(m, full_enum):
     width = 2 * m + 4
     for n in sizes(m).values():
-        assert dd_windows(n, m, width, full_enum) == dd_windows_by_set(n, m, width, full_enum)
+        subsets, span = dd_windows(n, m, width, full_enum)
+        assert (list(map(tuple, subsets.tolist())), span) == dd_windows_by_set(
+            n, m, width, full_enum
+        )
 
 
 def check_c1_by_pairs(samples, deltas):
@@ -162,7 +165,7 @@ def test_dd_profile_matches_window_by_window_pairing(m, label, full_enum):
     n = sizes(m)[label]
     samples = rough_curve(n, seed=10 * m + n)
     deltas = delta_grid(samples.diam, samples.min_gap)
-    got = dd_of(check_cm(samples, m, deltas=deltas, full_enum=full_enum))
+    got = dd_of(check_cm(samples, m, full_enum=full_enum))
     want = dd_profile_by_windows(samples, m, 2 * m + 4, deltas, full_enum)
     assert got == want
 
@@ -173,9 +176,9 @@ def test_dd_profile_matches_window_by_window_pairing_for_given_window(window):
     deltas = delta_grid(samples.diam, samples.min_gap)
     if window < 4:  # a window below m + 2 nodes holds no pair to compare
         with pytest.raises(TooFewNodesError):
-            check_cm(samples, 2, window=window, deltas=deltas)
+            check_cm(samples, 2, window=window)
         return
-    got = dd_of(check_cm(samples, 2, window=window, deltas=deltas))
+    got = dd_of(check_cm(samples, 2, window=window))
     assert got == dd_profile_by_windows(samples, 2, window, deltas)
 
 
@@ -222,7 +225,8 @@ def test_full_enum_equals_a_window_spanning_every_node(scan):
 
 def test_dd_windows_default_to_the_scan_window():
     for m in (1, 2, 3):
-        assert dd_windows(30, m, None) == dd_windows(30, m, 2 * m + 4)
+        (got, span), (want, width) = dd_windows(30, m, None), dd_windows(30, m, 2 * m + 4)
+        assert span == width and np.array_equal(got, want)
         assert dd_windows(12, m, None)[1] < dd_windows(12, m, None, True)[1] == 12
 
 

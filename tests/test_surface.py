@@ -1,11 +1,33 @@
 """The package's public surface is the list in the README's Library section."""
 
+import inspect
 import re
 from pathlib import Path
 
 import heiswhit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Every keyword with a default on the public surface: the callables in
+# __all__, and the __init__ and public methods of its classes.  A new knob
+# is added here on purpose or not at all.
+KEYWORDS = {
+    "ModulusFn.__init__": ("kind", "coeff", "exponent", "table"),
+    "PiecewiseCm.breakpoint_jumps": ("up_to",),
+    "Poly.__init__": ("coeffs",),
+    "Poly.deriv_at": ("order",),
+    "Profile.__init__": ("name",),
+    "ThresholdPolicy.__init__": ("rel_tol",),
+    "Verdict.__init__": ("constants",),
+    "WhitneyField.combine": ("ca", "cb"),
+    "av_profile": ("ratio",),
+    "check_c1": ("policy", "ratio"),
+    "check_cm": ("window", "policy", "ratio", "full_enum"),
+    "check_cm_via_w": ("window", "policy", "ratio", "full_enum"),
+    "finiteness_check": ("window", "policy", "full_enum", "ratio"),
+    "synthesize": ("force", "policy", "window", "full_enum", "ratio"),
+    "validate_field": ("omega", "ratio"),
+}
 
 
 def readme_surface():
@@ -14,6 +36,31 @@ def readme_surface():
     library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     block = library.split("The package exports", 1)[1].split("\n\n", 2)[1]
     return re.findall(r"`(\w+)`", block)
+
+
+def surface_keywords():
+    """{qualified name: keywords with a default} over the public surface."""
+    callables = {}
+    for name in heiswhit.__all__:
+        obj = getattr(heiswhit, name)
+        if not inspect.isclass(obj):
+            callables[name] = obj
+            continue
+        callables[f"{name}.__init__"] = obj.__init__
+        for attr, member in vars(obj).items():
+            member = getattr(member, "__func__", member)  # class and static methods
+            if not attr.startswith("_") and inspect.isfunction(member):
+                callables[f"{name}.{attr}"] = member
+    out = {}
+    for name, fn in callables.items():
+        try:
+            params = inspect.signature(fn).parameters.values()
+        except ValueError:  # a builtin __init__
+            continue
+        keywords = tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
+        if keywords:
+            out[name] = keywords
+    return out
 
 
 def test_all_is_the_readme_list_and_star_binds_it():
@@ -25,3 +72,7 @@ def test_all_is_the_readme_list_and_star_binds_it():
     exec("from heiswhit import *", star)
     star.pop("__builtins__")
     assert sorted(star) == sorted(names)
+
+
+def test_every_keyword_of_the_surface_is_in_the_table():
+    assert surface_keywords() == KEYWORDS

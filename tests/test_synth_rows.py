@@ -33,6 +33,7 @@ from heiswhit.divdiff import newton_interp
 from heiswhit.errors import SynthesisDefectError
 from heiswhit.horizontal import _solve_amplitudes
 from heiswhit.poly import Poly
+from heiswhit.whitney import _jets
 
 # -- oracles: the per-gap Poly path -----------------------------------------
 
@@ -350,6 +351,16 @@ def test_jets_equal_the_node_by_node_loop(m):
             field = _check_jets(nodes, [p(t) for t in nodes], m)
             zeroed += sum(jet[m] == 0.0 for jet in field.jets)
     assert zeroed > 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_components_get_each_components_jets(m):
+    # One stencil per node serves every row of values, bit for bit.
+    rng = np.random.default_rng(650 + m)
+    t = np.array(sorted(distinct_nodes(rng, 12)))
+    values = rng.uniform(-2.0, 2.0, (3, len(t)))
+    for row, jets in zip(values, _jets(t, values, m)):
+        assert jets.tolist() == list(map(list, jets_from_samples(t, row, m).jets))
 
 
 def test_piecewise_rows_equal_poly_pieces():

@@ -121,7 +121,6 @@ def test_single_pair_top_order_remainder():
 def test_omega_constant_for_square():
     report = validate_field(
         poly_field(Poly((0.0, 0.0, 1.0)), (0.0, 1.0), 1),
-        mode="cm_omega",
         omega=ModulusFn(),
     )
     assert report.omega_constant == pytest.approx(2.0, rel=1e-12)
@@ -158,19 +157,13 @@ def test_validate_field_matches_pair_by_pair_loop(m):
     nodes = tuple(sorted(distinct_nodes(rng, 9)))
     field = WhitneyField(nodes, tuple(tuple(rng.uniform(-2.0, 2.0, m + 1)) for _ in nodes))
     for omega in (None, ModulusFn(coeff=2.0, exponent=0.5)):
-        mode = "cm" if omega is None else "cm_omega"
-        got = validate_field(field, mode=mode, omega=omega)
+        got = validate_field(field, omega=omega)
         want = validate_field_by_pairs(field, omega)
         assert (got.per_k, got.combined, got.max_remainder, got.omega_constant,
                 got.pair_count) == want
 
 
-def test_validate_field_mode_errors():
-    field = WhitneyField((0.0, 1.0), ((0.0, 1.0), (1.0, 1.0)))
-    with pytest.raises(ValueError):
-        validate_field(field, mode="nope")
-    with pytest.raises(ValueError):
-        validate_field(field, mode="cm_omega")
+def test_validate_field_needs_two_nodes():
     with pytest.raises(TooFewNodesError):
         validate_field(WhitneyField((0.0,), ((0.0, 1.0),)))
 
@@ -400,8 +393,8 @@ def test_tabulated_modulus_gives_the_scalar_results(omega):
     rng = np.random.default_rng(32)
     nodes = tuple(sorted(distinct_nodes(rng, 9, 0.0, 4.0)))
     field = WhitneyField(nodes, tuple(tuple(rng.uniform(-2.0, 2.0, 3)) for _ in nodes))
-    got = validate_field(field, mode="cm_omega", omega=omega)
-    assert got == validate_field(field, mode="cm_omega", omega=ScalarModulus(omega))
+    got = validate_field(field, omega=omega)
+    assert got == validate_field(field, omega=ScalarModulus(omega))
     slope, diam = rng.normal(size=(3, 5)), rng.uniform(0.01, 4.0, 5)
     assert np.array_equal(_seminorm(slope, diam, omega), _seminorm(slope, diam, ScalarModulus(omega)))
     with pytest.raises(ValueError):
