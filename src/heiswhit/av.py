@@ -41,48 +41,52 @@ class AVPair:
         return self.area / self.velocity
 
 
-def _av(p, q, a, b, ha, hb, length, m):
+def _av(p, q, hull, at, a, b, ha, hb, length, m):
     """A without the Taylor corrections, and V, for endpoint pairs of rows.
 
-    p and q hold ascending coefficients of f and g along their last axis;
-    a, b, ha, hb and length hold one entry per endpoint pair along theirs,
-    and all leading axes broadcast.  Returns
+    p and q hold ascending coefficients of f and g along their last axis,
+    and hull = (lo, hi) one interval per row that holds all of its pairs.
+    a, b, ha, hb and length hold one entry per endpoint pair along their
+    last axis; pair k reads row at[k] of the axis before the coefficients.
+    With at None every pair reads the one row that the pairs' leading axes
+    name.  Leading axes broadcast.  Returns
 
         A = hb - ha - 2 int_a^b (p' q - q' p),
         V = length^{2m} + length^m int_a^b (|p'| + |q'|),
 
-    with the sign changes of p' and q' isolated once per row, on the hull
-    of the row's pairs.
+    with the sign changes of p' and q' isolated once per row, on its hull.
     """
     dp, dq = _deriv(p), _deriv(q)
-    anti = _antideriv(_mul(dp, q) - _mul(dq, p))[..., None, :]
+    anti = _antideriv(_mul(dp, q) - _mul(dq, p))[..., at, :]
     area = hb - ha - 2.0 * (_horner(anti, b) - _horner(anti, a))
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    hull = lo.min(-1), hi.max(-1)
-    speed = _abs_integral(dp, lo, hi, _roots(dp, *hull)) + _abs_integral(
-        dq, lo, hi, _roots(dq, *hull)
+    lo, hi = np.minimum(a, b)[..., None], np.maximum(a, b)[..., None]
+    dp_int, dq_int = (
+        _abs_integral(d[..., at, :], lo, hi, _roots(d, *hull)[..., at, :]) for d in (dp, dq)
     )
-    return area, length ** (2 * m) + length ** m * speed
+    return area, length ** (2 * m) + length ** m * (dp_int + dq_int)[..., 0]
 
 
-def _taylor_av(f, g, h, ia, ib, u, m):
-    """A and V of the Taylor pairs at nodes ia against nodes ib.
+def _taylor_av(f, g, values, ia, ib, u, hull, m):
+    """A and V of the Taylor pairs at anchor nodes ia against nodes ib.
 
-    f, g and h hold jets (value, first derivative, ..) along the last axis
-    and one node per entry of the axis before it; u holds b - a per pair.
-    Each pair is its own row, so its roots are isolated between a and b.
+    The anchors are the first nodes: f and g hold the jets (value, first
+    derivative, ..) of each anchor along the last axis, one anchor per
+    entry of the axis before it.  values holds f, g and h at every node
+    along its last axis, and u holds b - a per pair.  An anchor's Taylor
+    polynomials are one row of _av, so their sign changes are isolated
+    once, on hull = (lo, hi), which holds every u of the anchor's pairs.
     """
-    tf, tg = _taylor_rows(f[..., ia, : m + 1]), _taylor_rows(g[..., ia, : m + 1])
-    col = u[..., None]
+    tf, tg = _taylor_rows(f[..., : m + 1]), _taylor_rows(g[..., : m + 1])
+    fv, gv, hv = values
     area, velocity = _av(
-        tf, tg, np.zeros_like(col), col, h[..., ia, :1], h[..., ib, :1], col, m
+        tf, tg, hull, ia, np.zeros_like(u), u, hv[..., ia], hv[..., ib], u, m
     )
     area = (
-        area[..., 0]
-        + 2.0 * f[..., ia, 0] * (g[..., ib, 0] - _horner(tg, u))
-        - 2.0 * g[..., ia, 0] * (f[..., ib, 0] - _horner(tf, u))
+        area
+        + 2.0 * fv[..., ia] * (gv[..., ib] - _horner(tg[..., ia, :], u))
+        - 2.0 * gv[..., ia] * (fv[..., ib] - _horner(tf[..., ia, :], u))
     )
-    return area, velocity[..., 0]
+    return area, velocity
 
 
 def _jet_arrays(jets, m):
@@ -97,8 +101,11 @@ def _jets_pair(jets, a, b, m):
     ia, ib = jets.index(a), jets.index(b)
     if ia == ib:
         raise OrderViolationError("need two distinct nodes")
+    f, g, h = _jet_arrays(jets, m)
     u = np.array([b - a])
-    area, velocity = _taylor_av(*_jet_arrays(jets, m), [ia], [ib], u, m)
+    hull = np.minimum(u, 0.0), np.maximum(u, 0.0)
+    values = np.stack([c[[ia, ib], 0] for c in (f, g, h)])
+    area, velocity = _taylor_av(f[[ia]], g[[ia]], values, [0], [1], u, hull, m)
     return float(area[0]), float(velocity[0])
 
 
@@ -144,7 +151,9 @@ def discrete_av_pair(samples, subset, a, b, m):
     values = np.array([samples.fs, samples.gs, samples.hs])[:, sub]
     pf, pg = _monomial_rows(_newton_columns(xs, values[:2]), u)
     ia, ib = [x.index(a)], [x.index(b)]
-    area, velocity = _av(pf, pg, u[ia], u[ib], values[2, ia], values[2, ib], u[-1], m)
+    area, velocity = _av(
+        pf, pg, (u[0], u[-1]), None, u[ia], u[ib], values[2, ia], values[2, ib], u[-1], m
+    )
     return AVPair(float(area[0]), float(velocity[0]))
 
 
@@ -162,7 +171,10 @@ def _av_profile(t, f, g, h, m, deltas):
     """av_profile on arrays: nodes t, jets of f and g to order m, h's values in column 0."""
     ia, ib = np.triu_indices(len(t), 1)
     sep = t[ib] - t[ia]
-    area, velocity = _taylor_av(f, g, h, ia, ib, sep, m)
+    # Every node but the last anchors pairs, the farthest one ending at t[-1].
+    hull = 0.0, t[-1] - t[:-1]
+    values = np.stack([f[:, 0], g[:, 0], h[:, 0]])
+    area, velocity = _taylor_av(f[:-1], g[:-1], values, ia, ib, sep, hull, m)
     return banded_sup(
         np.column_stack((sep, np.abs(area / velocity))), deltas, name="av_ratio"
     )
@@ -173,7 +185,9 @@ def _discrete_av_profile(table, m, deltas):
     u, (pf, pg, _), hs = table.u, table.rows, table.values[2]
     ia, ib = np.triu_indices(m + 1, 1)
     diam = u[:, -1:]
-    area, velocity = _av(pf, pg, u[:, ia], u[:, ib], hs[:, ia], hs[:, ib], diam, m)
+    area, velocity = _av(
+        pf, pg, (u[:, 0], u[:, -1]), None, u[:, ia], u[:, ib], hs[:, ia], hs[:, ib], diam, m
+    )
     ratios = np.abs(area / velocity)
     items = np.column_stack((np.broadcast_to(diam, ratios.shape).ravel(), ratios.ravel()))
     return banded_sup(items, deltas, name="discrete_av_ratio")

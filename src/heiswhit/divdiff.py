@@ -236,8 +236,13 @@ def dd_windows(n, m, window, full_enum=False):
 
 
 def _subset_count(n, m, width):
-    """len(dd_windows(n, m, width)[0]), in closed form."""
-    return sum(math.comb(min(width, n - first) - 1, m) for first in range(n))
+    """len(dd_windows(n, m, width)[0]), in closed form, for width <= n.
+
+    Each of the n - width + 1 first nodes with a whole window after it
+    heads C(width - 1, m) subsets; the later ones, whose windows hold
+    width - 1 down to 1 nodes, head sum_k C(k - 1, m) = C(width - 1, m + 1).
+    """
+    return (n - width + 1) * math.comb(width - 1, m) + math.comb(width - 1, m + 1)
 
 
 def _physical_memory():

@@ -373,17 +373,19 @@ def finiteness_check(samples, m, omega, window=None, policy=None, full_enum=None
     """
     table, deltas = _scan(samples, m, window, full_enum, ratio, order=m + 1)
     # Interpolants and their jets live in u; node values and separations
-    # are read off the global nodes xs.  The Taylor kernel reads h's values
-    # only.
+    # are read off the global nodes xs.  The Taylor kernel reads the
+    # values at every node, the derivatives only at the anchors: every
+    # node but the last, whose hull ends at it.
     xs, u, polys = table.xs, table.u, table.rows
-    jets, p = [], polys[:2]
-    for _ in range(m + 1):
-        jets.append(_horner(p[..., None, :], u))
+    values = _horner(polys[:, :, None, :], u)
+    jets, p = [values[:2, :, :-1]], polys[:2]
+    for _ in range(m):
         p = _deriv(p)
+        jets.append(_horner(p[..., None, :], u[:, :-1]))
     f, g = np.stack(jets, axis=-1)
-    h = _horner(polys[2][:, None, :], u)[..., None]
     ia, ib = np.triu_indices(m + 2, 1)
-    area, velocity = _taylor_av(f, g, h, ia, ib, u[:, ib] - u[:, ia], m)
+    hull = 0.0, u[:, -1:] - u[:, :-1]
+    area, velocity = _taylor_av(f, g, values, ia, ib, u[:, ib] - u[:, ia], hull, m)
     # Bin at the pair separation, not diam(X): a short pair inside a wide
     # window would otherwise hide growth in the top bands.
     sep = xs[:, ib] - xs[:, ia]

@@ -13,9 +13,10 @@ from fractions import Fraction
 import numpy as np
 
 from heiswhit import CurveJets, Poly, SampledCurve
+from heiswhit.av import _av
 from heiswhit.errors import LengthMismatchError
 from heiswhit.horizontal import _horizontalize_gaps
-from heiswhit.poly import _taylor_rows
+from heiswhit.poly import _horner, _taylor_rows
 
 
 # fixture builders -----------------------------------------------------------
@@ -254,6 +255,30 @@ def dd_lagrange(nodes, values):
                 denom *= xi - xj
         total += vi / denom
     return total
+
+
+def taylor_av_by_pairs(f, g, h, ia, ib, u, m):
+    """A and V of the Taylor pairs at nodes ia against nodes ib, pair by pair.
+
+    f, g and h hold jets (value, first derivative, ..) along the last axis
+    and one node per entry of the axis before it; u holds b - a per pair.
+    Each pair is its own row of the AV kernel, so its roots are isolated
+    between a and b: the anchor kernel's A bit for bit, and its V up to
+    where the roots' tolerances land.
+    """
+    tf, tg = _taylor_rows(f[..., ia, : m + 1]), _taylor_rows(g[..., ia, : m + 1])
+    col = u[..., None]
+    zero = np.zeros_like(col)
+    hull = np.minimum(u, 0.0), np.maximum(u, 0.0)
+    area, velocity = _av(
+        tf, tg, hull, None, zero, col, h[..., ia, :1], h[..., ib, :1], col, m
+    )
+    area = (
+        area[..., 0]
+        + 2.0 * f[..., ia, 0] * (g[..., ib, 0] - _horner(tg, u))
+        - 2.0 * g[..., ia, 0] * (f[..., ib, 0] - _horner(tf, u))
+    )
+    return area, velocity[..., 0]
 
 
 def area_oracle(jets, a, b, m, tol=1e-12):

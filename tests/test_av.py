@@ -8,24 +8,30 @@ import pytest
 from conftest import (
     area_oracle,
     bounded_horizontal_triple,
+    circle_curve,
     circle_jets,
     distinct_nodes,
     line_curve,
     poly_curve,
     random_poly,
+    taylor_av_by_pairs,
 )
 from heiswhit import (
     AVPair,
     CurveJets,
     HPoint,
+    ModulusFn,
     SampledCurve,
     av_pair,
     av_profile,
     check_cm,
+    check_cm_via_w,
     discrete_av_pair,
+    finiteness_check,
     group_mul,
 )
-from heiswhit.av import _av, area_discrepancy
+from heiswhit import av, horizontal
+from heiswhit.av import _av, _taylor_av, area_discrepancy
 from heiswhit.divdiff import _newton_table
 from heiswhit.errors import (
     BadSubsetError,
@@ -150,6 +156,92 @@ def test_avpair_requires_positive_velocity():
         AVPair(1.0, 0.0)
 
 
+def anchor_node_sets(rng, n):
+    """Spread nodes, clustered nodes (gaps near 1e-6) and nodes near 1e3."""
+    gaps = np.where(rng.random(n - 1) < 0.5, 1e-6 * rng.uniform(0.5, 2.0, n - 1), 0.1)
+    return (
+        np.sort(rng.uniform(0.0, 1.0, n)),
+        np.concatenate([[0.0], np.cumsum(gaps)]),
+        1e3 + np.sort(rng.uniform(0.0, 1.0, n)),
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_anchor_kernel_matches_the_per_pair_oracle(m):
+    # The anchor kernel isolates each node's roots once, on the hull of
+    # its pairs; the oracle isolates them per pair.  The rows and the
+    # Horner are the same, so A agrees bit for bit; V only moves where the
+    # roots' tolerances land.
+    rng = np.random.default_rng(60 + m)
+    for n in (2, 3, 4, 5, 8, 13, 21, 40):
+        for t in anchor_node_sets(rng, n):
+            f, g, h = rng.uniform(-1.0, 1.0, (3, n, m + 1))
+            ia, ib = np.triu_indices(n, 1)
+            u = t[ib] - t[ia]
+            want_area, want_velocity = taylor_av_by_pairs(f, g, h, ia, ib, u, m)
+            values = np.stack([f[:, 0], g[:, 0], h[:, 0]])
+            hull = 0.0, t[-1] - t[:-1]
+            area, velocity = _taylor_av(f[:-1], g[:-1], values, ia, ib, u, hull, m)
+            assert np.array_equal(area, want_area)
+            np.testing.assert_allclose(velocity, want_velocity, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_finiteness_anchors_match_the_per_pair_oracle(monkeypatch, m):
+    # The scan's own layout: m + 1 anchors per subset, each with the hull
+    # [0, u_last - u_anchor], and derivative jets at the anchors only.
+    calls = []
+
+    def recording(*args):
+        calls.append((args, _taylor_av(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(horizontal, "_taylor_av", recording)
+    rng = np.random.default_rng(67 + m)
+    nodes = distinct_nodes(rng, 9)
+    curve = SampledCurve.from_rows([(t, *rng.uniform(-1.0, 1.0, 3)) for t in nodes])
+    finiteness_check(curve, m, ModulusFn("power", 1.0, 1.0), full_enum=True)
+    ((f, g, values, ia, ib, u, _, _), (area, velocity)), = calls
+    # The last node anchors no pair: its jets need only their values.
+    full = np.zeros((2,) + values.shape[1:] + (m + 1,))
+    full[:, :, :-1], full[:, :, -1, 0] = (f, g), values[:2, :, -1]
+    want_area, want_velocity = taylor_av_by_pairs(*full, values[2][..., None], ia, ib, u, m)
+    assert np.array_equal(area, want_area)
+    np.testing.assert_allclose(velocity, want_velocity, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_reversed_pair_area_matches_the_per_pair_oracle(m):
+    rng = np.random.default_rng(64 + m)
+    for t in anchor_node_sets(rng, 6):
+        f, g, h = rng.uniform(-1.0, 1.0, (3, len(t), m + 1))
+        jets = CurveJets(tuple(t.tolist()), *(tuple(map(tuple, j)) for j in (f, g, h)))
+        # (j, i) is the reversed pair: u = t[i] - t[j] < 0, hull [u, 0].
+        for i, j in itertools.combinations(range(len(t)), 2):
+            for a, b in ((i, j), (j, i)):
+                want, _ = taylor_av_by_pairs(f, g, h, [a], [b], t[[b]] - t[[a]], m)
+                assert area_discrepancy(jets, float(t[a]), float(t[b]), m) == want[0]
+
+
+def test_anchor_kernel_isolates_roots_once_per_anchor(monkeypatch):
+    # One _roots row per anchor and derivative (p' and q'), not per pair:
+    # 3 anchors in each of the C(13, 4) subsets at m = 2, n - 1 anchors on
+    # the nodes of check_cm_via_w.
+    rows = []
+
+    def counting_roots(c, lo, hi):
+        rows.append(int(np.prod(c.shape[:-1])))
+        return roots(c, lo, hi)
+
+    roots = av._roots
+    monkeypatch.setattr(av, "_roots", counting_roots)
+    finiteness_check(circle_curve(13), 2, ModulusFn("power", 1.0, 1.0), full_enum=True)
+    assert sum(rows) == 2 * 715 * 3
+    rows.clear()
+    check_cm_via_w(circle_curve(33), 2)
+    assert sum(rows) == 2 * 32
+
+
 def test_discrete_drift_pair_frozen():
     curve = SampledCurve.from_rows([(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 1.0)])
     pair = discrete_av_pair(curve, [0.0, 1.0], 0.0, 1.0, 1)
@@ -209,8 +301,9 @@ def test_discrete_pair_equals_the_scan_kernel_on_its_table_row(m):
         (pf, pg, _), u, hs = table.rows, table.u, table.values[2]
         rows = rng.choice(len(u), 5, replace=False)
         for s, (i, j) in itertools.product(rows, itertools.combinations(range(m + 1), 2)):
+            hull = u[s, 0], u[s, -1]
             area, velocity = _av(
-                pf[s], pg[s], u[s, [i]], u[s, [j]], hs[s, [i]], hs[s, [j]], u[s, -1], m
+                pf[s], pg[s], hull, None, u[s, [i]], u[s, [j]], hs[s, [i]], hs[s, [j]], u[s, -1], m
             )
             x = table.xs[s].tolist()
             pair = discrete_av_pair(curve, x, x[i], x[j], m)

@@ -188,3 +188,10 @@ def test_subset_count_closed_form_matches_dd_windows():
             for window in range(2, 17):
                 subsets, width = dd_windows(n, m, window)
                 assert _subset_count(n, m, width) == len(subsets)
+
+
+def test_subset_count_closed_form_matches_the_sum_at_large_n():
+    # Every first node heads C(nodes after it in its window, m) subsets.
+    n, m, width = 100_003, 3, 517
+    total = sum(math.comb(min(width, n - first) - 1, m) for first in range(n))
+    assert _subset_count(n, m, width) == total
