@@ -12,8 +12,10 @@ Usage, from the root of a checkout:
 ``timings``, and the plot and grid CSVs.  ``--diff`` prints, for every call
 whose outputs differ, any change of exit code or status; the largest
 absolute and relative difference over the values (profile points,
-constants, CSV cells) and, apart, over the fitted slopes, the relative one
-also over numbers of magnitude at least 1e-6 only; whether the finiteness
+constants, CSV cells) and, apart, over the fitted slopes and over the
+synthesis audit's ``defect_t`` (the grid point where a defect of rounding
+size peaks, which one operand swap can move far), the relative one also
+over numbers of magnitude at least 1e-6 only; whether the finiteness
 witnesses moved; and each profile whose status changed with its largest
 point on either side.
 
@@ -170,8 +172,7 @@ def diff(before, after):
         if a["exit"] != b["exit"]:
             changed_codes += 1
         la, lb = (leaves({k: x[k] for k in ("report", "plot", "grid")}) for x in (a, b))
-        values = Spread()
-        slopes = Spread()
+        values, slopes, defect_t = Spread(), Spread(), Spread()
         moved, other = set(), sorted(set(la) ^ set(lb))
         for key in set(la) & set(lb):
             x, y = la[key], lb[key]
@@ -183,9 +184,12 @@ def diff(before, after):
             elif not (isinstance(x, (int, float)) and isinstance(y, (int, float))):
                 if x != y:
                     other.append(key)
+            elif key == "/report/audit/defect_t":
+                defect_t.add(x, y)
             else:
                 (slopes if key.endswith("/slope") else values).add(x, y)
         print(f"{head}; values {values}; slopes {slopes}"
+              + (f"; defect_t {defect_t}" if defect_t.abs else "")
               + (f"; {' and '.join(sorted(moved))} moved" if moved else "")
               + (f"; {len(other)} other fields differ" if other else ""))
         for line in profile_changes(a["report"], b["report"]):

@@ -54,14 +54,15 @@ def _av(p, q, hull, at, a, b, ha, hb, length, m):
         A = hb - ha - 2 int_a^b (p' q - q' p),
         V = length^{2m} + length^m int_a^b (|p'| + |q'|),
 
-    with the sign changes of p' and q' isolated once per row, on its hull.
+    with p' and q' integrated and their sign changes isolated once per row, on its hull.
     """
     dp, dq = _deriv(p), _deriv(q)
     anti = _antideriv(_mul(dp, q) - _mul(dq, p))[..., at, :]
     area = hb - ha - 2.0 * (_horner(anti, b) - _horner(anti, a))
     lo, hi = np.minimum(a, b)[..., None], np.maximum(a, b)[..., None]
     dp_int, dq_int = (
-        _abs_integral(d[..., at, :], lo, hi, _roots(d, *hull)[..., at, :]) for d in (dp, dq)
+        _abs_integral(_antideriv(d)[..., at, :], lo, hi, _roots(d, *hull)[..., at, :])
+        for d in (dp, dq)
     )
     return area, length ** (2 * m) + length ** m * (dp_int + dq_int)[..., 0]
 

@@ -33,10 +33,10 @@ ENV_PREFIX = "HEISWHIT_"
 SWITCH_VALUES = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                  **dict.fromkeys(("0", "false", "no", "off"), False)}
 # The verdict modes, each called as checker(curve, m, window=, policy=,
-# ratio=, full_enum=).  Every check is looked up on horizontal when it runs,
-# so a wrapper put on that module later (a tracer, a test) is the one called.
+# ratio=).  Every check is looked up on horizontal when it runs, so a wrapper
+# put on that module later (a tracer, a test) is the one called.
 CHECKERS = {
-    "check-c1": lambda curve, m, window, full_enum, **kw: horizontal.check_c1(curve, **kw),
+    "check-c1": lambda curve, m, window, **kw: horizontal.check_c1(curve, **kw),
     "check-cm": lambda *args, **kw: horizontal.check_cm(*args, **kw),
     "check-cm-w": lambda *args, **kw: horizontal.check_cm_via_w(*args, **kw),
 }
@@ -231,21 +231,22 @@ def run(config):
         m = m_hint if m_hint is not None else config.m
         report["m"] = m
         policy = config.policy()
+        window = config.window
+        if config.full_enum and (window is None or window >= m + 2):
+            window = len(curve.nodes)  # a window below m + 2 still fails the scan
 
         t0 = time.perf_counter()
         plot_profiles = None
         if config.mode in CHECKERS:
             verdict = CHECKERS[config.mode](
-                curve, m, window=config.window, policy=policy,
-                ratio=config.delta_ratio, full_enum=config.full_enum,
+                curve, m, window=window, policy=policy, ratio=config.delta_ratio,
             )
             report.update(_verdict_report(verdict))
             code = EXIT_BY_STATUS[verdict.status]
             plot_profiles = verdict.profiles
         elif config.mode == "finiteness":
             rep = horizontal.finiteness_check(
-                curve, m, config.modulus(), window=config.window,
-                policy=policy, full_enum=config.full_enum or None,
+                curve, m, config.modulus(), window=window, policy=policy,
                 ratio=config.delta_ratio,
             )
             report["status"] = rep.status
@@ -264,8 +265,7 @@ def run(config):
         else:  # synthesize
             try:
                 curve_obj = horizontal.synthesize(
-                    curve, m, window=config.window, policy=policy,
-                    ratio=config.delta_ratio, full_enum=config.full_enum,
+                    curve, m, window=window, policy=policy, ratio=config.delta_ratio,
                 )
             except SynthesisDefectError as exc:
                 report["status"] = "defect"

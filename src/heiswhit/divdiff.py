@@ -204,30 +204,14 @@ def hermite_genocchi(fm, nodes, tol=1e-9, budget=2_000_000):
     return level(1, pts[0], 1.0)
 
 
-def _width(n, m, window, full_enum):
-    """Index span of an order-m subset family on n nodes.
+def dd_windows(n, m, width):
+    """(m+1)-subsets of node indices within a sliding window of width <= n nodes.
 
-    Windows hold 2m+4 consecutive nodes unless window is given.  full_enum,
-    or a window of at least n, spans every node; full_enum None means full
-    enumeration when no window is given and n is at most 20.
+    Returns (subsets, width): subsets is an (S, m+1) array of index rows,
+    each ascending and its last index less than width past its first, in
+    lexicographic order.  Each row is a first index plus a row of one
+    offset table, 0 and an m-combination of 1 .. width - 1.
     """
-    if full_enum is None:
-        full_enum = window is None and n <= 20
-    window = 2 * m + 4 if window is None else window
-    return n if full_enum or window >= n else window
-
-
-def dd_windows(n, m, window, full_enum=False):
-    """(m+1)-subsets of node indices that fit in a sliding window.
-
-    Returns (subsets, window_span): subsets is an (S, m+1) array of index
-    rows, each ascending and its last index less than window_span past its
-    first, in lexicographic order.  The span follows _width: 2m+4 nodes by
-    default, every node with full_enum or a window >= n.  Each row is a
-    first index plus a row of one offset table, 0 and an m-combination of
-    1 .. span - 1.
-    """
-    width = _width(n, m, window, full_enum)
     offsets = np.array(
         [(0, *rest) for rest in itertools.combinations(range(1, width), m)], dtype=np.intp
     ).reshape(-1, m + 1)
@@ -279,7 +263,7 @@ def _newton_table(samples, m, width):
             f"{count} subsets of {m + 1} nodes need a {size / 2**30:.3g} GiB table, "
             "more than physical memory"
         )
-    idx, width = dd_windows(n, m, width)
+    idx, _ = dd_windows(n, m, width)
     xs = np.array(samples.nodes)[idx]
     values = np.array([samples.fs, samples.gs, samples.hs])[:, idx]
     u = xs - xs[:, :1]
@@ -287,12 +271,13 @@ def _newton_table(samples, m, width):
     return _Table(idx, width, xs, values, u, rows)
 
 
-def _scan(samples, m, window, full_enum, ratio, order=None):
+def _scan(samples, m, window, ratio, order=None):
     """Checked set-up of an order-m scan: its Newton table and scale grid.
 
-    The samples and the window need m + 2 nodes.  The table is of the
-    given order (m unless set) on the subset family of _width, and the
-    scales are the geometric grid from diam down to the smallest gap.
+    The samples and the window (2m + 4 unless given) need m + 2 nodes.  The
+    table is of the given order (m unless set) on the subsets within
+    min(n, window) consecutive nodes, and the scales are the geometric grid
+    from diam down to the smallest gap.
     """
     n = len(samples.nodes)
     if n < m + 2:
@@ -300,7 +285,7 @@ def _scan(samples, m, window, full_enum, ratio, order=None):
     if window is not None and window < m + 2:
         raise TooFewNodesError(f"window must be at least {m + 2}")
     deltas = delta_grid(samples.diam, samples.min_gap, ratio)
-    width = _width(n, m, window, full_enum)
+    width = min(n, 2 * m + 4 if window is None else window)
     return _newton_table(samples, m if order is None else order, width), deltas
 
 

@@ -16,8 +16,10 @@ import numpy as np
 
 from .errors import (
     CoincidentNodesError,
+    DuplicateNodeError,
     LengthMismatchError,
     NodeNotFoundError,
+    NonFiniteError,
     ZeroDilationError,
 )
 
@@ -101,8 +103,14 @@ class CurveJets:
         n = len(self.nodes)
         if not (len(self.fjets) == len(self.gjets) == len(self.hjets) == n):
             raise LengthMismatchError("one jet triple per node required")
-        if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
-            raise ValueError("nodes must be strictly increasing")
+        vals = [v for js in (self.fjets, self.gjets, self.hjets) for j in js for v in j]
+        if any(not math.isfinite(v) for v in [*self.nodes, *vals]):
+            raise NonFiniteError("nodes and jets must be finite")
+        for a, b in zip(self.nodes, self.nodes[1:]):
+            if a == b:
+                raise DuplicateNodeError(f"node {a} repeats")
+            if b < a:
+                raise ValueError("nodes must be strictly increasing")
         if n:
             width = len(self.fjets[0])
             for js in (self.fjets, self.gjets, self.hjets):

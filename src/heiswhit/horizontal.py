@@ -177,7 +177,7 @@ def _horizontalize_gaps(fa, ga, fb, gb, ha, hb, a, b, m):
     return f, g, h, lam, sigma, deficit
 
 
-def synthesize(samples, m, force=False, policy=None, window=None, full_enum=False, ratio=0.5):
+def synthesize(samples, m, force=False, policy=None, window=None, ratio=0.5):
     """Build a horizontal C^m interpolant of the samples.
 
     Fits jets to f and g, then horizontalizes every gap: f and g blend the
@@ -191,8 +191,7 @@ def synthesize(samples, m, force=False, policy=None, window=None, full_enum=Fals
     if len(nodes) < m + 1:
         raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
     if not force:
-        gate = check_cm(samples, m, window=window, policy=policy, ratio=ratio,
-                        full_enum=full_enum)
+        gate = check_cm(samples, m, window=window, policy=policy, ratio=ratio)
         if gate.status == INCONSISTENT:
             raise SynthesisDefectError(
                 "samples judged inconsistent with a horizontal C^m curve; "
@@ -308,27 +307,27 @@ def check_c1(samples, policy=None, ratio=0.5):
     return _verdict(profiles, policy)
 
 
-def check_cm(samples, m, window=None, policy=None, ratio=0.5, full_enum=False):
+def check_cm(samples, m, window=None, policy=None, ratio=0.5):
     """Order-m check from raw samples.
 
     Divided-difference decay per component plus the decay of the discrete
     area/velocity ratio, both read off one Newton table of the windowed
     subsets.
     """
-    table, deltas = _scan(samples, m, window, full_enum, ratio)
+    table, deltas = _scan(samples, m, window, ratio)
     profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
     profiles["av_discrete"] = _discrete_av_profile(table, m, deltas)
     return _verdict(profiles, policy or ThresholdPolicy())
 
 
-def check_cm_via_w(samples, m, window=None, policy=None, ratio=0.5, full_enum=False):
+def check_cm_via_w(samples, m, window=None, policy=None, ratio=0.5):
     """Order-m check through the extension operator.
 
     Fits jets to f and g, and profiles the continuous area/velocity ratio
     of the fitted jets and the sampled h alongside the raw
     divided-difference decay.
     """
-    table, deltas = _scan(samples, m, window, full_enum, ratio)
+    table, deltas = _scan(samples, m, window, ratio)
     t = np.array(samples.nodes)
     f, g = _jets(t, np.array([samples.fs, samples.gs]), m)
     profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
@@ -369,9 +368,15 @@ def finiteness_check(samples, m, omega, window=None, policy=None, full_enum=None
     the scan records M_hat, the largest |A|/(V * omega(b-a)) over endpoint
     pairs in X, and C2_hat, the largest C^{m,omega} seminorm of Gamma_X
     over its hull.  Bounded constants under refinement are the evidence
-    that a horizontal extension with modulus sqrt(omega) exists.
+    that a horizontal extension with modulus sqrt(omega) exists.  full_enum
+    widens a window of at least m + 2 to every node; None, the default, does
+    so when no window is given and there are at most 20 nodes.
     """
-    table, deltas = _scan(samples, m, window, full_enum, ratio, order=m + 1)
+    if full_enum is None:
+        full_enum = window is None and len(samples.nodes) <= 20
+    if full_enum and (window is None or window >= m + 2):
+        window = len(samples.nodes)
+    table, deltas = _scan(samples, m, window, ratio, order=m + 1)
     # Interpolants and their jets live in u; node values and separations
     # are read off the global nodes xs.  The Taylor kernel reads the
     # values at every node, the derivatives only at the anchors: every

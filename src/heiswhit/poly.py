@@ -271,17 +271,17 @@ def real_roots(p, iv):
     return _roots(np.array(p.coeffs), iv.lo, iv.hi).tolist()
 
 
-def _abs_integral(c, a, b, roots):
-    """Integral of |p| from a to b for rows c, split at the NaN-padded roots.
+def _abs_integral(anti, a, b, roots):
+    """Integral of |p| from a to b for rows anti = _antideriv(p), split at p's roots.
 
-    a <= b hold one entry per interval along their last axis; the roots of
-    each row along the last axis of roots may reach beyond the intervals.
+    a <= b hold one entry per interval along their last axis; the NaN-padded
+    roots of each row along the last axis of roots may reach beyond the intervals.
     """
     a, b = a[..., None], b[..., None]
     r = np.nan_to_num(roots[..., None, :], nan=np.inf)
     cuts = np.concatenate([a, np.clip(r, a, b), b], -1)
-    anti = _horner(_antideriv(c)[..., None, None, :], cuts)
-    return np.cumsum(np.abs(anti[..., 1:] - anti[..., :-1]), axis=-1)[..., -1]
+    vals = _horner(anti[..., None, None, :], cuts)
+    return np.cumsum(np.abs(vals[..., 1:] - vals[..., :-1]), axis=-1)[..., -1]
 
 
 def abs_integral(p, iv):
@@ -289,4 +289,4 @@ def abs_integral(p, iv):
     if p.is_zero or iv.hi == iv.lo:
         return 0.0
     c, lo, hi = np.array(p.coeffs), np.array([iv.lo]), np.array([iv.hi])
-    return float(_abs_integral(c, lo, hi, _roots(c, iv.lo, iv.hi))[0])
+    return float(_abs_integral(_antideriv(c), lo, hi, _roots(c, iv.lo, iv.hi))[0])

@@ -327,6 +327,23 @@ def test_finiteness_window_applies_on_twenty_nodes_or_fewer(tmp_path):
     assert scanned == divdiff._subset_count(13, 3, 6) < math.comb(13, 4)
 
 
+@pytest.mark.parametrize("mode", ["check-cm", "check-cm-w", "synthesize", "finiteness"])
+def test_full_enum_reports_equal_a_window_of_every_node(tmp_path, mode):
+    path = write_csv(tmp_path / "circle.csv", circle_rows(12))
+    reports = {}
+    for name, flags in (("full", ["--full-enum"]), ("window", ["--window", "12"]),
+                        ("both", ["--full-enum", "--window", "5"]), ("default", [])):
+        report_path = tmp_path / f"{name}.json"
+        argv = ["--mode", mode, "--m", "1", "--input", path, "--report", str(report_path)]
+        assert main([*argv, *flags]) != 3
+        reports[name] = json.loads(report_path.read_text())
+        del reports[name]["timings"]
+    # --full-enum wins over a valid --window.
+    assert reports["full"] == reports["window"] == reports["both"]
+    if mode in ("check-cm", "check-cm-w"):  # the default window of 6 nodes scans fewer
+        assert reports["default"] != reports["full"]
+
+
 @pytest.mark.parametrize("rows,status", [
     (circle_rows(9), "consistent"),
     ([(t, p.x, p.y, p.z) for t, p in zip(line_curve(5).nodes, line_curve(5).points)],
@@ -476,6 +493,10 @@ CHECK_CM = ["--mode", "check-cm", "--input", "IN"]
     (["--mode", "synthesize", "--input", "IN", "--window", "2"], {},
      "window must be at least 3"),
     (CHECK_CM, {"HEISWHIT_FULL_ENUM": "ture"}, "HEISWHIT_FULL_ENUM='ture': use 1/true/yes/on"),
+    ([*CHECK_CM, "--m", "1", "--full-enum", "--window", "2"], {},
+     "window must be at least 3"),
+    (["--mode", "finiteness", "--input", "IN", "--full-enum", "--window", "2"], {},
+     "window must be at least 3"),
 ])
 def test_main_maps_usage_and_setting_errors_to_exit_3(
     tmp_path, capsys, monkeypatch, argv, env, message

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiswhit.cli import main
-from heiswhit.divdiff import SampledCurve, _dd_profiles, _newton_table, _width
+from heiswhit.divdiff import SampledCurve, _dd_profiles, _newton_table
 from heiswhit.profiles import banded_sup, delta_grid
 
 from conftest import circle_curve, dump_samples_json
@@ -58,8 +58,13 @@ def sample(family, n, seed):
     return SampledCurve.from_rows(rows)
 
 
-def both(samples, m, window=None, full_enum=False):
-    table = _newton_table(samples, m, _width(len(samples.nodes), m, window, full_enum))
+def width_of(n, m, window):
+    """The scan's width: window nodes, 2m+4 by default, at most n."""
+    return min(n, 2 * m + 4 if window is None else window)
+
+
+def both(samples, m, window=None):
+    table = _newton_table(samples, m, width_of(len(samples.nodes), m, window))
     deltas = delta_grid(samples.diam, samples.min_gap)
     return _dd_profiles(table, deltas), dd_profiles_by_pairs(table, deltas)
 
@@ -69,8 +74,8 @@ def both(samples, m, window=None, full_enum=False):
 MASK_BUDGET = 2_000_000
 
 
-def mask_size(n, m, window, full_enum):
-    width = _width(n, m, window, full_enum)
+def mask_size(n, m, window):
+    width = width_of(n, m, window)
     per_first = math.comb(width - 1, m)
     subsets = min(n * per_first, math.comb(n, m + 1))
     return subsets * min(subsets, width * per_first)
@@ -81,18 +86,18 @@ def scans(draw):
     m = draw(st.sampled_from((1, 2, 3)))
     n = draw(st.integers(m + 2, 60))
     window = draw(st.none() | st.integers(m + 2, n + 2))
-    full_enum = draw(st.booleans())
-    while mask_size(n, m, window, full_enum) > MASK_BUDGET:
+    full_enum = draw(st.booleans())  # a window spanning every node
+    while mask_size(n, m, n if full_enum else window) > MASK_BUDGET:
         n -= 1
     family = draw(st.sampled_from(("circle", "rough", "drift")))
-    return sample(family, n, draw(st.integers(0, 2**16))), m, window, full_enum
+    return sample(family, n, draw(st.integers(0, 2**16))), m, n if full_enum else window
 
 
 @settings(max_examples=50, deadline=None)
 @given(scans())
 def test_interval_extrema_equal_the_pair_scan(scan):
-    samples, m, window, full_enum = scan
-    got, want = both(samples, m, window, full_enum)
+    samples, m, window = scan
+    got, want = both(samples, m, window)
     assert got == want
 
 
@@ -122,7 +127,7 @@ def test_intervals_holding_one_subset_give_no_item(m):
     assert got == want
     assert all(len(p) == 0 for p in got.values())
     # m + 2 nodes: every pair's union is the whole interval, one item.
-    got, want = both(sample("rough", m + 2, m), m, full_enum=True)
+    got, want = both(sample("rough", m + 2, m), m, window=m + 2)
     assert got == want
     assert all(len(p) == 1 for p in got.values())
 

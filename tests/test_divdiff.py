@@ -186,7 +186,7 @@ def test_subset_count_closed_form_matches_dd_windows():
     for n in range(2, 15):
         for m in range(1, 5):
             for window in range(2, 17):
-                subsets, width = dd_windows(n, m, window)
+                subsets, width = dd_windows(n, m, min(n, window))
                 assert _subset_count(n, m, width) == len(subsets)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import horizontal_triple, leibniz_stack
+from conftest import circle_jets, horizontal_triple, leibniz_stack
 from heiswhit import (
     CurveJets,
     HPoint,
@@ -21,7 +21,9 @@ from heiswhit import (
 )
 from heiswhit.errors import (
     CoincidentNodesError,
+    DuplicateNodeError,
     LengthMismatchError,
+    NonFiniteError,
     ZeroDilationError,
 )
 from heiswhit.heis import ORIGIN
@@ -186,3 +188,35 @@ def test_curve_jets_translation_matches_pointwise_group_law():
         want = group_mul(p, base)
         got = HPoint(moved.fjets[i][0], moved.gjets[i][0], moved.hjets[i][0])
         assert close(got, want, tol=1e-12)
+
+
+def replaced(jets, field, i, k, value):
+    """jets with entry k of the jet of field ("fjets", ..) at node i set to value."""
+    rows = [list(j) for j in getattr(jets, field)]
+    rows[i][k] = value
+    return {"nodes": jets.nodes, "fjets": jets.fjets, "gjets": jets.gjets,
+            "hjets": jets.hjets, field: tuple(map(tuple, rows))}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field,k", [("fjets", 0), ("gjets", 2), ("hjets", 1)])
+def test_curve_jets_reject_non_finite_jets(field, k, value):
+    # A NaN f value at t = 1/2 once passed, and av_profile dropped its pairs.
+    jets = circle_jets((0.0, 0.25, 0.5, 0.75, 1.0), 2)
+    with pytest.raises(NonFiniteError):
+        CurveJets(**replaced(jets, field, 2, k, value))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_curve_jets_reject_non_finite_nodes(value):
+    jets = circle_jets((0.0, 0.5, 1.0), 1)
+    with pytest.raises(NonFiniteError):
+        CurveJets((0.0, 0.5, value), jets.fjets, jets.gjets, jets.hjets)
+
+
+def test_curve_jets_reject_repeated_and_decreasing_nodes():
+    jets = circle_jets((0.0, 0.5, 1.0), 1)
+    with pytest.raises(DuplicateNodeError):
+        CurveJets((0.0, 0.5, 0.5), jets.fjets, jets.gjets, jets.hjets)
+    with pytest.raises(ValueError):
+        CurveJets((0.0, 1.0, 0.5), jets.fjets, jets.gjets, jets.hjets)

@@ -183,8 +183,8 @@ def test_removing_nodes_never_raises_sup_profiles():
         if i in kept
     ]
     sub = SampledCurve.from_rows(sub_rows)
-    full = check_cm(curve, 1, full_enum=True).profiles
-    part = check_cm(sub, 1, full_enum=True).profiles
+    full = check_cm(curve, 1, window=len(curve.nodes)).profiles
+    part = check_cm(sub, 1, window=len(sub.nodes)).profiles
     for name in ("dd_f", "dd_g", "dd_h", "av_discrete"):
         full_by_delta = dict(full[name].points)
         for d, v in part[name].points:

@@ -312,11 +312,10 @@ def test_newton_roots_match_bisection(row):
     for g, r in zip(got, want):
         assert abs(g - r) <= poly.ROOT_TOL * max(1.0, abs(r)) + 8.0 * root_noise(c, r)
     # |p| integrates the same to a few ulps of its antiderivative's size.
-    a, b = np.array([lo]), np.array([hi])
-    size = np.abs(poly._antideriv(c)) @ max(abs(lo), abs(hi)) ** np.arange(c.size + 1)
-    assert abs(poly._abs_integral(c, a, b, got)[0] - poly._abs_integral(c, a, b, want)[0]) <= (
-        4.0 * EPS * size
-    )
+    a, b, anti = np.array([lo]), np.array([hi]), poly._antideriv(c)
+    size = np.abs(anti) @ max(abs(lo), abs(hi)) ** np.arange(c.size + 1)
+    got_int, want_int = (poly._abs_integral(anti, a, b, r)[0] for r in (got, want))
+    assert abs(got_int - want_int) <= 4.0 * EPS * size
 
 
 def test_three_steps_resolve_degree_1_rows(monkeypatch):

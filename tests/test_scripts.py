@@ -62,6 +62,23 @@ def test_report_digest_diff_reports_exit_and_rounding_changes(tmp_path, capsys):
     assert lines[-1] == "3 calls: 1 identical, 2 differ, 1 change their exit code"
 
 
+def test_report_digest_diff_reports_defect_t_apart(tmp_path, capsys):
+    def synthesized(defect_t, bump):
+        report = {"status": "synthesized", "exit_code": 0, "bump_amplitudes": [bump],
+                  "audit": {"defect_t": defect_t, "max_bump": bump}}
+        return {"synth": {"exit": 0, "report": report, "plot": None, "grid": None}}
+
+    paths = [tmp_path / "before.json", tmp_path / "after.json"]
+    for path, digest in zip(paths, (synthesized(0.3, 0.5), synthesized(0.1, 0.5 + 2.0**-53))):
+        path.write_text(json.dumps(digest), encoding="utf-8")
+    assert load("report_digest").main(["--diff", *map(str, paths)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    values, slopes, defect_t = line.split("; ")[1:]
+    assert values.startswith("values 1.11e-16 absolute, 2.22e-16 relative")
+    assert slopes.startswith("slopes 0 absolute")
+    assert defect_t.startswith("defect_t 0.2 absolute, 0.667 relative")
+
+
 def test_benchmark_tracer_sees_the_checkers_and_uninstalls(tmp_path):
     path = tmp_path / "circle.csv"
     path.write_text("t,x,y,z\n" + "".join(f"{t!r},{x!r},{y!r},{z!r}\n"

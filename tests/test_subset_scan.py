@@ -23,17 +23,17 @@ from heiswhit import (
     discrete_av_pair, finiteness_check, synthesize,
 )
 from heiswhit.cli import RunConfig, run
-from heiswhit.divdiff import dd_windows, divided_difference
+from heiswhit.divdiff import _scan, dd_windows, divided_difference
 from heiswhit.errors import TooFewNodesError
 from heiswhit.heis import _horizontality_residual, horizontality_defect, pansu_dq
 from heiswhit.profiles import banded_sup, delta_grid
 
 
-def dd_profile_by_windows(samples, m, window, deltas, full_enum=False):
+def dd_profile_by_windows(samples, m, window, deltas):
     """Brute force: every pair of subsets that share one sliding window."""
     nodes = samples.nodes
     n = len(nodes)
-    width = n if full_enum or window >= n else window
+    width = min(n, window)
     comps = {"f": samples.fs, "g": samples.gs, "h": samples.hs}
     dd, pairs = {}, set()
     for start in range(max(1, n - width + 1)):
@@ -53,11 +53,11 @@ def dd_profile_by_windows(samples, m, window, deltas, full_enum=False):
     return {c: banded_sup(items[c], deltas, name=f"dd_{c}") for c in comps}
 
 
-def av_profile_by_subsets(samples, m, window, deltas, full_enum=False):
+def av_profile_by_subsets(samples, m, window, deltas):
     """Brute force: one discrete_av_pair per subset and endpoint pair."""
     nodes = samples.nodes
     items = []
-    for sub in dd_windows_by_set(len(nodes), m, window, full_enum)[0]:
+    for sub in dd_windows_by_set(len(nodes), m, window)[0]:
         x = [nodes[i] for i in sub]
         for a, b in itertools.combinations(x, 2):
             items.append((x[-1] - x[0], abs(discrete_av_pair(samples, x, a, b, m).ratio)))
@@ -89,8 +89,8 @@ def sizes(m):
             "width+1": width + 1, "3*width": 3 * width}
 
 
-# Full enumeration at n = 3 * width would pair C(K, 2) ~ 10^8 subsets for
-# m = 3 in the oracle, so it covers the sizes up to width + 1.
+# Full enumeration (a window of n) at n = 3 * width would pair C(K, 2) ~ 10^8
+# subsets for m = 3 in the oracle, so it covers the sizes up to width + 1.
 CASES = [
     (m, label, full_enum)
     for m in (1, 2, 3)
@@ -100,9 +100,9 @@ CASES = [
 ]
 
 
-def dd_windows_by_set(n, m, window, full_enum=False):
+def dd_windows_by_set(n, m, window):
     """Brute force: every window's combinations, deduplicated and sorted."""
-    width = n if full_enum or window is None or window >= n else window
+    width = min(n, window)
     seen = set()
     for start in range(0, max(1, n - width + 1)):
         idx = range(start, min(start + width, n))
@@ -114,12 +114,10 @@ def dd_windows_by_set(n, m, window, full_enum=False):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("full_enum", [False, True])
 def test_dd_windows_match_the_window_by_window_set(m, full_enum):
-    width = 2 * m + 4
     for n in sizes(m).values():
-        subsets, span = dd_windows(n, m, width, full_enum)
-        assert (list(map(tuple, subsets.tolist())), span) == dd_windows_by_set(
-            n, m, width, full_enum
-        )
+        width = n if full_enum else min(n, 2 * m + 4)
+        subsets, span = dd_windows(n, m, width)
+        assert (list(map(tuple, subsets.tolist())), span) == dd_windows_by_set(n, m, width)
 
 
 def check_c1_by_pairs(samples, deltas):
@@ -165,8 +163,8 @@ def test_dd_profile_matches_window_by_window_pairing(m, label, full_enum):
     n = sizes(m)[label]
     samples = rough_curve(n, seed=10 * m + n)
     deltas = delta_grid(samples.diam, samples.min_gap)
-    got = dd_of(check_cm(samples, m, full_enum=full_enum))
-    want = dd_profile_by_windows(samples, m, 2 * m + 4, deltas, full_enum)
+    got = dd_of(check_cm(samples, m, window=n if full_enum else None))
+    want = dd_profile_by_windows(samples, m, n if full_enum else 2 * m + 4, deltas)
     assert got == want
 
 
@@ -186,25 +184,28 @@ def test_dd_profile_matches_window_by_window_pairing_for_given_window(window):
 @pytest.mark.parametrize("window,full_enum,n", [(None, False, 14), (9, False, 14),
                                                 (None, True, 11)])
 def test_check_cm_profiles_equal_the_standalone_profiles(m, window, full_enum, n):
+    if full_enum:
+        window = n
     width = 2 * m + 4 if window is None else window
     for samples in (circle_curve(n), smooth_curve(n), rough_curve(n, seed=m)):
-        verdict = check_cm(samples, m, window=window, full_enum=full_enum)
+        verdict = check_cm(samples, m, window=window)
         deltas = delta_grid(samples.diam, samples.min_gap)
-        assert dd_of(verdict) == dd_profile_by_windows(samples, m, width, deltas, full_enum)
+        assert dd_of(verdict) == dd_profile_by_windows(samples, m, width, deltas)
     # One discrete_av_pair per subset and pair takes about 1 ms at m = 3
     # (3,276 calls here), so only on the last curve, the rough one, and up
     # to m = 2.  A pair's roots are bracketed on its own hull there and on
     # the subset's in the scan, so the values agree to rounding.
     if m < 3:
         got = verdict.profiles["av_discrete"].points
-        want = av_profile_by_subsets(samples, m, width, deltas, full_enum).points
+        want = av_profile_by_subsets(samples, m, width, deltas).points
         assert [d for d, _ in got] == [d for d, _ in want]
         for (_, v), (_, w) in zip(got, want):
             assert abs(v - w) <= 1e-12 * w
 
 
-# One subset-family rule: full enumeration, or a window of at least n, spans
-# every node; finiteness_check enumerates fully up to 20 nodes by default.
+# One subset-family rule: a window of at least n spans every node.  The
+# checkers enumerate fully with window=n; finiteness_check's full_enum is that
+# window, and by default it enumerates fully up to 20 nodes.
 FAMILY_SCANS = {
     "check_cm": lambda s, **kw: check_cm(s, 2, **kw),
     "check_cm_via_w": lambda s, **kw: check_cm_via_w(s, 2, **kw),
@@ -218,23 +219,31 @@ FAMILY_SCANS = {
 def test_full_enum_equals_a_window_spanning_every_node(scan):
     n = 12
     samples = smooth_curve(n)
-    full = scan(samples, full_enum=True)
-    assert scan(samples, window=n) == full
+    full = scan(samples, window=n)
     assert scan(samples, window=n + 5) == full
+    if scan is FAMILY_SCANS["finiteness_check"]:
+        assert scan(samples, full_enum=True) == full
+        with pytest.raises(TooFewNodesError):  # a window below m + 2 is not widened
+            scan(samples, full_enum=True, window=2)
 
 
 def test_dd_windows_default_to_the_scan_window():
+    def table(n, m, window):
+        return _scan(smooth_curve(n), m, window, 0.5)[0]
+
     for m in (1, 2, 3):
-        (got, span), (want, width) = dd_windows(30, m, None), dd_windows(30, m, 2 * m + 4)
-        assert span == width and np.array_equal(got, want)
-        assert dd_windows(12, m, None)[1] < dd_windows(12, m, None, True)[1] == 12
+        got, (want, width) = table(30, m, None), dd_windows(30, m, 2 * m + 4)
+        assert got.width == width and np.array_equal(got.idx, want)
+        assert table(12, m, None).width < table(12, m, 12).width == 12
 
 
 @pytest.mark.parametrize("window,full_enum", [(None, False), (9, False), (None, True)])
 def test_check_cm_via_w_reads_the_dd_profiles_of_check_cm(window, full_enum):
     for samples in (smooth_curve(14), rough_curve(14, seed=3)):
-        cm = check_cm(samples, 2, window=window, full_enum=full_enum)
-        via_w = check_cm_via_w(samples, 2, window=window, full_enum=full_enum)
+        if full_enum:
+            window = len(samples.nodes)
+        cm = check_cm(samples, 2, window=window)
+        via_w = check_cm_via_w(samples, 2, window=window)
         for name in ("dd_f", "dd_g", "dd_h"):
             assert via_w.profiles[name] == cm.profiles[name]
 

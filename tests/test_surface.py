@@ -22,10 +22,10 @@ KEYWORDS = {
     "WhitneyField.combine": ("ca", "cb"),
     "av_profile": ("ratio",),
     "check_c1": ("policy", "ratio"),
-    "check_cm": ("window", "policy", "ratio", "full_enum"),
-    "check_cm_via_w": ("window", "policy", "ratio", "full_enum"),
+    "check_cm": ("window", "policy", "ratio"),
+    "check_cm_via_w": ("window", "policy", "ratio"),
     "finiteness_check": ("window", "policy", "full_enum", "ratio"),
-    "synthesize": ("force", "policy", "window", "full_enum", "ratio"),
+    "synthesize": ("force", "policy", "window", "ratio"),
     "validate_field": ("omega", "ratio"),
 }
 
