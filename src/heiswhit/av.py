@@ -158,13 +158,13 @@ def discrete_av_pair(samples, subset, a, b, m):
     return AVPair(float(area[0]), float(velocity[0]))
 
 
-def av_profile(jets, m, ratio=0.5):
+def av_profile(jets, m):
     """Banded sup of |A/V| over node pairs, scaled by pair separation."""
     nodes = jets.nodes
     if len(nodes) < m + 1:
         raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
     t = np.array(nodes, dtype=float)
-    deltas = delta_grid(t[-1] - t[0], np.diff(t).min(), ratio)
+    deltas = delta_grid(t[-1] - t[0], np.diff(t).min())
     return _av_profile(t, *_jet_arrays(jets, m), m, deltas)
 
 

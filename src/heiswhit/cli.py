@@ -4,8 +4,9 @@ Exit codes: 0 consistent (or successful synthesis), 1 inconsistent (or a
 failed synthesis audit), 2 inconclusive, 3 any error: bad input, usage,
 configuration or environment value, or too little memory for the scan.
 Every flag can also be set through an environment variable with the
-HEISWHIT_ prefix (flag --delta-ratio becomes HEISWHIT_DELTA_RATIO); the
-flag wins when both are present.
+HEISWHIT_ prefix (flag --grid-samples becomes HEISWHIT_GRID_SAMPLES); the
+flag wins when both are present, and a HEISWHIT_ variable that names no
+flag is an error.
 """
 
 import argparse
@@ -13,7 +14,6 @@ import csv
 import gc
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -32,11 +32,11 @@ ENV_PREFIX = "HEISWHIT_"
 # What a switch's HEISWHIT_ variable may hold, stripped and lowercased.
 SWITCH_VALUES = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                  **dict.fromkeys(("0", "false", "no", "off"), False)}
-# The verdict modes, each called as checker(curve, m, window=, policy=,
-# ratio=).  Every check is looked up on horizontal when it runs, so a wrapper
-# put on that module later (a tracer, a test) is the one called.
+# The verdict modes, each called as checker(curve, m, window=).  Every check
+# is looked up on horizontal when it runs, so a wrapper put on that module
+# later (a tracer, a test) is the one called.
 CHECKERS = {
-    "check-c1": lambda curve, m, window, **kw: horizontal.check_c1(curve, **kw),
+    "check-c1": lambda curve, m, window: horizontal.check_c1(curve),
     "check-cm": lambda *args, **kw: horizontal.check_cm(*args, **kw),
     "check-cm-w": lambda *args, **kw: horizontal.check_cm_via_w(*args, **kw),
 }
@@ -49,9 +49,7 @@ class RunConfig:
     mode: str
     input_path: str
     m: int = 1
-    tol: float = None
     window: int = None
-    delta_ratio: float = 0.5
     omega: str = "power:1:1"
     report_path: str = None
     grid_out: str = None
@@ -66,18 +64,6 @@ class RunConfig:
             raise ParseError("m must be at least 1")
         if self.grid_samples < 2:
             raise ParseError("grid-samples must be at least 2")
-        if not (0.0 < self.delta_ratio < 1.0):
-            raise ParseError("delta-ratio must lie in (0, 1)")
-        if self.tol is not None and not (0.0 < self.tol < math.inf):
-            raise ParseError("tol must be positive and finite")
-
-    def policy(self):
-        if self.tol is None:
-            return ThresholdPolicy()
-        return ThresholdPolicy(rel_tol=self.tol)
-
-    def modulus(self):
-        return parse_omega(self.omega)
 
 
 def parse_omega(spec):
@@ -193,13 +179,9 @@ def _verdict_report(verdict):
             name: _profile_entry(prof, verdict.statuses[name], verdict.slopes[name])
             for name, prof in verdict.profiles.items()
         },
-        "constants": verdict.constants,
         "thresholds": {
-            "slope_consistent": verdict.policy.slope_consistent,
-            "slope_flat": verdict.policy.slope_flat,
-            "rel_tol": verdict.policy.rel_tol,
-            "zero_tol": verdict.policy.zero_tol,
-            "deadband": verdict.policy.deadband,
+            name: getattr(ThresholdPolicy, name)
+            for name in ("slope_consistent", "slope_flat", "rel_tol", "zero_tol", "deadband")
         },
     }
 
@@ -230,7 +212,7 @@ def run(config):
         timings["parse_s"] = time.perf_counter() - t0
         m = m_hint if m_hint is not None else config.m
         report["m"] = m
-        policy = config.policy()
+        policy = ThresholdPolicy()
         window = config.window
         if config.full_enum and (window is None or window >= m + 2):
             window = len(curve.nodes)  # a window below m + 2 still fails the scan
@@ -238,17 +220,12 @@ def run(config):
         t0 = time.perf_counter()
         plot_profiles = None
         if config.mode in CHECKERS:
-            verdict = CHECKERS[config.mode](
-                curve, m, window=window, policy=policy, ratio=config.delta_ratio,
-            )
+            verdict = CHECKERS[config.mode](curve, m, window=window)
             report.update(_verdict_report(verdict))
             code = EXIT_BY_STATUS[verdict.status]
             plot_profiles = verdict.profiles
         elif config.mode == "finiteness":
-            rep = horizontal.finiteness_check(
-                curve, m, config.modulus(), window=window, policy=policy,
-                ratio=config.delta_ratio,
-            )
+            rep = horizontal.finiteness_check(curve, m, parse_omega(config.omega), window=window)
             report["status"] = rep.status
             report["constants"] = {
                 "M_hat": rep.m_hat,
@@ -264,9 +241,7 @@ def run(config):
             plot_profiles = {"finiteness_ratio": rep.profile}
         else:  # synthesize
             try:
-                curve_obj = horizontal.synthesize(
-                    curve, m, window=window, policy=policy, ratio=config.delta_ratio,
-                )
+                curve_obj = horizontal.synthesize(curve, m, window=window)
             except SynthesisDefectError as exc:
                 report["status"] = "defect"
                 report["error"] = str(exc)
@@ -311,9 +286,7 @@ FLAGS = (
     ("--mode", "mode", {"choices": MODES}),
     ("--input", "input_path", {"help": "sample file (.csv with header t,x,y,z, or .json)"}),
     ("--m", "m", {"type": int}),
-    ("--tol", "tol", {"type": float}),
     ("--window", "window", {"type": int}),
-    ("--delta-ratio", "delta_ratio", {"type": float}),
     ("--omega", "omega", {"help": "modulus spec power:<c>:<s>"}),
     ("--report", "report_path", {"help": "JSON report path (default: stdout)"}),
     ("--grid-out", "grid_out", {"help": "CSV grid export for synthesize mode"}),
@@ -321,6 +294,11 @@ FLAGS = (
     ("--grid-samples", "grid_samples", {"type": int}),
     ("--full-enum", "full_enum", {"action": "store_true"}),
 )
+
+
+def env_name(flag):
+    """The variable a flag falls back on: --grid-samples reads HEISWHIT_GRID_SAMPLES."""
+    return ENV_PREFIX + flag[2:].upper().replace("-", "_")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -335,9 +313,12 @@ def build_parser():
         "synthesize the interpolant, or scan finiteness constants.",
         argument_default=argparse.SUPPRESS,
     )
+    names = [env_name(flag) for flag, _, _ in FLAGS]
+    stale = sorted(k for k in os.environ if k.startswith(ENV_PREFIX) and k not in names)
+    if stale:
+        raise ParseError(f"no flag reads {', '.join(stale)}")
     required = {f.name for f in fields(RunConfig) if f.default is MISSING}
-    for flag, dest, kw in FLAGS:
-        name = ENV_PREFIX + flag[2:].upper().replace("-", "_")
+    for name, (flag, dest, kw) in zip(names, FLAGS):
         env = os.environ.get(name)
         if env is None:
             kw = {**kw, "required": dest in required}

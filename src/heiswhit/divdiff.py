@@ -15,13 +15,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DuplicateNodeError,
     NonFiniteError,
     QuadratureBudgetError,
     ScanTooLargeError,
     TooFewNodesError,
 )
-from .heis import HPoint, group_mul
+from .heis import HPoint, check_nodes, group_mul
 from .poly import Poly
 from .profiles import banded_sup, delta_grid
 
@@ -38,14 +37,9 @@ class SampledCurve:
             raise TooFewNodesError("a sampled curve needs at least two nodes")
         if len(self.nodes) != len(self.points):
             raise TooFewNodesError("one point per node required")
-        vals = [v for p in self.points for v in p] + list(self.nodes)
-        if any(not math.isfinite(v) for v in vals):
+        if any(not math.isfinite(v) for p in self.points for v in p):
             raise NonFiniteError("samples must be finite")
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            if a == b:
-                raise DuplicateNodeError(f"node {a} repeats")
-            if b < a:
-                raise ValueError("nodes must be strictly increasing")
+        check_nodes(self.nodes)
 
     @classmethod
     def from_rows(cls, rows):
@@ -87,9 +81,7 @@ def _sorted_pairs(values, nodes):
     if len(values) != len(nodes):
         raise TooFewNodesError("values and nodes must have equal length")
     pairs = sorted(zip(nodes, values))
-    for (a, _), (b, _) in zip(pairs, pairs[1:]):
-        if a == b:
-            raise DuplicateNodeError(f"node {a} repeats")
+    check_nodes([a for a, _ in pairs])
     return pairs
 
 
@@ -271,7 +263,7 @@ def _newton_table(samples, m, width):
     return _Table(idx, width, xs, values, u, rows)
 
 
-def _scan(samples, m, window, ratio, order=None):
+def _scan(samples, m, window, order=None):
     """Checked set-up of an order-m scan: its Newton table and scale grid.
 
     The samples and the window (2m + 4 unless given) need m + 2 nodes.  The
@@ -284,7 +276,7 @@ def _scan(samples, m, window, ratio, order=None):
         raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
     if window is not None and window < m + 2:
         raise TooFewNodesError(f"window must be at least {m + 2}")
-    deltas = delta_grid(samples.diam, samples.min_gap, ratio)
+    deltas = delta_grid(samples.diam, samples.min_gap)
     width = min(n, 2 * m + 4 if window is None else window)
     return _newton_table(samples, m if order is None else order, width), deltas
 

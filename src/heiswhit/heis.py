@@ -79,6 +79,25 @@ def _horizontality_residual(f, df, g, dg, dh):
     return dh - 2.0 * (df * g - f * dg)
 
 
+def check_nodes(nodes):
+    """Raise unless the nodes are finite and strictly increasing.
+
+    A non-finite node raises NonFiniteError, and the first pair that does
+    not increase raises DuplicateNodeError for a repeat and ValueError for
+    a decrease.  NaN compares false both ways, so the finiteness check
+    comes first.
+    """
+    t = np.asarray(nodes, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise NonFiniteError("nodes must be finite")
+    bad = np.flatnonzero(t[1:] <= t[:-1])
+    if len(bad):
+        a, b = t[bad[0]], t[bad[0] + 1]
+        if a == b:
+            raise DuplicateNodeError(f"node {float(a)} repeats")
+        raise ValueError("nodes must be strictly increasing")
+
+
 def horizontality_defect(f, g, h, grid):
     """Max over the grid of |h'(t) - 2(f'(t) g(t) - f(t) g'(t))|.
 
@@ -104,13 +123,9 @@ class CurveJets:
         if not (len(self.fjets) == len(self.gjets) == len(self.hjets) == n):
             raise LengthMismatchError("one jet triple per node required")
         vals = [v for js in (self.fjets, self.gjets, self.hjets) for j in js for v in j]
-        if any(not math.isfinite(v) for v in [*self.nodes, *vals]):
-            raise NonFiniteError("nodes and jets must be finite")
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            if a == b:
-                raise DuplicateNodeError(f"node {a} repeats")
-            if b < a:
-                raise ValueError("nodes must be strictly increasing")
+        if any(not math.isfinite(v) for v in vals):
+            raise NonFiniteError("jets must be finite")
+        check_nodes(self.nodes)
         if n:
             width = len(self.fjets[0])
             for js in (self.fjets, self.gjets, self.hjets):

@@ -11,7 +11,7 @@ guarantee.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +46,6 @@ class Verdict:
     profiles: dict
     statuses: dict
     slopes: dict
-    policy: ThresholdPolicy
-    constants: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -74,13 +72,12 @@ AUDIT_POINTS = 10_001
 DEFECT_TOL = 1e-9
 
 
-def _verdict(profiles, policy):
+def _verdict(profiles):
+    policy = ThresholdPolicy()
     statuses, slopes = {}, {}
     for name, prof in profiles.items():
         statuses[name], slopes[name] = policy.classify(prof)
-    return Verdict(
-        combine_statuses(list(statuses.values())), profiles, statuses, slopes, policy
-    )
+    return Verdict(combine_statuses(list(statuses.values())), profiles, statuses, slopes)
 
 
 def _velocity_anti(f, g):
@@ -177,7 +174,7 @@ def _horizontalize_gaps(fa, ga, fb, gb, ha, hb, a, b, m):
     return f, g, h, lam, sigma, deficit
 
 
-def synthesize(samples, m, force=False, policy=None, window=None, ratio=0.5):
+def synthesize(samples, m, force=False, window=None):
     """Build a horizontal C^m interpolant of the samples.
 
     Fits jets to f and g, then horizontalizes every gap: f and g blend the
@@ -191,7 +188,7 @@ def synthesize(samples, m, force=False, policy=None, window=None, ratio=0.5):
     if len(nodes) < m + 1:
         raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
     if not force:
-        gate = check_cm(samples, m, window=window, policy=policy, ratio=ratio)
+        gate = check_cm(samples, m, window=window)
         if gate.status == INCONSISTENT:
             raise SynthesisDefectError(
                 "samples judged inconsistent with a horizontal C^m curve; "
@@ -271,7 +268,7 @@ def _empirical_modulus(exts, m, nodes, points=513):
     return out
 
 
-def check_c1(samples, policy=None, ratio=0.5):
+def check_c1(samples):
     """First-order check: group difference quotients must settle.
 
     Profiles the oscillation of the planar parts of the Pansu difference
@@ -280,10 +277,9 @@ def check_c1(samples, policy=None, ratio=0.5):
     to zero, while a genuinely non-horizontal sample keeps the vertical
     part of order 1/delta.
     """
-    policy = policy or ThresholdPolicy()
     nodes = samples.nodes
     n = len(nodes)
-    deltas = delta_grid(samples.diam, samples.min_gap, ratio)
+    deltas = delta_grid(samples.diam, samples.min_gap)
 
     t = np.array(nodes)
     xyz = np.array([samples.fs, samples.gs, samples.hs])
@@ -304,35 +300,35 @@ def check_c1(samples, policy=None, ratio=0.5):
         "pansu_xy_osc": banded_sup(xy_items, deltas, name="pansu_xy_osc"),
         "pansu_z": banded_sup(z_items, deltas, name="pansu_z"),
     }
-    return _verdict(profiles, policy)
+    return _verdict(profiles)
 
 
-def check_cm(samples, m, window=None, policy=None, ratio=0.5):
+def check_cm(samples, m, window=None):
     """Order-m check from raw samples.
 
     Divided-difference decay per component plus the decay of the discrete
     area/velocity ratio, both read off one Newton table of the windowed
     subsets.
     """
-    table, deltas = _scan(samples, m, window, ratio)
+    table, deltas = _scan(samples, m, window)
     profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
     profiles["av_discrete"] = _discrete_av_profile(table, m, deltas)
-    return _verdict(profiles, policy or ThresholdPolicy())
+    return _verdict(profiles)
 
 
-def check_cm_via_w(samples, m, window=None, policy=None, ratio=0.5):
+def check_cm_via_w(samples, m, window=None):
     """Order-m check through the extension operator.
 
     Fits jets to f and g, and profiles the continuous area/velocity ratio
     of the fitted jets and the sampled h alongside the raw
     divided-difference decay.
     """
-    table, deltas = _scan(samples, m, window, ratio)
+    table, deltas = _scan(samples, m, window)
     t = np.array(samples.nodes)
     f, g = _jets(t, np.array([samples.fs, samples.gs]), m)
     profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
     profiles["av_w"] = _av_profile(t, f, g, np.array(samples.hs)[:, None], m, deltas)
-    return _verdict(profiles, policy or ThresholdPolicy())
+    return _verdict(profiles)
 
 
 @dataclass(frozen=True)
@@ -361,7 +357,7 @@ def _seminorm(slope, diam, omega):
     return np.divide(np.abs(slope)[..., None, :] * d, w, out=out, where=w > 0).max(-2)
 
 
-def finiteness_check(samples, m, omega, window=None, policy=None, full_enum=None, ratio=0.5):
+def finiteness_check(samples, m, omega, window=None, full_enum=None):
     """Scan (m+2)-point subsets for the finiteness-principle constants.
 
     For each subset X the curve Gamma_X is the componentwise interpolant;
@@ -376,7 +372,7 @@ def finiteness_check(samples, m, omega, window=None, policy=None, full_enum=None
         full_enum = window is None and len(samples.nodes) <= 20
     if full_enum and (window is None or window >= m + 2):
         window = len(samples.nodes)
-    table, deltas = _scan(samples, m, window, ratio, order=m + 1)
+    table, deltas = _scan(samples, m, window, order=m + 1)
     # Interpolants and their jets live in u; node values and separations
     # are read off the global nodes xs.  The Taylor kernel reads the
     # values at every node, the derivatives only at the anchors: every
@@ -408,7 +404,7 @@ def finiteness_check(samples, m, omega, window=None, policy=None, full_enum=None
     c2_hat = float(np.max(_seminorm(slope, xs[:, -1] - xs[:, 0], omega), initial=0.0))
 
     profile = banded_sup(items, deltas, name="finiteness_ratio")
-    status, _ = (policy or ThresholdPolicy()).bounded(profile)
+    status, _ = ThresholdPolicy().bounded(profile)
     return FinitenessReport(
         m_hat, c2_hat, worst_subset, worst_pair, profile, status, len(xs)
     )

@@ -2,10 +2,10 @@
 
 A profile records, for a geometric grid of scales delta, the largest value
 of some quantity measured over configurations whose diameter falls in the
-band (delta/ratio_next, delta].  Banding (rather than a cumulative sup over
-all diameters below delta) keeps growth visible: a quantity behaving like
-1/diam shows up as a profile with log-log slope -1 instead of saturating at
-the smallest configuration available.
+band (delta * DELTA_RATIO, delta].  Banding (rather than a cumulative sup
+over all diameters below delta) keeps growth visible: a quantity behaving
+like 1/diam shows up as a profile with log-log slope -1 instead of
+saturating at the smallest configuration available.
 """
 
 import math
@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Slopes are fitted over the smallest SLOPE_DECADES decades of delta.
+# Slopes are fitted over the smallest SLOPE_DECADES decades of delta, and
+# each scale of a grid is DELTA_RATIO times the one before it.
 SLOPE_DECADES = 3.0
+DELTA_RATIO = 0.5
 
 
 @dataclass(frozen=True)
@@ -53,17 +55,15 @@ class Profile:
         return fit_loglog_slope(self.points)
 
 
-def delta_grid(diam, min_gap, ratio=0.5):
-    """Geometric scale grid from diam down to min_gap with the given ratio."""
-    if not (0.0 < ratio < 1.0):
-        raise ValueError("ratio must lie in (0, 1)")
+def delta_grid(diam, min_gap):
+    """Geometric scale grid from diam down to min_gap, shrinking by DELTA_RATIO."""
     if diam <= 0 or min_gap <= 0:
         raise ValueError("diam and min_gap must be positive")
     out = []
     d = diam
     while d >= min_gap * (1.0 - 1e-12):
         out.append(d)
-        d *= ratio
+        d *= DELTA_RATIO
     return out or [diam]
 
 
@@ -117,7 +117,6 @@ INCONSISTENT = "inconsistent"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
 class ThresholdPolicy:
     """Maps a profile to consistent / inconsistent / inconclusive.
 
@@ -128,11 +127,10 @@ class ThresholdPolicy:
     to scale.  It is inconsistent when it is flat or growing while the
     terminal value stays large.  Everything in between is inconclusive.
     The numbers are policy, chosen so the stock fixtures separate cleanly
-    at 32 nodes and beyond; rel_tol is the one field, tightened for
-    stricter runs, and the rest are class constants.
+    at 32 nodes and beyond.
     """
 
-    rel_tol: float = 0.25
+    rel_tol = 0.25
     slope_consistent = 0.25
     slope_flat = 0.05
     zero_tol = 1e-9

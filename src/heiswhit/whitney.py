@@ -15,13 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DuplicateNodeError,
-    LengthMismatchError,
-    NonFiniteError,
-    TooFewNodesError,
-)
+from .errors import LengthMismatchError, NonFiniteError, TooFewNodesError
 from .divdiff import _monomial_rows, _newton_columns
+from .heis import check_nodes
 from .poly import Poly, _deriv, _horner, _mul, _padded, _taylor_rows, _trim_rows
 from .profiles import Profile, banded_sup, delta_grid
 
@@ -38,11 +34,7 @@ class WhitneyField:
             raise LengthMismatchError("one jet per node required")
         if not self.nodes:
             raise TooFewNodesError("a field needs at least one node")
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            if a == b:
-                raise DuplicateNodeError(f"node {a} repeats")
-            if b < a:
-                raise ValueError("nodes must be strictly increasing")
+        check_nodes(self.nodes)
         width = len(self.jets[0])
         if any(len(j) != width for j in self.jets):
             raise LengthMismatchError("all jets must share one length")
@@ -132,9 +124,8 @@ class PiecewiseCm:
             raise LengthMismatchError(
                 "need len(pieces) == len(breakpoints) + 1 == len(centers)"
             )
+        check_nodes(breakpoints)
         self.breakpoints = np.array(breakpoints, dtype=float)
-        if np.any(np.diff(self.breakpoints) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
         self.centers = np.array(centers, dtype=float)
         self.order = int(order)
         self._tables = {0: _trim_rows(pieces.astype(float))}
@@ -249,10 +240,7 @@ def jets_from_samples(nodes, values, m):
         raise LengthMismatchError("one value per node required")
     if n < m + 1:
         raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
-    for a, b in zip(nodes, nodes[1:]):
-        if b <= a:
-            raise DuplicateNodeError("nodes must be strictly increasing")
-
+    check_nodes(nodes)
     jets = _jets(np.array(nodes), np.array(values), m)
     return WhitneyField(nodes, tuple(map(tuple, jets.tolist())))
 
@@ -293,7 +281,7 @@ class FieldReport:
     pair_count: int = 0
 
 
-def validate_field(whitney_field, omega=None, ratio=0.5):
+def validate_field(whitney_field, omega=None):
     """Taylor-remainder diagnostics of a field.
 
     Banded decay profiles of R_k per derivative order and combined, and,
@@ -307,7 +295,7 @@ def validate_field(whitney_field, omega=None, ratio=0.5):
     if n < 2:
         raise TooFewNodesError("remainder ratios need at least two nodes")
     t, jet = np.array(nodes), np.array(jets, dtype=float)
-    deltas = delta_grid(t[-1] - t[0], np.diff(t).min(), ratio)
+    deltas = delta_grid(t[-1] - t[0], np.diff(t).min())
 
     # Every ordered pair (a, b) of distinct nodes, a major.
     ia, ib = np.nonzero(~np.eye(n, dtype=bool))

@@ -25,7 +25,7 @@ from heiswhit.errors import (
     ParseError,
     TooFewNodesError,
 )
-from heiswhit.profiles import Profile
+from heiswhit.profiles import Profile, ThresholdPolicy
 
 
 def write_csv(path, rows):
@@ -421,11 +421,6 @@ def test_config_validation():
         RunConfig(mode="check-cm", input_path="x.csv", m=0)
     with pytest.raises(ParseError):
         RunConfig(mode="synthesize", input_path="x.csv", grid_samples=1)
-    with pytest.raises(ParseError):
-        RunConfig(mode="check-c1", input_path="x.csv", delta_ratio=1.0)
-    for tol in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ParseError):
-            RunConfig(mode="check-c1", input_path="x.csv", tol=tol)
 
 
 def test_parse_omega():
@@ -436,23 +431,33 @@ def test_parse_omega():
             parse_omega(bad)
 
 
-def test_policy_uses_tol_override():
-    config = RunConfig(mode="check-c1", input_path="x.csv", tol=0.1)
-    assert config.policy().rel_tol == 0.1
-    assert RunConfig(mode="check-c1", input_path="x.csv").policy().rel_tol == 0.25
+def test_check_report_thresholds_are_the_policy_constants(tmp_path):
+    report_path = tmp_path / "report.json"
+    config = RunConfig(mode="check-cm", input_path=write_csv(tmp_path / "c.csv", circle_rows(16)),
+                       report_path=str(report_path))
+    assert run(config) == 0
+    report = json.loads(report_path.read_text())
+    assert "constants" not in report
+    assert report["thresholds"] == {
+        "slope_consistent": ThresholdPolicy.slope_consistent,
+        "slope_flat": ThresholdPolicy.slope_flat,
+        "rel_tol": ThresholdPolicy.rel_tol,
+        "zero_tol": ThresholdPolicy.zero_tol,
+        "deadband": ThresholdPolicy.deadband,
+    }
 
 
 def test_env_defaults_and_flag_priority(tmp_path, monkeypatch):
     monkeypatch.setenv("HEISWHIT_MODE", "check-c1")
     monkeypatch.setenv("HEISWHIT_INPUT", "from_env.csv")
     monkeypatch.setenv("HEISWHIT_M", "3")
-    monkeypatch.setenv("HEISWHIT_DELTA_RATIO", "0.25")
+    monkeypatch.setenv("HEISWHIT_GRID_SAMPLES", "7")
     monkeypatch.setenv("HEISWHIT_FULL_ENUM", "yes")
     config = config_from_args([])
     assert config.mode == "check-c1"
     assert config.input_path == "from_env.csv"
     assert config.m == 3
-    assert config.delta_ratio == 0.25
+    assert config.grid_samples == 7
     assert config.full_enum is True
     config = config_from_args(["--m", "2", "--input", "flag.csv"])
     assert config.m == 2
@@ -484,8 +489,8 @@ CHECK_CM = ["--mode", "check-cm", "--input", "IN"]
     (["--mode", "check-c1"], {}, "the following arguments are required: --input"),
     ([*CHECK_CM, "--m", "abc"], {}, "argument --m: invalid int value"),
     (CHECK_CM, {"HEISWHIT_M": "abc"}, "argument --m: invalid int value"),
-    (CHECK_CM, {"HEISWHIT_DELTA_RATIO": "x"}, "argument --delta-ratio: invalid float"),
-    ([*CHECK_CM, "--tol", "-1"], {}, "tol must be positive and finite"),
+    (CHECK_CM, {"HEISWHIT_GRID_SAMPLES": "x"}, "argument --grid-samples: invalid int value"),
+    ([*CHECK_CM, "--tol", "0.1"], {}, "unrecognized arguments: --tol 0.1"),
     ([*CHECK_CM, "--window", "0"], {}, "window must be at least 3"),
     ([*CHECK_CM, "--window", "2"], {}, "window must be at least 3"),
     (["--mode", "check-cm-w", "--input", "IN", "--m", "2", "--window", "3"], {},
@@ -497,6 +502,9 @@ CHECK_CM = ["--mode", "check-cm", "--input", "IN"]
      "window must be at least 3"),
     (["--mode", "finiteness", "--input", "IN", "--full-enum", "--window", "2"], {},
      "window must be at least 3"),
+    ([*CHECK_CM, "--delta-ratio", "0.5"], {}, "unrecognized arguments: --delta-ratio 0.5"),
+    (CHECK_CM, {"HEISWHIT_TOL": "0.1"}, "no flag reads HEISWHIT_TOL"),
+    (CHECK_CM, {"HEISWHIT_DELTA_RATIO": "0.5"}, "no flag reads HEISWHIT_DELTA_RATIO"),
 ])
 def test_main_maps_usage_and_setting_errors_to_exit_3(
     tmp_path, capsys, monkeypatch, argv, env, message

@@ -13,12 +13,16 @@ from heiswhit import (
     HPoint,
     PiecewiseCm,
     Poly,
+    SampledCurve,
+    WhitneyField,
     dilate,
     group_mul,
     horizontality_defect,
     inverse,
+    jets_from_samples,
     pansu_dq,
 )
+from heiswhit.divdiff import divided_difference, newton_interp
 from heiswhit.errors import (
     CoincidentNodesError,
     DuplicateNodeError,
@@ -220,3 +224,34 @@ def test_curve_jets_reject_repeated_and_decreasing_nodes():
         CurveJets((0.0, 0.5, 0.5), jets.fjets, jets.gjets, jets.hjets)
     with pytest.raises(ValueError):
         CurveJets((0.0, 1.0, 0.5), jets.fjets, jets.gjets, jets.hjets)
+
+
+# Every constructor and function that takes sorted nodes, called on nodes t.
+NODE_RULE = {
+    "SampledCurve": lambda t: SampledCurve(t, (ORIGIN,) * len(t)),
+    "CurveJets": lambda t: CurveJets(t, *[((0.0,),) * len(t)] * 3),
+    "WhitneyField": lambda t: WhitneyField(t, ((0.0, 1.0),) * len(t)),
+    "PiecewiseCm": lambda t: PiecewiseCm(t, (0.0,) * (len(t) + 1), (Poly((1.0,)),) * (len(t) + 1), 1),
+    "jets_from_samples": lambda t: jets_from_samples(t, [0.0] * len(t), 1),
+    "divided_difference": lambda t: divided_difference([0.0] * len(t), t),
+    "newton_interp": lambda t: newton_interp(t, [0.0] * len(t)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", NODE_RULE)
+def test_node_rule_rejects_a_non_finite_interior_node(entry, value):
+    # A NaN node compares false both ways, so WhitneyField and PiecewiseCm
+    # once took it, the divided differences returned NaN, and
+    # jets_from_samples raised a bare IndexError.
+    with pytest.raises(NonFiniteError):
+        NODE_RULE[entry]((0.0, value, 1.0))
+
+
+@pytest.mark.parametrize("entry", NODE_RULE)
+def test_node_rule_rejects_repeats_and_decreases(entry):
+    with pytest.raises(DuplicateNodeError):
+        NODE_RULE[entry]((0.0, 0.5, 0.5, 1.0))
+    if entry not in ("divided_difference", "newton_interp"):  # these sort their nodes
+        with pytest.raises(ValueError):
+            NODE_RULE[entry]((0.0, 1.0, 0.5))

@@ -22,16 +22,12 @@ from heiswhit.profiles import (
 
 
 def test_delta_grid_geometric():
-    assert delta_grid(1.0, 0.13, 0.5) == [1.0, 0.5, 0.25]
+    assert delta_grid(1.0, 0.13) == [1.0, 0.5, 0.25]
     assert delta_grid(1.0, 1.0) == [1.0]
-    assert delta_grid(8.0, 1.0, 0.5) == [8.0, 4.0, 2.0, 1.0]
+    assert delta_grid(8.0, 1.0) == [8.0, 4.0, 2.0, 1.0]
 
 
 def test_delta_grid_validation():
-    with pytest.raises(ValueError):
-        delta_grid(1.0, 0.1, ratio=1.0)
-    with pytest.raises(ValueError):
-        delta_grid(1.0, 0.1, ratio=0.0)
     with pytest.raises(ValueError):
         delta_grid(0.0, 0.1)
     with pytest.raises(ValueError):

@@ -229,7 +229,7 @@ def test_full_enum_equals_a_window_spanning_every_node(scan):
 
 def test_dd_windows_default_to_the_scan_window():
     def table(n, m, window):
-        return _scan(smooth_curve(n), m, window, 0.5)[0]
+        return _scan(smooth_curve(n), m, window)[0]
 
     for m in (1, 2, 3):
         got, (want, width) = table(30, m, None), dd_windows(30, m, 2 * m + 4)

@@ -1,10 +1,13 @@
-"""The package's public surface is the list in the README's Library section."""
+"""The package's public surface is the list in the README's Library section,
+and the CLI's flags are the table in its Command line section."""
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
 
 import heiswhit
+from heiswhit import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,23 +20,23 @@ KEYWORDS = {
     "Poly.__init__": ("coeffs",),
     "Poly.deriv_at": ("order",),
     "Profile.__init__": ("name",),
-    "ThresholdPolicy.__init__": ("rel_tol",),
-    "Verdict.__init__": ("constants",),
     "WhitneyField.combine": ("ca", "cb"),
-    "av_profile": ("ratio",),
-    "check_c1": ("policy", "ratio"),
-    "check_cm": ("window", "policy", "ratio"),
-    "check_cm_via_w": ("window", "policy", "ratio"),
-    "finiteness_check": ("window", "policy", "full_enum", "ratio"),
-    "synthesize": ("force", "policy", "window", "ratio"),
-    "validate_field": ("omega", "ratio"),
+    "check_cm": ("window",),
+    "check_cm_via_w": ("window",),
+    "finiteness_check": ("window", "full_enum"),
+    "synthesize": ("force", "window"),
+    "validate_field": ("omega",),
 }
+
+
+def readme_section(title):
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def readme_surface():
     """Backquoted names in the bullet list under "The package exports"."""
-    text = README.read_text(encoding="utf-8")
-    library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    library = readme_section("Library")
     block = library.split("The package exports", 1)[1].split("\n\n", 2)[1]
     return re.findall(r"`(\w+)`", block)
 
@@ -76,3 +79,27 @@ def test_all_is_the_readme_list_and_star_binds_it():
 
 def test_every_keyword_of_the_surface_is_in_the_table():
     assert surface_keywords() == KEYWORDS
+
+
+def readme_flags():
+    """(flag, variable, default) cells of the Command line section's table."""
+    table = readme_section("Command line").split("\n| Flag |", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]  # below the header's rest and the rule
+    cells = [[c.strip() for c in row.strip("|").split("|")] for row in rows]
+    return [(flag.strip("`"), var.strip("`"), default) for flag, var, default in cells]
+
+
+def test_readme_flag_table_is_cli_flags():
+    table = readme_flags()
+    assert [(flag, var) for flag, var, _ in table] == [
+        (flag, cli.env_name(flag)) for flag, _, _ in cli.FLAGS
+    ]
+    defaults = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)}
+    for (_, dest, _), (_, _, cell) in zip(cli.FLAGS, table):
+        default = defaults[dest]
+        if default is dataclasses.MISSING:
+            assert cell.startswith("required")
+        elif default is False:
+            assert cell == "off"
+        elif default is not None:
+            assert cell.startswith(f"`{default}`")
