@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSubsetError, OrderViolationError, TooFewNodesError
-from .divdiff import _monomial_rows, _newton_columns
+from .divdiff import _subset_table
 from .poly import _abs_integral, _antideriv, _deriv, _horner, _mul, _roots, _taylor_rows
 from .profiles import banded_sup, delta_grid
 
@@ -67,16 +67,21 @@ def _av(p, q, hull, at, a, b, ha, hb, length, m):
     return area, length ** (2 * m) + length ** m * (dp_int + dq_int)[..., 0]
 
 
-def _taylor_av(f, g, values, ia, ib, u, hull, m):
-    """A and V of the Taylor pairs at anchor nodes ia against nodes ib.
+def _taylor_av(t, f, g, values, m):
+    """Pairs ia < ib of nodes t along the last axis, and A and V of each.
 
-    The anchors are the first nodes: f and g hold the jets (value, first
-    derivative, ..) of each anchor along the last axis, one anchor per
-    entry of the axis before it.  values holds f, g and h at every node
-    along its last axis, and u holds b - a per pair.  An anchor's Taylor
+    Every node but the last anchors the pairs that start at it: f and g
+    hold the jets (value, first derivative, ..) of the anchors along the
+    last axis, one anchor per entry of the axis before it.  values holds
+    f, g and h at every node along its last axis.  An anchor's Taylor
     polynomials are one row of _av, so their sign changes are isolated
-    once, on hull = (lo, hi), which holds every u of the anchor's pairs.
+    once, on the hull from the anchor to the last node.  Returns ia, ib,
+    A and V.
     """
+    ia, ib = np.triu_indices(t.shape[-1], 1)
+    u = t[..., ib] - t[..., ia]
+    span = t[..., -1:] - t[..., :-1]
+    hull = np.minimum(span, 0.0), np.maximum(span, 0.0)
     tf, tg = _taylor_rows(f[..., : m + 1]), _taylor_rows(g[..., : m + 1])
     fv, gv, hv = values
     area, velocity = _av(
@@ -87,7 +92,7 @@ def _taylor_av(f, g, values, ia, ib, u, hull, m):
         + 2.0 * fv[..., ia] * (gv[..., ib] - _horner(tg[..., ia, :], u))
         - 2.0 * gv[..., ia] * (fv[..., ib] - _horner(tf[..., ia, :], u))
     )
-    return area, velocity
+    return ia, ib, area, velocity
 
 
 def _jet_arrays(jets, m):
@@ -103,10 +108,8 @@ def _jets_pair(jets, a, b, m):
     if ia == ib:
         raise OrderViolationError("need two distinct nodes")
     f, g, h = _jet_arrays(jets, m)
-    u = np.array([b - a])
-    hull = np.minimum(u, 0.0), np.maximum(u, 0.0)
     values = np.stack([c[[ia, ib], 0] for c in (f, g, h)])
-    area, velocity = _taylor_av(f[[ia]], g[[ia]], values, [0], [1], u, hull, m)
+    _, _, area, velocity = _taylor_av(np.array([a, b]), f[[ia]], g[[ia]], values, m)
     return float(area[0]), float(velocity[0])
 
 
@@ -144,18 +147,10 @@ def discrete_av_pair(samples, subset, a, b, m):
     if not (a < b):
         raise OrderViolationError(f"need a < b, got a={a}, b={b}")
 
-    # As in the scan's Newton table: divided differences on the global
-    # nodes, interpolants expanded in u = t - t_first.
     sub = [samples.nodes.index(t) for t in x]
-    xs = np.array(x)
-    u = xs - xs[0]
-    values = np.array([samples.fs, samples.gs, samples.hs])[:, sub]
-    pf, pg = _monomial_rows(_newton_columns(xs, values[:2]), u)
-    ia, ib = [x.index(a)], [x.index(b)]
-    area, velocity = _av(
-        pf, pg, (u[0], u[-1]), None, u[ia], u[ib], values[2, ia], values[2, ib], u[-1], m
-    )
-    return AVPair(float(area[0]), float(velocity[0]))
+    table = _subset_table(samples, np.array([sub]), sub[-1] - sub[0] + 1)
+    area, velocity = _discrete_av(table, np.array(samples.hs), [x.index(a)], [x.index(b)], m)
+    return AVPair(float(area[0, 0]), float(velocity[0, 0]))
 
 
 def av_profile(jets, m):
@@ -165,31 +160,30 @@ def av_profile(jets, m):
         raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
     t = np.array(nodes, dtype=float)
     deltas = delta_grid(t[-1] - t[0], np.diff(t).min())
-    return _av_profile(t, *_jet_arrays(jets, m), m, deltas)
+    f, g, h = _jet_arrays(jets, m)
+    return _av_profile(t, f, g, h[:, 0], m, deltas)
 
 
-def _av_profile(t, f, g, h, m, deltas):
-    """av_profile on arrays: nodes t, jets of f and g to order m, h's values in column 0."""
-    ia, ib = np.triu_indices(len(t), 1)
-    sep = t[ib] - t[ia]
-    # Every node but the last anchors pairs, the farthest one ending at t[-1].
-    hull = 0.0, t[-1] - t[:-1]
-    values = np.stack([f[:, 0], g[:, 0], h[:, 0]])
-    area, velocity = _taylor_av(f[:-1], g[:-1], values, ia, ib, sep, hull, m)
+def _av_profile(t, f, g, hs, m, deltas):
+    """av_profile on arrays: nodes t, jets of f and g to order m, and h's values."""
+    ia, ib, area, velocity = _taylor_av(t, f[:-1], g[:-1], np.stack([f[:, 0], g[:, 0], hs]), m)
     return banded_sup(
-        np.column_stack((sep, np.abs(area / velocity))), deltas, name="av_ratio"
+        np.column_stack((t[ib] - t[ia], np.abs(area / velocity))), deltas, name="av_ratio"
     )
 
 
-def _discrete_av_profile(table, m, deltas):
+def _discrete_av(table, hs, ia, ib, m):
+    """A and V of the pairs (ia, ib) of every subset of a table, h's values hs by node."""
+    u, (pf, pg), hs = table.u, table.polys(2), hs[table.idx]
+    return _av(
+        pf, pg, (u[:, 0], u[:, -1]), None, u[:, ia], u[:, ib], hs[:, ia], hs[:, ib], u[:, -1:], m
+    )
+
+
+def _discrete_av_profile(table, hs, m, deltas):
     """Banded sup of |A[X]/V[X]| over the subsets of a Newton table."""
-    u, (pf, pg, _), hs = table.u, table.rows, table.values[2]
-    ia, ib = np.triu_indices(m + 1, 1)
-    diam = u[:, -1:]
-    area, velocity = _av(
-        pf, pg, (u[:, 0], u[:, -1]), None, u[:, ia], u[:, ib], hs[:, ia], hs[:, ib], diam, m
-    )
+    area, velocity = _discrete_av(table, hs, *np.triu_indices(m + 1, 1), m)
     ratios = np.abs(area / velocity)
-    items = np.column_stack((np.broadcast_to(diam, ratios.shape).ravel(), ratios.ravel()))
+    diam = np.broadcast_to(table.u[:, -1:], ratios.shape)
+    items = np.column_stack((diam.ravel(), ratios.ravel()))
     return banded_sup(items, deltas, name="discrete_av_ratio")
-

@@ -20,7 +20,7 @@ import time
 from dataclasses import MISSING, dataclass, fields
 
 from . import horizontal
-from .divdiff import SampledCurve
+from .divdiff import SampledCurve, _full_window
 from .errors import HeisWhitError, ParseError, SynthesisDefectError
 from .heis import _horizontality_residual
 from .profiles import ThresholdPolicy
@@ -213,9 +213,7 @@ def run(config):
         m = m_hint if m_hint is not None else config.m
         report["m"] = m
         policy = ThresholdPolicy()
-        window = config.window
-        if config.full_enum and (window is None or window >= m + 2):
-            window = len(curve.nodes)  # a window below m + 2 still fails the scan
+        window = _full_window(len(curve.nodes), m, config.window, config.full_enum)
 
         t0 = time.perf_counter()
         plot_profiles = None

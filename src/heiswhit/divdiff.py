@@ -14,13 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    NonFiniteError,
-    QuadratureBudgetError,
-    ScanTooLargeError,
-    TooFewNodesError,
-)
-from .heis import HPoint, check_nodes, group_mul
+from .errors import QuadratureBudgetError, ScanTooLargeError, TooFewNodesError
+from .heis import HPoint, check_finite, check_nodes, group_mul
 from .poly import Poly
 from .profiles import banded_sup, delta_grid
 
@@ -37,8 +32,7 @@ class SampledCurve:
             raise TooFewNodesError("a sampled curve needs at least two nodes")
         if len(self.nodes) != len(self.points):
             raise TooFewNodesError("one point per node required")
-        if any(not math.isfinite(v) for p in self.points for v in p):
-            raise NonFiniteError("samples must be finite")
+        check_finite([v for p in self.points for v in p], "samples")
         check_nodes(self.nodes)
 
     @classmethod
@@ -80,6 +74,7 @@ class SampledCurve:
 def _sorted_pairs(values, nodes):
     if len(values) != len(nodes):
         raise TooFewNodesError("values and nodes must have equal length")
+    check_finite(values, "values")
     pairs = sorted(zip(nodes, values))
     check_nodes([a for a, _ in pairs])
     return pairs
@@ -227,40 +222,49 @@ def _physical_memory():
 
 
 class _Table(NamedTuple):
-    """Interpolants of f, g and h through every subset of a scan."""
+    """Newton coefficients of f, g and h on every subset of a scan."""
 
     idx: np.ndarray  # (S, k) sorted node indices per subset
     width: int
     xs: np.ndarray  # (S, k) the subsets' nodes
-    values: np.ndarray  # (3, S, k) sampled f, g, h on them
     u: np.ndarray  # (S, k) local coordinate xs - xs[:, :1]
-    rows: np.ndarray  # (3, S, k) ascending monomial coefficients in u
+    dd: np.ndarray  # (3, S, k) Newton coefficients of f, g, h on xs
+
+    def polys(self, count=3):
+        """Ascending monomial rows in u of the first count of f, g and h."""
+        return _monomial_rows(self.dd[:count], self.u)
 
 
-def _newton_table(samples, m, width):
-    """Newton interpolants of f, g and h on every (m+1)-subset of a width.
+def _subset_table(samples, idx, width):
+    """The table of the subsets whose node indices are the rows of idx.
 
     The divided differences run on the global nodes and the interpolants
     are expanded in u = t - t_first, so they never carry the subset's
-    distance from t = 0, and the top coefficient of each row is the
-    dd_coefficients divided difference bit for bit.  A table whose arrays
-    would not fit in physical memory raises ScanTooLargeError before any
-    of it is built.
+    distance from t = 0, and dd[..., -1] is the dd_coefficients divided
+    difference bit for bit.
     """
+    xs = np.array(samples.nodes)[idx]
+    values = np.array([samples.fs, samples.gs, samples.hs])[:, idx]
+    return _Table(idx, width, xs, xs - xs[:, :1], _newton_columns(xs, values))
+
+
+def _newton_table(samples, m, width):
+    """The table of every (m+1)-subset of a width, if it fits in physical memory."""
     n = len(samples.nodes)
     count = _subset_count(n, m, width)
-    size = 9 * 8 * (m + 1) * count  # the table's nine (count, m + 1) arrays
+    # The table's six (count, m + 1) arrays and up to three monomial rows its readers build
+    size = 9 * 8 * (m + 1) * count
     if size > _physical_memory():
         raise ScanTooLargeError(
             f"{count} subsets of {m + 1} nodes need a {size / 2**30:.3g} GiB table, "
             "more than physical memory"
         )
-    idx, _ = dd_windows(n, m, width)
-    xs = np.array(samples.nodes)[idx]
-    values = np.array([samples.fs, samples.gs, samples.hs])[:, idx]
-    u = xs - xs[:, :1]
-    rows = _monomial_rows(_newton_columns(xs, values), u)
-    return _Table(idx, width, xs, values, u, rows)
+    return _subset_table(samples, dd_windows(n, m, width)[0], width)
+
+
+def _full_window(n, m, window, full_enum):
+    """full_enum widens a missing window, or one of at least m + 2, to all n nodes."""
+    return n if full_enum and (window is None or window >= m + 2) else window
 
 
 def _scan(samples, m, window, order=None):
@@ -292,7 +296,7 @@ def _dd_profiles(table, deltas):
     pairs, read from running extrema by (first, span) and (last, span).
     Rounding is monotone, so this is the pair maximum bit for bit.
     """
-    idx, width, top = table.idx, table.width, table.rows[..., -1]
+    idx, width, top = table.idx, table.width, table.dd[..., -1]
     n, m = idx[-1, -1] + 1, idx.shape[1] - 1
     span = idx[:, -1] - idx[:, 0]
     # Max and -min of each component, by (first, span) and by (last, span).

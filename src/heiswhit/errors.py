@@ -22,7 +22,7 @@ class CoincidentNodesError(HeisWhitError):
 
 
 class LengthMismatchError(HeisWhitError):
-    """Jet vectors are shorter than the requested order allows."""
+    """Inputs that must match in count or length do not."""
 
 
 class DuplicateNodeError(HeisWhitError):
@@ -42,7 +42,7 @@ class NodeNotFoundError(HeisWhitError):
 
 
 class OrderViolationError(HeisWhitError):
-    """Endpoints must satisfy a < b."""
+    """Endpoints coincide or break a < b where it is required, or jets fall short of the order."""
 
 
 class BadSubsetError(HeisWhitError):

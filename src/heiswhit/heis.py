@@ -79,6 +79,12 @@ def _horizontality_residual(f, df, g, dg, dh):
     return dh - 2.0 * (df * g - f * dg)
 
 
+def check_finite(values, what):
+    """Raise NonFiniteError unless every value is finite: NaN and +-inf fail."""
+    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+        raise NonFiniteError(f"{what} must be finite")
+
+
 def check_nodes(nodes):
     """Raise unless the nodes are finite and strictly increasing.
 
@@ -88,8 +94,7 @@ def check_nodes(nodes):
     comes first.
     """
     t = np.asarray(nodes, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise NonFiniteError("nodes must be finite")
+    check_finite(t, "nodes")
     bad = np.flatnonzero(t[1:] <= t[:-1])
     if len(bad):
         a, b = t[bad[0]], t[bad[0] + 1]
@@ -122,13 +127,12 @@ class CurveJets:
         n = len(self.nodes)
         if not (len(self.fjets) == len(self.gjets) == len(self.hjets) == n):
             raise LengthMismatchError("one jet triple per node required")
-        vals = [v for js in (self.fjets, self.gjets, self.hjets) for j in js for v in j]
-        if any(not math.isfinite(v) for v in vals):
-            raise NonFiniteError("jets must be finite")
+        jets = (self.fjets, self.gjets, self.hjets)
+        check_finite([v for js in jets for j in js for v in j], "jets")
         check_nodes(self.nodes)
         if n:
             width = len(self.fjets[0])
-            for js in (self.fjets, self.gjets, self.hjets):
+            for js in jets:
                 if any(len(j) != width for j in js):
                     raise LengthMismatchError("all jets must share one length")
 

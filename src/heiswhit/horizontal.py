@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .av import _av_profile, _discrete_av_profile, _taylor_av
-from .divdiff import _dd_profiles, _scan
+from .divdiff import _dd_profiles, _full_window, _scan
 from .errors import SynthesisDefectError, TooFewNodesError
 from .heis import _horizontality_residual, _pansu_quotient
 from .poly import _antideriv, _deriv, _horner, _mul, _padded
@@ -312,7 +312,7 @@ def check_cm(samples, m, window=None):
     """
     table, deltas = _scan(samples, m, window)
     profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
-    profiles["av_discrete"] = _discrete_av_profile(table, m, deltas)
+    profiles["av_discrete"] = _discrete_av_profile(table, np.array(samples.hs), m, deltas)
     return _verdict(profiles)
 
 
@@ -327,7 +327,7 @@ def check_cm_via_w(samples, m, window=None):
     t = np.array(samples.nodes)
     f, g = _jets(t, np.array([samples.fs, samples.gs]), m)
     profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
-    profiles["av_w"] = _av_profile(t, f, g, np.array(samples.hs)[:, None], m, deltas)
+    profiles["av_w"] = _av_profile(t, f, g, np.array(samples.hs), m, deltas)
     return _verdict(profiles)
 
 
@@ -365,28 +365,24 @@ def finiteness_check(samples, m, omega, window=None, full_enum=None):
     pairs in X, and C2_hat, the largest C^{m,omega} seminorm of Gamma_X
     over its hull.  Bounded constants under refinement are the evidence
     that a horizontal extension with modulus sqrt(omega) exists.  full_enum
-    widens a window of at least m + 2 to every node; None, the default, does
+    scans every subset as divdiff._full_window rules; None, the default, does
     so when no window is given and there are at most 20 nodes.
     """
     if full_enum is None:
         full_enum = window is None and len(samples.nodes) <= 20
-    if full_enum and (window is None or window >= m + 2):
-        window = len(samples.nodes)
+    window = _full_window(len(samples.nodes), m, window, full_enum)
     table, deltas = _scan(samples, m, window, order=m + 1)
     # Interpolants and their jets live in u; node values and separations
     # are read off the global nodes xs.  The Taylor kernel reads the
-    # values at every node, the derivatives only at the anchors: every
-    # node but the last, whose hull ends at it.
-    xs, u, polys = table.xs, table.u, table.rows
-    values = _horner(polys[:, :, None, :], u)
-    jets, p = [values[:2, :, :-1]], polys[:2]
+    # values at every node, the derivatives only at its anchors: every
+    # node but the last.
+    xs, u, p = table.xs, table.u, table.polys()
+    values = _horner(p[:, :, None, :], u)
+    jets, p = [values[:2, :, :-1]], p[:2]
     for _ in range(m):
         p = _deriv(p)
         jets.append(_horner(p[..., None, :], u[:, :-1]))
-    f, g = np.stack(jets, axis=-1)
-    ia, ib = np.triu_indices(m + 2, 1)
-    hull = 0.0, u[:, -1:] - u[:, :-1]
-    area, velocity = _taylor_av(f, g, values, ia, ib, u[:, ib] - u[:, ia], hull, m)
+    ia, ib, area, velocity = _taylor_av(u, *np.stack(jets, axis=-1), values, m)
     # Bin at the pair separation, not diam(X): a short pair inside a wide
     # window would otherwise hide growth in the top bands.
     sep = xs[:, ib] - xs[:, ia]
@@ -400,7 +396,7 @@ def finiteness_check(samples, m, omega, window=None, full_enum=None):
     worst_pair = (float(xs[s, ia[k]]), float(xs[s, ib[k]]))
     if not m_hat > 0.0:
         m_hat, worst_subset, worst_pair = 0.0, (), ()
-    slope = polys[..., m + 1] * math.factorial(m + 1)
+    slope = table.dd[..., m + 1] * math.factorial(m + 1)
     c2_hat = float(np.max(_seminorm(slope, xs[:, -1] - xs[:, 0], omega), initial=0.0))
 
     profile = banded_sup(items, deltas, name="finiteness_ratio")

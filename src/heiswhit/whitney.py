@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, NonFiniteError, TooFewNodesError
+from .errors import LengthMismatchError, TooFewNodesError
 from .divdiff import _monomial_rows, _newton_columns
-from .heis import check_nodes
+from .heis import check_finite, check_nodes
 from .poly import Poly, _deriv, _horner, _mul, _padded, _taylor_rows, _trim_rows
 from .profiles import Profile, banded_sup, delta_grid
 
@@ -38,9 +38,7 @@ class WhitneyField:
         width = len(self.jets[0])
         if any(len(j) != width for j in self.jets):
             raise LengthMismatchError("all jets must share one length")
-        flat = [v for j in self.jets for v in j]
-        if any(not math.isfinite(v) for v in flat):
-            raise NonFiniteError("jets must be finite")
+        check_finite(self.jets, "jets")
 
     @property
     def order(self):
@@ -125,6 +123,8 @@ class PiecewiseCm:
                 "need len(pieces) == len(breakpoints) + 1 == len(centers)"
             )
         check_nodes(breakpoints)
+        check_finite(centers, "centers")
+        check_finite(pieces, "piece coefficients")
         self.breakpoints = np.array(breakpoints, dtype=float)
         self.centers = np.array(centers, dtype=float)
         self.order = int(order)

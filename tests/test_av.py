@@ -180,8 +180,8 @@ def test_anchor_kernel_matches_the_per_pair_oracle(m):
             u = t[ib] - t[ia]
             want_area, want_velocity = taylor_av_by_pairs(f, g, h, ia, ib, u, m)
             values = np.stack([f[:, 0], g[:, 0], h[:, 0]])
-            hull = 0.0, t[-1] - t[:-1]
-            area, velocity = _taylor_av(f[:-1], g[:-1], values, ia, ib, u, hull, m)
+            got_ia, got_ib, area, velocity = _taylor_av(t, f[:-1], g[:-1], values, m)
+            assert np.array_equal(got_ia, ia) and np.array_equal(got_ib, ib)
             assert np.array_equal(area, want_area)
             np.testing.assert_allclose(velocity, want_velocity, rtol=1e-14, atol=0.0)
 
@@ -201,10 +201,13 @@ def test_finiteness_anchors_match_the_per_pair_oracle(monkeypatch, m):
     nodes = distinct_nodes(rng, 9)
     curve = SampledCurve.from_rows([(t, *rng.uniform(-1.0, 1.0, 3)) for t in nodes])
     finiteness_check(curve, m, ModulusFn("power", 1.0, 1.0), full_enum=True)
-    ((f, g, values, ia, ib, u, _, _), (area, velocity)), = calls
+    ((t, f, g, values, _), (got_ia, got_ib, area, velocity)), = calls
+    ia, ib = np.triu_indices(m + 2, 1)
+    assert np.array_equal(got_ia, ia) and np.array_equal(got_ib, ib)
     # The last node anchors no pair: its jets need only their values.
     full = np.zeros((2,) + values.shape[1:] + (m + 1,))
     full[:, :, :-1], full[:, :, -1, 0] = (f, g), values[:2, :, -1]
+    u = t[:, ib] - t[:, ia]
     want_area, want_velocity = taylor_av_by_pairs(*full, values[2][..., None], ia, ib, u, m)
     assert np.array_equal(area, want_area)
     np.testing.assert_allclose(velocity, want_velocity, rtol=1e-14, atol=0.0)
@@ -291,19 +294,20 @@ def test_discrete_pair_equals_the_scan_kernel_on_its_table_row(m):
     # discrete_av_pair builds its rows as the scan's Newton table does, so
     # its A and V are the kernel's on the table row, bit for bit, wherever
     # the nodes sit.  A random scale takes the nodes off numpy's 2**-53
-    # grid, where every node difference would be exact.
+    # grid, where every node difference would be exact.  The diameter goes
+    # in as an array, as in the scan: a NumPy scalar's ** rounds otherwise.
     rng = np.random.default_rng(41 + m)
     for offset in (0.0, *rng.uniform(-1e3, 1e3, 5)):
         scale = rng.uniform(0.1, 10.0)
         nodes = [offset + scale * t for t in distinct_nodes(rng, m + 4)]
         curve = SampledCurve.from_rows([(t, *rng.uniform(-1.0, 1.0, 3)) for t in nodes])
         table = _newton_table(curve, m, len(nodes))
-        (pf, pg, _), u, hs = table.rows, table.u, table.values[2]
+        (pf, pg), u, hs = table.polys(2), table.u, np.array(curve.hs)[table.idx]
         rows = rng.choice(len(u), 5, replace=False)
         for s, (i, j) in itertools.product(rows, itertools.combinations(range(m + 1), 2)):
             hull = u[s, 0], u[s, -1]
             area, velocity = _av(
-                pf[s], pg[s], hull, None, u[s, [i]], u[s, [j]], hs[s, [i]], hs[s, [j]], u[s, -1], m
+                pf[s], pg[s], hull, None, u[s, [i]], u[s, [j]], hs[s, [i]], hs[s, [j]], u[s, -1:], m
             )
             x = table.xs[s].tolist()
             pair = discrete_av_pair(curve, x, x[i], x[j], m)

@@ -34,7 +34,7 @@ def dd_profiles_by_pairs(table, deltas):
     keep = idx[j, -1] - first[i] < width
     i, j = i[keep], j[keep]
     diams = np.maximum(xs[i, -1], xs[j, -1]) - xs[i, 0]
-    top = table.rows[..., -1]
+    top = table.dd[..., -1]
     return {
         name: banded_sup(
             np.column_stack((diams, np.abs(top[c, i] - top[c, j]))), deltas, name=f"dd_{name}"

@@ -255,3 +255,26 @@ def test_node_rule_rejects_repeats_and_decreases(entry):
     if entry not in ("divided_difference", "newton_interp"):  # these sort their nodes
         with pytest.raises(ValueError):
             NODE_RULE[entry]((0.0, 1.0, 0.5))
+
+
+# Every constructor and function that takes values, called with one value v.
+VALUE_RULE = {
+    "SampledCurve": lambda v: SampledCurve((0.0, 0.5, 1.0), (ORIGIN, HPoint(0.0, v, 0.0), ORIGIN)),
+    "CurveJets": lambda v: CurveJets((0.0, 1.0), ((0.0, v), (0.0, 1.0)), *[((0.0, 0.0),) * 2] * 2),
+    "WhitneyField": lambda v: WhitneyField((0.0, 1.0), ((0.0, 1.0), (v, 1.0))),
+    "divided_difference": lambda v: divided_difference([0.0, v, 1.0], [0.0, 0.5, 1.0]),
+    "newton_interp": lambda v: newton_interp([0.0, 0.5, 1.0], [0.0, v, 1.0]),
+    "PiecewiseCm centers": lambda v: PiecewiseCm((0.0, 1.0), (0.0, v, 1.0), (Poly((1.0,)),) * 3, 1),
+    "PiecewiseCm pieces": lambda v: PiecewiseCm(
+        (0.0, 1.0), (0.0, 0.5, 1.0), (Poly((1.0,)), Poly((1.0, v)), Poly((1.0,))), 1
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", VALUE_RULE)
+def test_value_rule_rejects_a_non_finite_value(entry, value):
+    # The divided differences once returned NaN, newton_interp NaN and -inf
+    # coefficients, and PiecewiseCm evaluated and reported NaN jumps.
+    with pytest.raises(NonFiniteError):
+        VALUE_RULE[entry](value)

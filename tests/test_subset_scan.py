@@ -23,6 +23,7 @@ from heiswhit import (
     discrete_av_pair, finiteness_check, synthesize,
 )
 from heiswhit.cli import RunConfig, run
+from heiswhit import divdiff
 from heiswhit.divdiff import _scan, dd_windows, divided_difference
 from heiswhit.errors import TooFewNodesError
 from heiswhit.heis import _horizontality_residual, horizontality_defect, pansu_dq
@@ -246,6 +247,28 @@ def test_check_cm_via_w_reads_the_dd_profiles_of_check_cm(window, full_enum):
         via_w = check_cm_via_w(samples, 2, window=window)
         for name in ("dd_f", "dd_g", "dd_h"):
             assert via_w.profiles[name] == cm.profiles[name]
+
+
+def test_scan_readers_expand_only_the_rows_they_read(monkeypatch):
+    # The table holds Newton coefficients: the dd profiles read their top
+    # column, check_cm expands f and g for its discrete AV, and the
+    # finiteness scan all three.
+    calls = []
+
+    def recording(coeffs, xs):
+        calls.append(coeffs.shape[0])
+        return monomial_rows(coeffs, xs)
+
+    monomial_rows = divdiff._monomial_rows
+    monkeypatch.setattr(divdiff, "_monomial_rows", recording)
+    samples = smooth_curve(14)
+    check_cm_via_w(samples, 2)
+    assert calls == []
+    check_cm(samples, 2)
+    assert calls == [2]
+    calls.clear()
+    finiteness_check(samples, 1, ModulusFn())
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("n", [20, 21])
