@@ -13,10 +13,11 @@ Usage, from the root of a checkout:
 whose outputs differ, any change of exit code or status; the largest
 absolute and relative difference over the values (profile points,
 constants, CSV cells) and, apart, over the fitted slopes and over the
-synthesis audit's ``defect_t`` (the grid point where a defect of rounding
-size peaks, which one operand swap can move far), the relative one also
-over numbers of magnitude at least 1e-6 only; whether the finiteness
-witnesses moved; and each profile whose status changed with its largest
+synthesis ``defect`` (a bound of rounding size, which one operand swap can
+move far), the relative one also over numbers of magnitude at least 1e-6
+only; whether the finiteness witnesses or the synthesis audit's
+``defect_piece`` moved; the fields found on one side only, or holding
+different strings; and each profile whose status changed with its largest
 point on either side.
 
 The call set, every call writing ``--plot-out``: check-c1; check-cm and
@@ -30,6 +31,7 @@ arguments.
 
 import argparse
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -42,6 +44,8 @@ import inputs  # noqa: E402
 N_VALUES = (9, 13, 17, 21, 25, 31)
 ORDERS = (1, 2, 3)
 SIGNIFICANT = 1e-6
+# Report fields that locate a value (a subset, a pair, a piece) rather than measure one.
+WITNESSES = ("worst_subset", "worst_pair", "audit/defect_piece")
 
 
 def cmp_calls(work):
@@ -172,26 +176,29 @@ def diff(before, after):
         if a["exit"] != b["exit"]:
             changed_codes += 1
         la, lb = (leaves({k: x[k] for k in ("report", "plot", "grid")}) for x in (a, b))
-        values, slopes, defect_t = Spread(), Spread(), Spread()
-        moved, other = set(), sorted(set(la) ^ set(lb))
+        values, slopes, defect = Spread(), Spread(), Spread()
+        moved, other = set(), set(la) ^ set(lb)
         for key in set(la) & set(lb):
-            x, y = la[key], lb[key]
             if key == "/report/exit_code":
                 continue
-            if key.split("/")[2:3] in (["worst_subset"], ["worst_pair"]):
+            x, y = la[key], lb[key]
+            witness = next((w for w in WITNESSES if key.startswith(f"/report/{w}/")), None)
+            if witness:
                 if x != y:
-                    moved.add(key.split("/")[2])
+                    moved.add(witness.split("/")[-1])
             elif not (isinstance(x, (int, float)) and isinstance(y, (int, float))):
                 if x != y:
-                    other.append(key)
-            elif key == "/report/audit/defect_t":
-                defect_t.add(x, y)
+                    other.add(key)
+            elif key == "/report/defect":
+                defect.add(x, y)
             else:
                 (slopes if key.endswith("/slope") else values).add(x, y)
+        # A list that grew or shrank counts once, by the path of the list.
+        other = sorted({re.sub(r"(/\d+)+$", "", key) for key in other})
         print(f"{head}; values {values}; slopes {slopes}"
-              + (f"; defect_t {defect_t}" if defect_t.abs else "")
+              + (f"; defect {defect}" if defect.abs else "")
               + (f"; {' and '.join(sorted(moved))} moved" if moved else "")
-              + (f"; {len(other)} other fields differ" if other else ""))
+              + (f"; other fields differ: {', '.join(other)}" if other else ""))
         for line in profile_changes(a["report"], b["report"]):
             print(line)
     print(f"{len(names)} calls: {same} identical, {len(names) - same} differ, "

@@ -109,7 +109,7 @@ def _load_csv(path):
             if len(row) != 4:
                 raise ParseError(f"{path}:{lineno}: expected 4 fields")
             try:
-                rows.append(tuple(float(c) for c in row))
+                rows.append(tuple(map(float, row)))
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad number") from None
     return SampledCurve.from_rows(rows)
@@ -128,9 +128,7 @@ def _load_json(path):
         if not isinstance(rec, dict) or any(k not in rec for k in "txyz"):
             raise ParseError(f"{path}: samples[{i}] needs keys t, x, y, z")
         try:
-            rows.append(
-                tuple(float(rec[k]) for k in "txyz")
-            )
+            rows.append(tuple(map(float, (rec["t"], rec["x"], rec["y"], rec["z"]))))
         except (TypeError, ValueError):
             raise ParseError(f"{path}: samples[{i}] holds a bad number") from None
     m_hint = doc.get("m")
@@ -195,11 +193,11 @@ def _write_grid(curve_obj, config):
     dfv, dgv = curve_obj.f(ts, 1), curve_obj.g(ts, 1)
     hv, dhv = curve_obj.h(ts), curve_obj.h(ts, 1)
     defect = np.abs(_horizontality_residual(fv, dfv, gv, dgv, dhv))
+    # The text csv.writer would write: every float as its repr, nothing quoted.
+    rows = np.column_stack((ts, fv, gv, hv, defect)).tolist()
+    text = "".join([",".join(map(repr, row)) + "\n" for row in rows])
     with open(config.grid_out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "x", "y", "z", "defect"])
-        # csv writes a float as its repr
-        writer.writerows(np.column_stack((ts, fv, gv, hv, defect)).tolist())
+        fh.write("t,x,y,z,defect\n" + text)
 
 
 def run(config):

@@ -18,7 +18,7 @@ import numpy as np
 from .av import _av_profile, _discrete_av_profile, _taylor_av
 from .divdiff import _dd_profiles, _full_window, _scan
 from .errors import SynthesisDefectError, TooFewNodesError
-from .heis import _horizontality_residual, _pansu_quotient
+from .heis import _pansu_quotient
 from .poly import _antideriv, _deriv, _horner, _mul, _padded
 from .profiles import (
     INCONSISTENT,
@@ -66,9 +66,8 @@ class HorizontalCurve:
         return (self.f(t, deriv), self.g(t, deriv), self.h(t, deriv))
 
 
-# Synthesis audits horizontality on this many evenly spaced points, and
-# fails on a defect above DEFECT_TOL relative to the size of h' and 2(f'g - fg').
-AUDIT_POINTS = 10_001
+# Synthesis fails on a horizontality defect bound above DEFECT_TOL relative
+# to the size of h' and 2(f'g - fg') (see _defect_bounds).
 DEFECT_TOL = 1e-9
 
 
@@ -181,8 +180,8 @@ def synthesize(samples, m, force=False, window=None):
     end jets, h integrates 2(f'g - fg') from the sampled height, and a bump
     pair closes the area deficit.  Unless force is set, check_cm must not
     come back inconsistent.  The result is audited for node reproduction
-    and horizontality defect on a dense grid; failure raises
-    SynthesisDefectError.
+    and for a bound on its horizontality defect, read off the coefficients
+    of every piece (see _defect_bounds); failure raises SynthesisDefectError.
     """
     nodes = samples.nodes
     if len(nodes) < m + 1:
@@ -214,16 +213,9 @@ def synthesize(samples, m, force=False, window=None):
         for ends, rows in ((end_f, f), (end_g, g), (end_h, h))
     )
 
-    f_ext, g_ext, h_ext = exts
-    grid = np.linspace(nodes[0], nodes[-1], AUDIT_POINTS)
-    fv, dfv = f_ext(grid), f_ext(grid, 1)
-    gv, dgv = g_ext(grid), g_ext(grid, 1)
-    dhv = h_ext(grid, 1)
-    residual = _horizontality_residual(fv, dfv, gv, dgv, dhv)
-    scale = 1.0 + float(
-        np.max(np.abs(dhv)) + 2.0 * np.max(np.abs(dfv * gv)) + 2.0 * np.max(np.abs(fv * dgv))
-    )
-    defect = float(np.max(np.abs(residual)))
+    bounds, scale = _defect_bounds(*exts)
+    piece = int(np.argmax(bounds))
+    defect = float(bounds[piece])
     if defect > DEFECT_TOL * scale:
         raise SynthesisDefectError(
             f"horizontality defect {defect:.3e} exceeds {DEFECT_TOL:.1e} * {scale:.3e}"
@@ -242,12 +234,42 @@ def synthesize(samples, m, force=False, window=None):
     audit = {
         "node_error": float(np.max(np.abs(got - want))),
         "breakpoint_jumps": {c: ext.breakpoint_jumps(m) for c, ext in zip("fgh", exts)},
-        "defect_t": float(grid[np.argmax(np.abs(residual))]),
+        "defect_piece": [piece, *_piece_spans(exts[0])[:, piece].tolist()],
         "max_bump": float(lam[top]),
         "max_bump_gap": [nodes[top], nodes[top + 1]],
     }
     modulus = _empirical_modulus(exts, m, nodes)
     return HorizontalCurve(*exts, m, nodes, defect, tuple(lam.tolist()), modulus, audit)
+
+
+def _piece_spans(ext):
+    """(lo, hi) of every piece of ext: its breakpoints, an end piece its one node."""
+    b = ext.breakpoints
+    ends = np.concatenate([b[:1], b, b[-1:]])
+    return np.stack([ends[:-1], ends[1:]])
+
+
+def _defect_bounds(f, g, h):
+    """Bounds on |h' - 2(f'g - fg')| per piece of three PiecewiseCm, and a scale.
+
+    f, g and h share breakpoints and centers, and h's rows are as wide as
+    the products of f's and g's, as synthesize builds them.  So on each
+    piece the defect D is a polynomial in the local variable u, and
+    sum_k |d_k| r^k bounds it where |u| <= r.  r is the largest |u| over
+    the piece's span: the whole piece between two breakpoints, and only
+    the attachment node for the two unbounded end pieces.  The scale is
+    1 + max|h'| + 2 max|f'g| + 2 max|fg'| over the values at the
+    breakpoints and centers.
+    """
+    (f0, f1), (g0, g1) = ((c._table(0), c._table(1)) for c in (f, g))
+    d = h._table(1) - 2.0 * (_mul(f1, g0) - _mul(f0, g1))
+    r = np.max(np.abs(_piece_spans(f) - f.centers), axis=0)
+    ts = np.concatenate([f.breakpoints, f.centers])
+    fv, dfv, gv, dgv, dhv = f(ts), f(ts, 1), g(ts), g(ts, 1), h(ts, 1)
+    scale = 1.0 + float(
+        np.max(np.abs(dhv)) + 2.0 * np.max(np.abs(dfv * gv)) + 2.0 * np.max(np.abs(fv * dgv))
+    )
+    return _horner(np.abs(d), r), scale
 
 
 def _empirical_modulus(exts, m, nodes, points=513):

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import io
 import json
 import math
 
@@ -203,6 +204,38 @@ def test_run_synthesize_polynomial_exits_0_with_small_grid_defect(tmp_path):
     assert max(float(row[4]) for row in grid) <= 1e-9
 
 
+class _SpecialValues:
+    """A curve stand-in whose components cycle through floats with odd reprs."""
+
+    nodes = (0.0, 1.0)
+
+    @staticmethod
+    def f(t, deriv=0):
+        return np.resize([-0.0, 5e-324, 1e22, 1.0 / 3.0, -2.5e-7], t.shape) * (deriv + 1)
+
+    g = h = f
+
+
+def test_grid_writer_writes_what_csv_writer_would(tmp_path):
+    from heiswhit import synthesize
+
+    samples = load_input(write_csv(tmp_path / "circle.csv", circle_rows(12)))[0]
+    grid_path = tmp_path / "grid.csv"
+    config = RunConfig(mode="synthesize", input_path="unused.csv", grid_out=str(grid_path),
+                       grid_samples=101)
+    for curve in (synthesize(samples, 2), _SpecialValues()):
+        cli._write_grid(curve, config)
+        text = grid_path.read_text(encoding="utf-8")
+        header, *rows = csv.reader(io.StringIO(text))
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([[float(c) for c in row] for row in rows])
+        assert header == ["t", "x", "y", "z", "defect"]
+        assert len(rows) == 101
+        assert text == want.getvalue()
+
+
 def test_synthesize_report_audit_matches_direct_evaluation(tmp_path):
     from heiswhit import synthesize
 
@@ -230,13 +263,30 @@ def test_synthesize_report_audit_matches_direct_evaluation(tmp_path):
     for name, ext in zip("fgh", (curve.f, curve.g, curve.h)):
         assert audit["breakpoint_jumps"][name] == ext.breakpoint_jumps(2)
         assert len(audit["breakpoint_jumps"][name]) == 3
-    grid = np.linspace(nodes[0], nodes[-1], 10_001)
-    residual = [
-        abs(curve.h(t, 1) - 2.0 * (curve.f(t, 1) * curve.g(t) - curve.f(t) * curve.g(t, 1)))
-        for t in grid.tolist()
-    ]
-    assert audit["defect_t"] == grid[int(np.argmax(residual))]
-    assert max(residual) == docs[0]["defect"]
+    # The defect bound of every piece, in scalar arithmetic: D = h' - 2(f'g - fg')
+    # from the stored coefficients, summed as |d_k| r^k by Horner.
+    width = max(len(p.coeffs) for c in (curve.f, curve.g, curve.h) for p in c.pieces)
+    spans = [curve.f.breakpoints[0], *curve.f.breakpoints, curve.f.breakpoints[-1]]
+    bounds = []
+    for i, center in enumerate(curve.f.centers):
+        f, g, h = ((list(c.pieces[i].coeffs) + [0.0] * 2 * width)[: 2 * width]
+                   for c in (curve.f, curve.g, curve.h))
+        df, dg, dh = ([k * c[k] for k in range(1, len(c))] for c in (f, g, h))
+        d = []
+        for k in range(2 * width - 2):
+            dfg = fdg = 0.0
+            for j in range(k + 1):
+                dfg += df[j] * g[k - j]
+                fdg += f[j] * dg[k - j]
+            d.append(dh[k] - 2.0 * (dfg - fdg))
+        r = max(abs(spans[i] - center), abs(spans[i + 1] - center))
+        bound = 0.0
+        for dk in reversed(d):
+            bound = bound * r + abs(dk)
+        bounds.append(bound)
+    top = bounds.index(max(bounds))
+    assert audit["defect_piece"] == [top, spans[top], spans[top + 1]]
+    assert docs[0]["defect"] == bounds[top] <= 1e-12
     amps = docs[0]["bump_amplitudes"]
     top = amps.index(max(amps))
     assert audit["max_bump"] == max(amps) > 0.0

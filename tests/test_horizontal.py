@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bounded_horizontal_triple,
@@ -24,10 +26,11 @@ from heiswhit import (
     finiteness_check,
     group_mul,
     horizontal,
+    horizontality_defect,
     jets_from_samples,
     synthesize,
 )
-from heiswhit.heis import ORIGIN
+from heiswhit.heis import ORIGIN, _horizontality_residual
 from heiswhit.horizontal import _seminorm
 from heiswhit.errors import DuplicateNodeError, SynthesisDefectError, TooFewNodesError
 
@@ -262,6 +265,70 @@ def test_synthesized_curve_calls_with_derivatives():
     assert len(triple) == 3
     dx = curve(0.37, 1)
     assert dx[0] == curve.f(0.37, 1)
+
+
+def _family_curve(family, rng, n):
+    """Circle, poly or drift samples on n jittered nodes of [0, 1]."""
+    ts = np.linspace(0.0, 1.0, n)
+    ts[1:-1] += rng.uniform(-0.25, 0.25, n - 2) / (n - 1)
+    if family == "circle":
+        r, w, p = rng.uniform(0.5, 2.0), rng.uniform(1.0, 3.0), rng.uniform(0.0, 2.0 * math.pi)
+        rows = [(t, r * math.cos(w * t + p), r * math.sin(w * t + p), -2.0 * r * r * w * t)
+                for t in ts]
+    elif family == "poly":
+        pf, pg, ph = bounded_horizontal_triple(rng, 3)
+        rows = [(t, pf(t), pg(t), ph(t)) for t in ts]
+    else:
+        s = rng.uniform(0.5, 2.0)
+        rows = [(t, t, 0.0, s * t) for t in ts]
+    return SampledCurve.from_rows([tuple(map(float, row)) for row in rows])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["circle", "poly", "drift"]), st.integers(1, 3), st.integers(5, 40),
+       st.integers(0, 2**32 - 1))
+def test_defect_bound_covers_the_grid_residual(family, m, n, seed):
+    curve = synthesize(_family_curve(family, np.random.default_rng(seed), n), m, force=True)
+    grid = np.linspace(0.0, 1.0, 10_001)
+    fv, dfv, gv, dgv = (c(grid, k) for c in (curve.f, curve.g) for k in (0, 1))
+    dhv = curve.h(grid, 1)
+    residual = np.max(np.abs(_horizontality_residual(fv, dfv, gv, dgv, dhv)))
+    # Evaluating f, f', g, g' and h' one at a time rounds by itself, so the
+    # grid residual may pass the coefficient bound: by up to 1.8 eps times
+    # this scale on 300 draws.
+    scale = 1.0 + np.max(np.abs(dhv))
+    scale += 2.0 * (np.max(np.abs(dfv * gv)) + np.max(np.abs(fv * dgv)))
+    assert residual <= curve.defect + 4.0 * np.finfo(float).eps * scale
+
+
+def test_defect_bound_catches_a_defect_the_grid_steps_over(monkeypatch):
+    # A node 3e-5 past 0.5 makes a gap whose middle third, [0.50001, 0.50002),
+    # holds no point of the 10,001-point grid on [0, 1].
+    nodes = sorted([i / 8.0 for i in range(9)] + [0.50003])
+    samples = SampledCurve.from_rows([(t, math.cos(t), math.sin(t), -2.0 * t) for t in nodes])
+    gap = nodes.index(0.5)
+    horizontalize = horizontal._horizontalize_gaps
+
+    def planted(*args):
+        f, g, h, *rest = horizontalize(*args)
+        h = h.copy()
+        h[gap, 1, 1] += 1e-3  # h' off by 1e-3 on the gap's middle third
+        return (f, g, h, *rest)
+
+    monkeypatch.setattr(horizontal, "_horizontalize_gaps", planted)
+    with pytest.raises(SynthesisDefectError, match="horizontality defect"):
+        synthesize(samples, 1, force=True)
+
+    monkeypatch.setattr(horizontal, "DEFECT_TOL", math.inf)
+    curve = synthesize(samples, 1, force=True)
+    piece = 3 * gap + 2
+    lo, hi = curve.f.breakpoints[piece - 1 : piece + 1]
+    assert curve.audit["defect_piece"] == [piece, lo, hi]
+    assert curve.defect >= 1e-3
+    assert horizontality_defect(curve.f, curve.g, curve.h, [(lo + hi) / 2.0]) >= 1e-3
+    grid = np.linspace(0.0, 1.0, 10_001)
+    assert not np.any((lo <= grid) & (grid < hi))
+    assert horizontality_defect(curve.f, curve.g, curve.h, grid) <= 1e-12
 
 
 # -- finiteness_check --------------------------------------------------------

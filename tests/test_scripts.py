@@ -62,21 +62,29 @@ def test_report_digest_diff_reports_exit_and_rounding_changes(tmp_path, capsys):
     assert lines[-1] == "3 calls: 1 identical, 2 differ, 1 change their exit code"
 
 
-def test_report_digest_diff_reports_defect_t_apart(tmp_path, capsys):
-    def synthesized(defect_t, bump):
+def test_report_digest_diff_reports_the_defect_apart(tmp_path, capsys):
+    def synthesized(defect, piece, bump, audit_key="defect_piece"):
         report = {"status": "synthesized", "exit_code": 0, "bump_amplitudes": [bump],
-                  "audit": {"defect_t": defect_t, "max_bump": bump}}
-        return {"synth": {"exit": 0, "report": report, "plot": None, "grid": None}}
+                  "defect": defect, "audit": {audit_key: piece, "max_bump": bump}}
+        return {"exit": 0, "report": report, "plot": None, "grid": None}
 
+    before = {"synth": synthesized(3e-14, [4, 0.25, 0.5], 0.5),
+              "renamed": synthesized(3e-14, 0.375, 0.5, audit_key="defect_t")}
+    after = {"synth": synthesized(1e-14, [7, 0.5, 0.75], 0.5 + 2.0**-53),
+             "renamed": synthesized(3e-14, [4, 0.25, 0.5], 0.5)}
     paths = [tmp_path / "before.json", tmp_path / "after.json"]
-    for path, digest in zip(paths, (synthesized(0.3, 0.5), synthesized(0.1, 0.5 + 2.0**-53))):
+    for path, digest in zip(paths, (before, after)):
         path.write_text(json.dumps(digest), encoding="utf-8")
     assert load("report_digest").main(["--diff", *map(str, paths)]) == 0
-    line = capsys.readouterr().out.splitlines()[0]
-    values, slopes, defect_t = line.split("; ")[1:]
+    synth, renamed = capsys.readouterr().out.splitlines()[:2]
+    values, slopes, defect, moved = synth.split("; ")[1:]
     assert values.startswith("values 1.11e-16 absolute, 2.22e-16 relative")
     assert slopes.startswith("slopes 0 absolute")
-    assert defect_t.startswith("defect_t 0.2 absolute, 0.667 relative")
+    assert defect.startswith("defect 2e-14 absolute, 0.667 relative")
+    assert moved == "defect_piece moved"
+    assert renamed.endswith(
+        "; other fields differ: /report/audit/defect_piece, /report/audit/defect_t"
+    )
 
 
 def test_benchmark_tracer_sees_the_checkers_and_uninstalls(tmp_path):
