@@ -49,8 +49,7 @@ def _av(p, q, hull, at, a, b, ha, hb, length, m):
     a, b, ha, hb and length hold one entry per endpoint pair along their
     last axis; pair k reads row at[k] of the axis before the coefficients.
     With at None every pair reads the one row that the pairs' leading axes
-    name.  With a None every pair starts at 0, the rows' expansion point,
-    where their antiderivative vanishes.  Leading axes broadcast.  Returns
+    name.  Leading axes broadcast.  Returns
 
         A = hb - ha - 2 int_a^b (p' q - q' p),
         V = length^{2m} + length^m int_a^b (|p'| + |q'|),
@@ -59,10 +58,7 @@ def _av(p, q, hull, at, a, b, ha, hb, length, m):
     """
     dp, dq = _deriv(p), _deriv(q)
     anti = _antideriv(_mul(dp, q) - _mul(dq, p))[..., at, :]
-    if a is None:
-        area, a = hb - ha - 2.0 * _horner(anti, b), 0.0
-    else:
-        area = hb - ha - 2.0 * (_horner(anti, b) - _horner(anti, a))
+    area = hb - ha - 2.0 * (_horner(anti, b) - _horner(anti, a))
     lo, hi = np.minimum(a, b)[..., None], np.maximum(a, b)[..., None]
     dp_int, dq_int = (
         _abs_integral(_antideriv(d)[..., at, :], lo, hi, _roots(d, *hull)[..., at, :])
@@ -89,7 +85,7 @@ def _taylor_av(t, f, g, values, m):
     tf, tg = _taylor_rows(f[..., : m + 1]), _taylor_rows(g[..., : m + 1])
     fv, gv, hv = values
     area, velocity = _av(
-        tf, tg, hull, ia, None, u, hv[..., ia], hv[..., ib], u, m
+        tf, tg, hull, ia, np.zeros_like(u), u, hv[..., ia], hv[..., ib], u, m
     )
     area = (
         area

@@ -197,7 +197,8 @@ def _write_grid(curve_obj, config):
     rows = np.column_stack((ts, fv, gv, hv, defect)).tolist()
     text = "".join([",".join(map(repr, row)) + "\n" for row in rows])
     with open(config.grid_out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,x,y,z,defect\n" + text)
+        fh.write("t,x,y,z,defect\n")
+        fh.write(text)
 
 
 def run(config):

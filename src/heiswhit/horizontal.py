@@ -264,7 +264,7 @@ def _defect_bounds(f, g, h):
     (f0, f1), (g0, g1) = ((c._table(0), c._table(1)) for c in (f, g))
     d = h._table(1) - 2.0 * (_mul(f1, g0) - _mul(f0, g1))
     r = np.max(np.abs(_piece_spans(f) - f.centers), axis=0)
-    ts = np.concatenate([f.breakpoints, f.centers])
+    ts = np.union1d(f.breakpoints, f.centers)
     fv, dfv, gv, dgv, dhv = f(ts), f(ts, 1), g(ts), g(ts, 1), h(ts, 1)
     scale = 1.0 + float(
         np.max(np.abs(dhv)) + 2.0 * np.max(np.abs(dfv * gv)) + 2.0 * np.max(np.abs(fv * dgv))
