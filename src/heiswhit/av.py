@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import BadSubsetError, OrderViolationError, TooFewNodesError
 from .divdiff import _subset_table
-from .poly import _abs_integral, _antideriv, _deriv, _horner, _mul, _roots, _taylor_rows
+from .heis import _velocity
+from .poly import _abs_integral, _antideriv, _deriv, _horner, _roots, _taylor_rows
 from .profiles import banded_sup, delta_grid
 
 
@@ -57,8 +58,8 @@ def _av(p, q, hull, at, a, b, ha, hb, length, m):
     with p' and q' integrated and their sign changes isolated once per row, on its hull.
     """
     dp, dq = _deriv(p), _deriv(q)
-    anti = _antideriv(_mul(dp, q) - _mul(dq, p))[..., at, :]
-    area = hb - ha - 2.0 * (_horner(anti, b) - _horner(anti, a))
+    anti = _antideriv(_velocity(p, q))[..., at, :]
+    area = hb - ha - (_horner(anti, b) - _horner(anti, a))
     lo, hi = np.minimum(a, b)[..., None], np.maximum(a, b)[..., None]
     dp_int, dq_int = (
         _abs_integral(_antideriv(d)[..., at, :], lo, hi, _roots(d, *hull)[..., at, :])
@@ -87,6 +88,7 @@ def _taylor_av(t, f, g, values, m):
     area, velocity = _av(
         tf, tg, hull, ia, np.zeros_like(u), u, hv[..., ia], hv[..., ib], u, m
     )
+    # Written out, not as heis._twist, to keep the rounding order (A + 2f dg) - 2g df.
     area = (
         area
         + 2.0 * fv[..., ia] * (gv[..., ib] - _horner(tg[..., ia, :], u))

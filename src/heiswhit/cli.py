@@ -12,7 +12,6 @@ flag is an error.
 import argparse
 import csv
 import gc
-import io
 import json
 import os
 import sys
@@ -152,13 +151,21 @@ def emit_plot_data(profiles, path):
     if not rows:
         raise ValueError("no profile points to emit")
     rows.sort(key=lambda r: (r[2], -r[0]))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["delta", "value", "series"])
-    for d, v, series in rows:
-        writer.writerow([repr(d), repr(v), series])
+    _write_csv(path, "delta,value,series", (f"{d!r},{v!r},{_csv_field(s)}" for d, v, s in rows))
+
+
+def _csv_field(text):
+    """text as csv.writer writes it: quoted, quotes doubled, if it holds , " or a newline."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n') else text
+
+
+def _write_csv(path, header, lines):
+    """Write the header and the lines, each ended by a newline.  Lines of comma-joined
+    float reprs and _csv_field strings are the text csv.writer writes."""
+    text = "".join([line + "\n" for line in lines])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(header + "\n")
+        fh.write(text)
 
 
 def _profile_entry(prof, status, slope):
@@ -193,12 +200,8 @@ def _write_grid(curve_obj, config):
     dfv, dgv = curve_obj.f(ts, 1), curve_obj.g(ts, 1)
     hv, dhv = curve_obj.h(ts), curve_obj.h(ts, 1)
     defect = np.abs(_horizontality_residual(fv, dfv, gv, dgv, dhv))
-    # The text csv.writer would write: every float as its repr, nothing quoted.
     rows = np.column_stack((ts, fv, gv, hv, defect)).tolist()
-    text = "".join([",".join(map(repr, row)) + "\n" for row in rows])
-    with open(config.grid_out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,x,y,z,defect\n")
-        fh.write(text)
+    _write_csv(config.grid_out, "t,x,y,z,defect", (",".join(map(repr, row)) for row in rows))
 
 
 def run(config):

@@ -71,26 +71,19 @@ class SampledCurve:
         )
 
 
-def _sorted_pairs(values, nodes):
-    if len(values) != len(nodes):
-        raise TooFewNodesError("values and nodes must have equal length")
-    check_finite(values, "values")
-    pairs = sorted(zip(nodes, values))
-    check_nodes([a for a, _ in pairs])
-    return pairs
-
-
 def dd_coefficients(values, nodes):
-    """Newton coefficients [f[x0], f[x0,x1], .., f[x0..xk]], nodes sorted.
+    """Newton coefficients [f[x0], f[x0,x1], .., f[x0..xk]] and the sorted nodes.
 
     Nodes are sorted ascending before tabulating so the recursion always
     combines left to right; divided differences are symmetric, so this only
-    pins the floating-point evaluation order.
+    pins the floating-point evaluation order.  Both come back as arrays.
     """
-    pairs = _sorted_pairs(values, nodes)
-    xs = [p[0] for p in pairs]
-    col = np.array([p[1] for p in pairs], dtype=float)
-    return _newton_columns(np.array(xs, dtype=float), col).tolist(), xs
+    if len(values) != len(nodes):
+        raise TooFewNodesError("values and nodes must have equal length")
+    check_finite(values, "values")
+    xs, col = np.array(sorted(zip(nodes, values)), dtype=float).T
+    check_nodes(xs)
+    return _newton_columns(xs, col), xs
 
 
 def _newton_columns(xs, col):
@@ -107,14 +100,12 @@ def _newton_columns(xs, col):
 
 def divided_difference(values, nodes):
     """Top divided difference f[x0, .., xk] of the samples."""
-    coeffs, _ = dd_coefficients(values, nodes)
-    return coeffs[-1]
+    return float(dd_coefficients(values, nodes)[0][-1])
 
 
 def newton_interp(nodes, values):
     """Interpolating polynomial through (nodes, values) in monomial form."""
-    coeffs, xs = dd_coefficients(values, nodes)
-    return Poly(_monomial_rows(np.array(coeffs), np.array(xs)))
+    return Poly(_monomial_rows(*dd_coefficients(values, nodes)))
 
 
 def _monomial_rows(coeffs, xs):

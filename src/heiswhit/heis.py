@@ -5,7 +5,8 @@ Points are triples (x, y, z) with the product
     (x, y, z) * (x', y', z') = (x + x', y + y', z + z' + 2(y x' - x y')),
 
 anisotropic dilations r.(x, y, z) = (r x, r y, r^2 z), and the horizontality
-condition h' = 2(f' g - f g') for curves (f, g, h).
+condition h' = 2(f' g - f g') for curves (f, g, h): one twist, which every
+module takes from _twist (on values) and _velocity (on coefficient rows).
 """
 
 import math
@@ -22,6 +23,7 @@ from .errors import (
     NonFiniteError,
     ZeroDilationError,
 )
+from .poly import _deriv, _mul
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ def group_mul(p, q):
     return HPoint(
         p.x + q.x,
         p.y + q.y,
-        p.z + q.z + 2.0 * (p.y * q.x - p.x * q.y),
+        p.z + q.z + _twist(p.x, p.y, q.x, q.y),
     )
 
 
@@ -71,12 +73,22 @@ def _pansu_quotient(pa, pb, a, b):
     """pansu_dq unchecked, on (x, y, z) of floats or arrays: inverse, product, dilation."""
     (xa, ya, za), (xb, yb, zb) = pa, pb
     r = 1.0 / (b - a)
-    return r * (-xa + xb), r * (-ya + yb), r * r * (-za + zb + 2.0 * (-ya * xb - -xa * yb))
+    return r * (-xa + xb), r * (-ya + yb), r * r * (-za + zb + _twist(-xa, -ya, xb, yb))
+
+
+def _twist(x1, y1, x2, y2):
+    """2(y1 x2 - x1 y2), the z-part of (x1, y1, .) * (x2, y2, .); floats or arrays."""
+    return 2.0 * (y1 * x2 - x1 * y2)
+
+
+def _velocity(f, g):
+    """Rows of 2(f'g - fg') for ascending coefficient rows f and g."""
+    return 2.0 * (_mul(_deriv(f), g) - _mul(f, _deriv(g)))
 
 
 def _horizontality_residual(f, df, g, dg, dh):
     """h' - 2(f'g - fg') from values of f, f', g, g' and h' (floats or arrays)."""
-    return dh - 2.0 * (df * g - f * dg)
+    return dh - _twist(f, g, df, dg)
 
 
 def check_finite(values, what):
@@ -159,19 +171,16 @@ class CurveJets:
         return cls(nodes, *jets)
 
     def translated(self, p):
-        """Jets of the left translate p * curve.
+        """Jets of the left translate p * curve: the differential of left translation.
 
-        First derivatives and above shift linearly through the group law;
-        the zeroth components pick up the full twist.
+        The values move by the group law, and every order picks up the twist
+        of p with that order of (f, g).
         """
-        fj, gj, hj = [], [], []
-        for fjet, gjet, hjet in zip(self.fjets, self.gjets, self.hjets):
-            nf = (fjet[0] + p.x,) + tuple(fjet[1:])
-            ng = (gjet[0] + p.y,) + tuple(gjet[1:])
-            nh = [hjet[0] + p.z + 2.0 * (p.y * fjet[0] - p.x * gjet[0])]
-            for k in range(1, len(hjet)):
-                nh.append(hjet[k] + 2.0 * (p.y * fjet[k] - p.x * gjet[k]))
-            fj.append(nf)
-            gj.append(ng)
-            hj.append(tuple(nh))
-        return CurveJets(self.nodes, tuple(fj), tuple(gj), tuple(hj))
+        f, g, h = (np.array(js, dtype=float).reshape(len(self.nodes), self.order + 1)
+                   for js in (self.fjets, self.gjets, self.hjets))
+        twist = _twist(p.x, p.y, f, g)
+        f[:, :1] += p.x
+        g[:, :1] += p.y
+        h[:, :1] += p.z
+        h += twist
+        return CurveJets(self.nodes, *(tuple(map(tuple, c.tolist())) for c in (f, g, h)))

@@ -18,7 +18,7 @@ import numpy as np
 from .av import _av_profile, _discrete_av_profile, _taylor_av
 from .divdiff import _dd_profiles, _full_window, _scan
 from .errors import SynthesisDefectError, TooFewNodesError
-from .heis import _pansu_quotient
+from .heis import _pansu_quotient, _velocity
 from .poly import _antideriv, _deriv, _horner, _mul, _padded
 from .profiles import (
     INCONSISTENT,
@@ -79,14 +79,9 @@ def _verdict(profiles):
     return Verdict(combine_statuses(list(statuses.values())), profiles, statuses, slopes)
 
 
-def _velocity_anti(f, g):
-    """Antiderivative, zero at 0, of 2(f'g - fg') for coefficient rows f, g."""
-    return _antideriv(2.0 * (_mul(_deriv(f), g) - _mul(f, _deriv(g))))
-
-
 def _bracket(f, g, lo, hi):
     """2 * int (f' g - f g') over [lo, hi], per row."""
-    anti = _velocity_anti(f, g)
+    anti = _antideriv(_velocity(f, g))
     return _horner(anti, hi) - _horner(anti, lo)
 
 
@@ -164,7 +159,7 @@ def _horizontalize_gaps(fa, ga, fb, gb, ha, hb, a, b, m):
 
     # The last third is expanded at b (s - 1); h is chained across the
     # three sub-pieces, each integrated near its own center.
-    h = _velocity_anti(f, g)
+    h = _antideriv(_velocity(f, g))
     start = ha
     for j, (s0, s1) in enumerate(((0.0, 1.0 / 3.0), (-sixth, sixth), (-1.0 / 3.0, 0.0))):
         h[:, j, 0] = start - _horner(h[:, j], s0)
@@ -202,7 +197,7 @@ def synthesize(samples, m, force=False, window=None):
     # Beyond the extreme nodes: the end jets' Taylor polynomials, and h
     # integrating their horizontal velocity from the end samples.
     end_f, end_g = _end_rows(fj, f.shape[-1]), _end_rows(gj, g.shape[-1])
-    end_h = _velocity_anti(end_f, end_g)
+    end_h = _antideriv(_velocity(end_f, end_g))
     end_h[:, 0] += hs[[0, -1]]
     a, gap = t[:-1], np.diff(t)
     breaks = np.column_stack([a + gap / 3.0, a + 2.0 * gap / 3.0, t[1:]]).ravel()
@@ -261,8 +256,7 @@ def _defect_bounds(f, g, h):
     1 + max|h'| + 2 max|f'g| + 2 max|fg'| over the values at the
     breakpoints and centers.
     """
-    (f0, f1), (g0, g1) = ((c._table(0), c._table(1)) for c in (f, g))
-    d = h._table(1) - 2.0 * (_mul(f1, g0) - _mul(f0, g1))
+    d = h._table(1) - _velocity(f._table(0), g._table(0))
     r = np.max(np.abs(_piece_spans(f) - f.centers), axis=0)
     ts = np.union1d(f.breakpoints, f.centers)
     fv, dfv, gv, dgv, dhv = f(ts), f(ts, 1), g(ts), g(ts, 1), h(ts, 1)

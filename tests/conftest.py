@@ -6,6 +6,7 @@ the partial-fraction form of divided differences), so agreement is
 evidence rather than a comparison of one code path with itself.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -314,3 +315,61 @@ def area_oracle(jets, a, b, m, tol=1e-12):
         + 2.0 * fa * (gb - tg(b))
         - 2.0 * ga * (fb - tf(b))
     )
+
+
+def _exact_rows(x, values):
+    """Exact monomial rows in u = t - x[0] of the interpolant through (x, values).
+
+    x holds Fractions; returns the rows of the interpolant and of its term
+    magnitudes.  The Newton coefficients come from the divided-difference
+    recursion on the first differences, which float subtraction rounds
+    relative to themselves, and (u - u_j) from the nested Newton form: the
+    magnitudes use |u_j| and the recursion with every difference of
+    differences replaced by a sum of magnitudes.
+    """
+    v = [Fraction(c) for c in values]
+    coef, size = [v[0]], [abs(v[0])]
+    col = [(v[i + 1] - v[i]) / (x[i + 1] - x[i]) for i in range(len(x) - 1)]
+    mag = [abs(c) for c in col]
+    for j in range(2, len(x) + 1):
+        coef.append(col[0])
+        size.append(mag[0])
+        gaps = [x[i + j] - x[i] for i in range(len(col) - 1)]
+        col = [(col[i + 1] - col[i]) / d for i, d in enumerate(gaps)]
+        mag = [(mag[i + 1] + mag[i]) / d for i, d in enumerate(gaps)]
+    rows = ([coef[-1]], [size[-1]])
+    for j in range(len(x) - 2, -1, -1):
+        shift = x[j] - x[0]
+        for row, c, s in zip(rows, (coef[j], size[j]), (-shift, abs(shift))):
+            row[:] = [c + s * row[0]] + [a + s * b for a, b in zip(row[:-1], row[1:])] + row[-1:]
+    return rows
+
+
+def exact_discrete_area(nodes, fs, gs, hs, a, b):
+    """The discrete area A of the pair (a, b) of a subset, exactly, and its size.
+
+    nodes holds the subset's nodes ascending and fs, gs, hs the samples at
+    them, a and b index the pair.  In rational arithmetic on the floats as
+    given: the Newton coefficients of the interpolants p and q, their
+    monomial rows in u = t - nodes[0], and
+
+        A = h_b - h_a - 2 int_{u_a}^{u_b} (p'q - q'p) du.
+
+    The size is the sum of the magnitudes of A's terms, written out down to
+    differences of samples, which float subtraction rounds relative to
+    themselves: |h_b - h_a| plus, for every product p_i q_j with i + j >= 1,
+    2 |p_i| |q_j| (|u_a|^(i+j) + |u_b|^(i+j)), |p_i| and |q_j| read from the
+    magnitude rows of _exact_rows.  Rounding moves a float A by a modest
+    multiple of eps times it.
+    """
+    x = [Fraction(t) for t in nodes]
+    (p, pm), (q, qm) = _exact_rows(x, fs), _exact_rows(x, gs)
+    ua, ub = x[a] - x[0], x[b] - x[0]
+    ha, hb = Fraction(hs[a]), Fraction(hs[b])
+    area = hb - ha
+    size = abs(area)
+    for i, j in itertools.product(range(len(p)), range(len(q))):
+        if i + j:
+            area -= 2 * Fraction(i - j, i + j) * p[i] * q[j] * (ub ** (i + j) - ua ** (i + j))
+            size += 2 * pm[i] * qm[j] * (abs(ua) ** (i + j) + abs(ub) ** (i + j))
+    return area, size

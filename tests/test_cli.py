@@ -219,21 +219,37 @@ class _SpecialValues:
 def test_grid_writer_writes_what_csv_writer_would(tmp_path):
     from heiswhit import synthesize
 
-    samples = load_input(write_csv(tmp_path / "circle.csv", circle_rows(12)))[0]
-    grid_path = tmp_path / "grid.csv"
-    config = RunConfig(mode="synthesize", input_path="unused.csv", grid_out=str(grid_path),
-                       grid_samples=101)
-    for curve in (synthesize(samples, 2), _SpecialValues()):
-        cli._write_grid(curve, config)
-        text = grid_path.read_text(encoding="utf-8")
+    def check(path, floats):
+        # The file's bytes against csv.writer's on the rows read back, with
+        # the first `floats` fields of each row parsed as floats.
+        text = path.read_text(encoding="utf-8")
         header, *rows = csv.reader(io.StringIO(text))
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([[float(c) for c in row] for row in rows])
+        writer.writerows([[float(c) for c in row[:floats]] + row[floats:] for row in rows])
+        assert text == want.getvalue()
+        return header, rows
+
+    samples = load_input(write_csv(tmp_path / "circle.csv", circle_rows(12)))[0]
+    grid_path = tmp_path / "grid.csv"
+    config = RunConfig(mode="synthesize", input_path="unused.csv", grid_out=str(grid_path),
+                       grid_samples=101)
+    synthesized = synthesize(samples, 2)
+    for curve in (synthesized, _SpecialValues()):
+        cli._write_grid(curve, config)
+        header, rows = check(grid_path, 5)
         assert header == ["t", "x", "y", "z", "defect"]
         assert len(rows) == 101
-        assert text == want.getvalue()
+
+    plot_path = tmp_path / "plot.csv"
+    odd = Profile(((1e22, 5e-324), (1.0 / 3.0, 1e22), (2.5e-7, 1.0 / 3.0), (5e-324, -0.0)),
+                  'odd, "quoted"\nname')
+    emit_plot_data({**synthesized.modulus, "odd": odd}, str(plot_path))
+    header, rows = check(plot_path, 2)
+    assert header == ["delta", "value", "series"]
+    assert len(rows) == 4 + sum(len(p) for p in synthesized.modulus.values())
+    assert 'odd, "quoted"\nname' in {row[2] for row in rows}
 
 
 def test_synthesize_report_audit_matches_direct_evaluation(tmp_path):

@@ -1,5 +1,6 @@
 """Group algebra, Pansu quotients, the Leibniz stack, horizontality defect."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import circle_jets, horizontal_triple, leibniz_stack
+from conftest import bounded_horizontal_triple, circle_jets, horizontal_triple, leibniz_stack
 from heiswhit import (
     CurveJets,
     HPoint,
@@ -30,7 +31,8 @@ from heiswhit.errors import (
     NonFiniteError,
     ZeroDilationError,
 )
-from heiswhit.heis import ORIGIN
+from heiswhit.heis import ORIGIN, _velocity
+from heiswhit.poly import _padded
 
 coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 points = st.builds(HPoint, coords, coords, coords)
@@ -181,17 +183,42 @@ def test_defect_of_vertical_drift_is_one():
 
 
 def test_curve_jets_translation_matches_pointwise_group_law():
+    # p * (f, g, h) is the polynomial curve (f + x, g + y, h + z + 2(y f - x g)),
+    # so the translated jets are its exact jets at every order.  Jets at no
+    # nodes translate to jets at no nodes.
     rng = np.random.default_rng(9)
     pf, pg, ph = horizontal_triple(rng, 2)
-    nodes = (0.0, 0.4, 1.0)
-    jets = CurveJets.from_polys(nodes, pf, pg, ph, 2)
     p = HPoint(0.3, -0.7, 0.2)
-    moved = jets.translated(p)
-    for i, t in enumerate(nodes):
-        base = HPoint(jets.fjets[i][0], jets.gjets[i][0], jets.hjets[i][0])
-        want = group_mul(p, base)
-        got = HPoint(moved.fjets[i][0], moved.gjets[i][0], moved.hjets[i][0])
-        assert close(got, want, tol=1e-12)
+    moved_polys = (pf + Poly([p.x]), pg + Poly([p.y]),
+                   ph + Poly([p.z]) + 2.0 * (p.y * pf - p.x * pg))
+    for nodes in ((0.0, 0.4, 1.0), ()):
+        jets = CurveJets.from_polys(nodes, pf, pg, ph, 2)
+        moved = jets.translated(p)
+        for i, t in enumerate(nodes):
+            base = HPoint(jets.fjets[i][0], jets.gjets[i][0], jets.hjets[i][0])
+            want = group_mul(p, base)
+            got = HPoint(moved.fjets[i][0], moved.gjets[i][0], moved.hjets[i][0])
+            assert close(got, want, tol=1e-12)
+        want = CurveJets.from_polys(nodes, *moved_polys, 2)
+        assert moved.nodes == want.nodes
+        for got_js, want_js in zip((moved.fjets, moved.gjets, moved.hjets),
+                                   (want.fjets, want.gjets, want.hjets)):
+            assert len(got_js) == len(nodes)
+            assert np.allclose(got_js, want_js, rtol=0.0, atol=1e-12)
+
+
+def test_velocity_rows_are_those_of_h_prime():
+    # Both conftest triples are horizontal, so 2(f'g - fg') is h' row for row.
+    rng = np.random.default_rng(13)
+    for triple, m in itertools.product((horizontal_triple, bounded_horizontal_triple), (1, 2, 3)):
+        for _ in range(10):
+            pf, pg, ph = triple(rng, m)
+            got = _velocity(np.array(pf.coeffs), np.array(pg.coeffs))
+            want = np.array(ph.derivative().coeffs)
+            width = max(len(got), len(want))
+            scale = 1.0 + np.max(np.abs(want))
+            assert np.allclose(_padded(got, width), _padded(want, width), rtol=0.0,
+                               atol=1e-14 * scale)
 
 
 def replaced(jets, field, i, k, value):
