@@ -58,7 +58,7 @@ def _av(p, q, hull, at, a, b, ha, hb, length, m):
     with p' and q' integrated and their sign changes isolated once per row, on its hull.
     """
     dp, dq = _deriv(p), _deriv(q)
-    anti = _antideriv(_velocity(p, q))[..., at, :]
+    anti = _antideriv(_velocity(p, dp, q, dq))[..., at, :]
     area = hb - ha - (_horner(anti, b) - _horner(anti, a))
     lo, hi = np.minimum(a, b)[..., None], np.maximum(a, b)[..., None]
     dp_int, dq_int = (
@@ -151,7 +151,7 @@ def discrete_av_pair(samples, subset, a, b, m):
 
     sub = [samples.nodes.index(t) for t in x]
     table = _subset_table(samples, np.array([sub]), sub[-1] - sub[0] + 1)
-    area, velocity = _discrete_av(table, np.array(samples.hs), [x.index(a)], [x.index(b)], m)
+    area, velocity = _discrete_av(table, samples._xyz[2], [x.index(a)], [x.index(b)], m)
     return AVPair(float(area[0, 0]), float(velocity[0, 0]))
 
 

@@ -235,7 +235,7 @@ def run(config):
             report["worst_subset"] = list(rep.worst_subset)
             report["worst_pair"] = list(rep.worst_pair)
             report["profiles"] = {
-                "finiteness_ratio": _profile_entry(rep.profile, *policy.bounded(rep.profile))
+                "finiteness_ratio": _profile_entry(rep.profile, rep.status, rep.slope)
             }
             code = EXIT_BY_STATUS[rep.status]
             plot_profiles = {"finiteness_ratio": rep.profile}

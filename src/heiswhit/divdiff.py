@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureBudgetError, ScanTooLargeError, TooFewNodesError
+from .errors import LengthMismatchError, QuadratureBudgetError, ScanTooLargeError, TooFewNodesError
 from .heis import HPoint, check_finite, check_nodes, group_mul
 from .poly import Poly
 from .profiles import banded_sup, delta_grid
@@ -22,7 +22,8 @@ from .profiles import banded_sup, delta_grid
 
 @dataclass(frozen=True)
 class SampledCurve:
-    """Curve samples: strictly increasing nodes with one HPoint per node."""
+    """Curve samples: strictly increasing nodes with one HPoint per node, also
+    held once as read-only arrays: _t, the nodes (n,), and _xyz, the values (3, n)."""
 
     nodes: tuple
     points: tuple
@@ -31,9 +32,12 @@ class SampledCurve:
         if len(self.nodes) < 2:
             raise TooFewNodesError("a sampled curve needs at least two nodes")
         if len(self.nodes) != len(self.points):
-            raise TooFewNodesError("one point per node required")
-        check_finite([v for p in self.points for v in p], "samples")
-        check_nodes(self.nodes)
+            raise LengthMismatchError("one point per node required")
+        object.__setattr__(self, "_xyz", np.array(list(zip(*self.points)), dtype=float))
+        check_finite(self._xyz, "samples")
+        object.__setattr__(self, "_t", np.array(self.nodes, dtype=float))
+        check_nodes(self._t)
+        self._t.flags.writeable = self._xyz.flags.writeable = False
 
     @classmethod
     def from_rows(cls, rows):
@@ -62,7 +66,7 @@ class SampledCurve:
 
     @property
     def min_gap(self):
-        return min(b - a for a, b in zip(self.nodes, self.nodes[1:]))
+        return float(np.min(np.diff(self._t)))
 
     def translated(self, p):
         """Left translate p * curve, sample by sample."""
@@ -79,7 +83,9 @@ def dd_coefficients(values, nodes):
     pins the floating-point evaluation order.  Both come back as arrays.
     """
     if len(values) != len(nodes):
-        raise TooFewNodesError("values and nodes must have equal length")
+        raise LengthMismatchError("values and nodes must have equal length")
+    if not len(nodes):
+        raise TooFewNodesError("a divided difference needs at least one node")
     check_finite(values, "values")
     xs, col = np.array(sorted(zip(nodes, values)), dtype=float).T
     check_nodes(xs)
@@ -234,8 +240,7 @@ def _subset_table(samples, idx, width):
     distance from t = 0, and dd[..., -1] is the dd_coefficients divided
     difference bit for bit.
     """
-    xs = np.array(samples.nodes)[idx]
-    values = np.array([samples.fs, samples.gs, samples.hs])[:, idx]
+    xs, values = samples._t[idx], samples._xyz[:, idx]
     return _Table(idx, width, xs, xs - xs[:, :1], _newton_columns(xs, values))
 
 

@@ -23,7 +23,7 @@ from .errors import (
     NonFiniteError,
     ZeroDilationError,
 )
-from .poly import _deriv, _mul
+from .poly import _mul
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,9 @@ def _twist(x1, y1, x2, y2):
     return 2.0 * (y1 * x2 - x1 * y2)
 
 
-def _velocity(f, g):
-    """Rows of 2(f'g - fg') for ascending coefficient rows f and g."""
-    return 2.0 * (_mul(_deriv(f), g) - _mul(f, _deriv(g)))
+def _velocity(f, df, g, dg):
+    """Rows of 2(f'g - fg') from ascending coefficient rows of f, f', g and g'."""
+    return 2.0 * (_mul(df, g) - _mul(f, dg))
 
 
 def _horizontality_residual(f, df, g, dg, dh):

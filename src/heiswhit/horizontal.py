@@ -81,7 +81,7 @@ def _verdict(profiles):
 
 def _bracket(f, g, lo, hi):
     """2 * int (f' g - f g') over [lo, hi], per row."""
-    anti = _antideriv(_velocity(f, g))
+    anti = _antideriv(_velocity(f, _deriv(f), g, _deriv(g)))
     return _horner(anti, hi) - _horner(anti, lo)
 
 
@@ -159,7 +159,7 @@ def _horizontalize_gaps(fa, ga, fb, gb, ha, hb, a, b, m):
 
     # The last third is expanded at b (s - 1); h is chained across the
     # three sub-pieces, each integrated near its own center.
-    h = _antideriv(_velocity(f, g))
+    h = _antideriv(_velocity(f, _deriv(f), g, _deriv(g)))
     start = ha
     for j, (s0, s1) in enumerate(((0.0, 1.0 / 3.0), (-sixth, sixth), (-1.0 / 3.0, 0.0))):
         h[:, j, 0] = start - _horner(h[:, j], s0)
@@ -189,15 +189,15 @@ def synthesize(samples, m, force=False, window=None):
                 "pass force=True to synthesize anyway"
             )
 
-    t, hs = np.array(nodes), np.array(samples.hs)
-    fj, gj = _jets(t, np.array([samples.fs, samples.gs]), m)
+    t, hs = samples._t, samples._xyz[2]
+    fj, gj = _jets(t, samples._xyz[:2], m)
     f, g, h, lam, _, _ = _horizontalize_gaps(
         fj[:-1], gj[:-1], fj[1:], gj[1:], hs[:-1], hs[1:], t[:-1], t[1:], m
     )
     # Beyond the extreme nodes: the end jets' Taylor polynomials, and h
     # integrating their horizontal velocity from the end samples.
     end_f, end_g = _end_rows(fj, f.shape[-1]), _end_rows(gj, g.shape[-1])
-    end_h = _antideriv(_velocity(end_f, end_g))
+    end_h = _antideriv(_velocity(end_f, _deriv(end_f), end_g, _deriv(end_g)))
     end_h[:, 0] += hs[[0, -1]]
     a, gap = t[:-1], np.diff(t)
     breaks = np.column_stack([a + gap / 3.0, a + 2.0 * gap / 3.0, t[1:]]).ravel()
@@ -217,7 +217,7 @@ def synthesize(samples, m, force=False, window=None):
         )
     # One row per node, so argwhere meets failures node by node.
     got = np.array([ext(t) for ext in exts]).T
-    want = np.array([samples.fs, samples.gs, hs]).T
+    want = samples._xyz.T
     failed = np.argwhere(np.abs(got - want) > 1e-10 * (1.0 + np.abs(want)))
     if len(failed):
         i, c = failed[0]
@@ -256,7 +256,7 @@ def _defect_bounds(f, g, h):
     1 + max|h'| + 2 max|f'g| + 2 max|fg'| over the values at the
     breakpoints and centers.
     """
-    d = h._table(1) - _velocity(f._table(0), g._table(0))
+    d = h._table(1) - _velocity(f._table(0), f._table(1), g._table(0), g._table(1))
     r = np.max(np.abs(_piece_spans(f) - f.centers), axis=0)
     ts = np.union1d(f.breakpoints, f.centers)
     fv, dfv, gv, dgv, dhv = f(ts), f(ts, 1), g(ts), g(ts, 1), h(ts, 1)
@@ -293,12 +293,9 @@ def check_c1(samples):
     to zero, while a genuinely non-horizontal sample keeps the vertical
     part of order 1/delta.
     """
-    nodes = samples.nodes
-    n = len(nodes)
+    t, xyz = samples._t, samples._xyz
+    n = len(t)
     deltas = delta_grid(samples.diam, samples.min_gap)
-
-    t = np.array(nodes)
-    xyz = np.array([samples.fs, samples.gs, samples.hs])
 
     # Local means of the adjacent quotients around each node.
     steps = _pansu_quotient(xyz[:, :-1], xyz[:, 1:], t[:-1], t[1:])
@@ -328,7 +325,7 @@ def check_cm(samples, m, window=None):
     """
     table, deltas = _scan(samples, m, window)
     profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
-    profiles["av_discrete"] = _discrete_av_profile(table, np.array(samples.hs), m, deltas)
+    profiles["av_discrete"] = _discrete_av_profile(table, samples._xyz[2], m, deltas)
     return _verdict(profiles)
 
 
@@ -340,10 +337,10 @@ def check_cm_via_w(samples, m, window=None):
     divided-difference decay.
     """
     table, deltas = _scan(samples, m, window)
-    t = np.array(samples.nodes)
-    f, g = _jets(t, np.array([samples.fs, samples.gs]), m)
+    t, xyz = samples._t, samples._xyz
+    f, g = _jets(t, xyz[:2], m)
     profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
-    profiles["av_w"] = _av_profile(t, f, g, np.array(samples.hs), m, deltas)
+    profiles["av_w"] = _av_profile(t, f, g, xyz[2], m, deltas)
     return _verdict(profiles)
 
 
@@ -357,6 +354,7 @@ class FinitenessReport:
     worst_pair: tuple
     profile: Profile
     status: str
+    slope: float  # the profile's, with status from ThresholdPolicy.bounded
     subsets_scanned: int
 
 
@@ -416,7 +414,7 @@ def finiteness_check(samples, m, omega, window=None, full_enum=None):
     c2_hat = float(np.max(_seminorm(slope, xs[:, -1] - xs[:, 0], omega), initial=0.0))
 
     profile = banded_sup(items, deltas, name="finiteness_ratio")
-    status, _ = ThresholdPolicy().bounded(profile)
+    status, slope = ThresholdPolicy().bounded(profile)
     return FinitenessReport(
-        m_hat, c2_hat, worst_subset, worst_pair, profile, status, len(xs)
+        m_hat, c2_hat, worst_subset, worst_pair, profile, status, slope, len(xs)
     )

@@ -149,8 +149,11 @@ class Poly:
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def antiderivative(self):
-        """Antiderivative with zero constant term."""
-        return Poly([0.0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
+        """Antiderivative with zero constant term, uncut: it keeps every term self kept."""
+        anti = Poly()
+        if self.coeffs:
+            anti.coeffs = (0.0, *(c / (k + 1) for k, c in enumerate(self.coeffs)))
+        return anti
 
     def deriv_at(self, x, order=0):
         """Value of the order-th derivative at x."""

@@ -204,6 +204,36 @@ def test_run_synthesize_polynomial_exits_0_with_small_grid_defect(tmp_path):
     assert max(float(row[4]) for row in grid) <= 1e-9
 
 
+@pytest.mark.parametrize("at,error", [
+    ((1, 1), "horizontality defect"),  # h' off on the gap's middle third
+    ((slice(None), 0), "node reproduction failed at t=0.5:"),  # h off on the whole gap
+])
+def test_run_synthesize_failed_audit_exits_1_without_grid(tmp_path, monkeypatch, at, error):
+    # The plant of test_defect_bound_catches_a_defect_the_grid_steps_over: a
+    # 1e-3 change of one gap's h rows after horizontalization.
+    nodes = sorted([i / 8.0 for i in range(9)] + [0.50003])
+    rows = [(t, math.cos(t), math.sin(t), -2.0 * t) for t in nodes]
+    gap = nodes.index(0.5)
+    horizontalize = horizontal._horizontalize_gaps
+
+    def planted(*args):
+        f, g, h, *rest = horizontalize(*args)
+        h = h.copy()
+        h[(gap, *at)] += 1e-3
+        return (f, g, h, *rest)
+
+    monkeypatch.setattr(horizontal, "_horizontalize_gaps", planted)
+    report_path, grid_path = tmp_path / "report.json", tmp_path / "grid.csv"
+    config = RunConfig(mode="synthesize", input_path=write_csv(tmp_path / "in.csv", rows),
+                       report_path=str(report_path), grid_out=str(grid_path))
+    assert run(config) == 1
+    report = json.loads(report_path.read_text())
+    assert report["status"] == "defect"
+    assert report["error"].startswith(error)
+    assert report["exit_code"] == 1
+    assert not grid_path.exists()
+
+
 class _SpecialValues:
     """A curve stand-in whose components cycle through floats with odd reprs."""
 

@@ -29,10 +29,11 @@ from heiswhit.errors import (
     DuplicateNodeError,
     LengthMismatchError,
     NonFiniteError,
+    TooFewNodesError,
     ZeroDilationError,
 )
 from heiswhit.heis import ORIGIN, _velocity
-from heiswhit.poly import _padded
+from heiswhit.poly import _deriv, _padded
 
 coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 points = st.builds(HPoint, coords, coords, coords)
@@ -213,7 +214,8 @@ def test_velocity_rows_are_those_of_h_prime():
     for triple, m in itertools.product((horizontal_triple, bounded_horizontal_triple), (1, 2, 3)):
         for _ in range(10):
             pf, pg, ph = triple(rng, m)
-            got = _velocity(np.array(pf.coeffs), np.array(pg.coeffs))
+            f, g = np.array(pf.coeffs), np.array(pg.coeffs)
+            got = _velocity(f, _deriv(f), g, _deriv(g))
             want = np.array(ph.derivative().coeffs)
             width = max(len(got), len(want))
             scale = 1.0 + np.max(np.abs(want))
@@ -305,3 +307,24 @@ def test_value_rule_rejects_a_non_finite_value(entry, value):
     # coefficients, and PiecewiseCm evaluated and reported NaN jumps.
     with pytest.raises(NonFiniteError):
         VALUE_RULE[entry](value)
+
+
+# Every constructor and function that pairs nodes with values, called on n
+# nodes and k values.
+COUNT_RULE = {
+    "SampledCurve": lambda n, k: SampledCurve(tuple(map(float, range(n))), (ORIGIN,) * k),
+    "WhitneyField": lambda n, k: WhitneyField(tuple(map(float, range(n))), ((0.0,),) * k),
+    "jets_from_samples": lambda n, k: jets_from_samples(list(map(float, range(n))), [0.0] * k, 1),
+    "divided_difference": lambda n, k: divided_difference([0.0] * k, list(map(float, range(n)))),
+    "newton_interp": lambda n, k: newton_interp(list(map(float, range(n))), [0.0] * k),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_RULE)
+def test_count_rule_rejects_no_nodes_and_a_count_mismatch(entry):
+    # The divided differences once raised a bare ValueError on no nodes, and
+    # SampledCurve and the divided differences TooFewNodesError on a mismatch.
+    with pytest.raises(TooFewNodesError):
+        COUNT_RULE[entry](0, 0)
+    with pytest.raises(LengthMismatchError):
+        COUNT_RULE[entry](3, 2)

@@ -91,6 +91,11 @@ def test_integrate_degenerate_interval(coeffs, a):
     assert integrate(Poly(coeffs), Interval(a, a)) == 0.0
 
 
+# The antiderivative once cut its terms again, relative to its own largest:
+# of p + q it cut an x^9 term that q's kept, and in the second draw kept one
+# that p's cut.
+@example([2.0], [10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1e-12])
+@example([12.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1e-12], [-2.0])
 @given(coeff_lists, coeff_lists)
 def test_integrate_linearity(pc, qc):
     p, q = Poly(pc), Poly(qc)

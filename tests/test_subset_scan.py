@@ -271,6 +271,38 @@ def test_scan_readers_expand_only_the_rows_they_read(monkeypatch):
     assert calls == [3]
 
 
+def test_readers_take_the_sample_arrays_and_nobody_writes_them(monkeypatch):
+    # SampledCurve builds its node and value arrays once, and every reader
+    # takes those: none reads the sample tuples fs, gs and hs.
+    samples = circle_curve(14)
+    nodes = samples.nodes
+
+    def synthesized():
+        curve = synthesize(samples, 2)
+        tables = [ext._table(0).tolist() for ext in (curve.f, curve.g, curve.h)]
+        return curve.defect, curve.bump_amplitudes, curve.modulus, curve.audit, tables
+
+    calls = {
+        "check_c1": lambda: check_c1(samples),
+        "check_cm": lambda: check_cm(samples, 2),
+        "check_cm_via_w": lambda: check_cm_via_w(samples, 2),
+        "synthesize": synthesized,
+        "finiteness_check": lambda: finiteness_check(samples, 2, ModulusFn()),
+        "discrete_av_pair": lambda: discrete_av_pair(samples, nodes[3:6], nodes[3], nodes[5], 2),
+    }
+    want = {name: call() for name, call in calls.items()}
+
+    def unread(self):
+        raise AssertionError("a sample tuple was read")
+
+    for name in ("fs", "gs", "hs"):
+        monkeypatch.setattr(SampledCurve, name, property(unread))
+    assert {name: call() for name, call in calls.items()} == want
+    for array in (samples._t, samples._xyz):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 @pytest.mark.parametrize("n", [20, 21])
 def test_finiteness_enumerates_fully_up_to_20_nodes(n):
     samples, omega = smooth_curve(n), ModulusFn()
