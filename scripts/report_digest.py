@@ -22,8 +22,9 @@ point on either side.
 
 The call set, every call writing ``--plot-out``: check-c1; check-cm and
 check-cm-w with the default window and with ``--window 9``; synthesize with
-``--grid-out``; finiteness.  The modes with an order run at m = 1, 2, 3.
-Inputs are circle, poly and drift CSV files from
+``--grid-out``; finiteness.  The modes with an order run at m = 1, 2, 3
+and 4; m = 4 gives the AV kernel cubic p' rows, the root isolation's
+deepest recursion.  Inputs are circle, poly and drift CSV files from
 ``perfbench/inputs.make_rows(7, "cmp", family, n)`` for n in N_VALUES, plus
 the files of every benchmark workload at seed 1 with the workload's own
 arguments.
@@ -42,7 +43,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs  # noqa: E402
 
 N_VALUES = (9, 13, 17, 21, 25, 31)
-ORDERS = (1, 2, 3)
+ORDERS = (1, 2, 3, 4)
 SIGNIFICANT = 1e-6
 # Report fields that locate a value (a subset, a pair, a piece) rather than measure one.
 WITNESSES = ("worst_subset", "worst_pair", "audit/defect_piece")

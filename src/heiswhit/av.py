@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BadSubsetError, OrderViolationError, TooFewNodesError
 from .divdiff import _subset_table
 from .heis import _velocity
-from .poly import _abs_integral, _antideriv, _deriv, _horner, _roots, _taylor_rows
+from .poly import _abs_integral, _antideriv, _deriv, _horner, _roots, _rows, _taylor_rows
 from .profiles import banded_sup, delta_grid
 
 
@@ -42,6 +42,12 @@ class AVPair:
         return self.area / self.velocity
 
 
+def _area(p, dp, q, dq, at, a, b, ha, hb):
+    """The area half of _av, from the rows p, q and their derivatives dp, dq."""
+    anti = _rows(_antideriv(_velocity(p, dp, q, dq)), at)
+    return hb - ha - (_horner(anti, b) - _horner(anti, a))
+
+
 def _av(p, q, hull, at, a, b, ha, hb, length, m):
     """A without the Taylor corrections, and V, for endpoint pairs of rows.
 
@@ -57,14 +63,14 @@ def _av(p, q, hull, at, a, b, ha, hb, length, m):
 
     with p' and q' integrated and their sign changes isolated once per row, on its hull.
     """
+    p, q = _rows(p), _rows(q)
     dp, dq = _deriv(p), _deriv(q)
-    anti = _antideriv(_velocity(p, dp, q, dq))[..., at, :]
-    area = hb - ha - (_horner(anti, b) - _horner(anti, a))
     lo, hi = np.minimum(a, b)[..., None], np.maximum(a, b)[..., None]
     dp_int, dq_int = (
-        _abs_integral(_antideriv(d)[..., at, :], lo, hi, _roots(d, *hull)[..., at, :])
+        _abs_integral(_rows(_antideriv(d), at), lo, hi, _rows(_roots(d, *hull), at))
         for d in (dp, dq)
     )
+    area = _area(p, dp, q, dq, at, a, b, ha, hb)
     return area, length ** (2 * m) + length ** m * (dp_int + dq_int)[..., 0]
 
 
@@ -84,17 +90,22 @@ def _taylor_av(t, f, g, values, m):
     span = t[..., -1:] - t[..., :-1]
     hull = np.minimum(span, 0.0), np.maximum(span, 0.0)
     tf, tg = _taylor_rows(f[..., : m + 1]), _taylor_rows(g[..., : m + 1])
-    fv, gv, hv = values
+    hv = values[2]
     area, velocity = _av(
         tf, tg, hull, ia, np.zeros_like(u), u, hv[..., ia], hv[..., ib], u, m
     )
+    return ia, ib, _taylor_area(area, tf, tg, values, ia, ib, u), velocity
+
+
+def _taylor_area(area, tf, tg, values, ia, ib, u):
+    """A of the Taylor pairs (ia, ib) from the AV kernel's area, which lacks the corrections."""
+    fv, gv, _ = values
     # Written out, not as heis._twist, to keep the rounding order (A + 2f dg) - 2g df.
-    area = (
+    return (
         area
         + 2.0 * fv[..., ia] * (gv[..., ib] - _horner(tg[..., ia, :], u))
         - 2.0 * gv[..., ia] * (fv[..., ib] - _horner(tf[..., ia, :], u))
     )
-    return ia, ib, area, velocity
 
 
 def _jet_arrays(jets, m):
@@ -106,29 +117,34 @@ def _jet_arrays(jets, m):
 
 
 def _jets_pair(jets, a, b, m):
+    """The jets of f and g at a, one row each, and f, g and h at a and b."""
     ia, ib = jets.index(a), jets.index(b)
     if ia == ib:
         raise OrderViolationError("need two distinct nodes")
     f, g, h = _jet_arrays(jets, m)
-    values = np.stack([c[[ia, ib], 0] for c in (f, g, h)])
-    _, _, area, velocity = _taylor_av(np.array([a, b]), f[[ia]], g[[ia]], values, m)
-    return float(area[0]), float(velocity[0])
+    return f[[ia]], g[[ia]], np.stack([c[[ia, ib], 0] for c in (f, g, h)])
 
 
 def area_discrepancy(jets, a, b, m):
     """The signed-area functional A for any pair of distinct nodes.
 
     Works in the local variable u = t - a, so the formula is usable in
-    either orientation; the orientation-checked av_pair builds on it.
+    either orientation.  It is _taylor_av's A of the pair, with no root
+    isolated: A needs none.
     """
-    return _jets_pair(jets, a, b, m)[0]
+    f, g, values = _jets_pair(jets, a, b, m)
+    tf, tg = _taylor_rows(f[:, : m + 1]), _taylor_rows(g[:, : m + 1])
+    ia, ib, u, hv = [0], [1], np.array([b - a]), values[2]
+    area = _area(tf, _deriv(tf), tg, _deriv(tg), ia, np.zeros(1), u, hv[ia], hv[ib])
+    return float(_taylor_area(area, tf, tg, values, ia, ib, u)[0])
 
 
 def av_pair(jets, a, b, m):
     """AVPair for nodes a < b using the jets stored at a."""
     if not (a < b):
         raise OrderViolationError(f"need a < b, got a={a}, b={b}")
-    return AVPair(*_jets_pair(jets, a, b, m))
+    _, _, area, velocity = _taylor_av(np.array([a, b]), *_jets_pair(jets, a, b, m), m)
+    return AVPair(float(area[0]), float(velocity[0]))
 
 
 def discrete_av_pair(samples, subset, a, b, m):

@@ -1,11 +1,20 @@
 """Dense univariate polynomials: arithmetic, exact calculus, root isolation.
 
 Coefficients are float64, stored ascending (coeffs[k] multiplies x**k).
-Degrees stay small everywhere in this package (at most 3m+1 with m <= 3 or
-so), which keeps plain monomial arithmetic well conditioned as long as
-evaluation happens near the expansion point.  Pieces that live far from the
-origin are therefore expanded in local coordinates by their owners; this
-module never needs to know.
+Degrees stay small everywhere in this package (at most 3m+1), which keeps
+plain monomial arithmetic well conditioned as long as evaluation happens
+near the expansion point.  Pieces that live far from the origin are
+therefore expanded in local coordinates by their owners; this module never
+needs to know.
+
+The row kernels index coefficients, cuts, candidates and roots as
+c[..., k], the small axis last, but the arrays they allocate are stored in
+Fortran order: that small axis slowest in memory, the rows' first axis
+fastest.  Each c[..., k] is then one contiguous block, and every numpy
+call runs over the many rows instead of over 2 to 6 entries at a time:
+on a (7728, 3) array, a max over the last axis took 403 us in C order and
+10 us in this order (2-vCPU Xeon, numpy 2.4).  The bits do not change,
+since every element sees the same operations in the same order.
 """
 
 from dataclasses import dataclass
@@ -34,6 +43,11 @@ def _trim(coeffs):
     return tuple(coeffs[:n])
 
 
+def _rows(c, *at):
+    """c[..., *at, :] in the memory order of the arrays this module allocates."""
+    return np.asfortranarray(c[(..., *at, slice(None))])
+
+
 def _horner(coeffs, u):
     """Horner evaluation along the last axis of ascending coeffs at u."""
     out = np.zeros_like(u, dtype=float)
@@ -49,7 +63,9 @@ def _deriv(c):
 
 def _antideriv(c):
     """Antiderivative with zero constant term along the last axis."""
-    return np.concatenate([np.zeros_like(c[..., :1]), c / np.arange(1, c.shape[-1] + 1)], -1)
+    out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,), order="F")
+    out[..., 1:] = c / np.arange(1, c.shape[-1] + 1)
+    return out
 
 
 def _taylor_rows(jets):
@@ -74,7 +90,7 @@ def _padded(c, width):
 def _mul(a, b):
     """Product along the last axis; leading axes broadcast."""
     lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.zeros(lead + (a.shape[-1] + b.shape[-1] - 1,))
+    out = np.zeros(lead + (a.shape[-1] + b.shape[-1] - 1,), order="F")
     for i in range(a.shape[-1]):
         out[..., i : i + b.shape[-1]] += a[..., i : i + 1] * b
     return out
@@ -194,7 +210,7 @@ def _solve_brackets(c, a, b, fa, fb, active):
     neighbouring floats lie farther apart than ROOT_TOL).  Returns the
     roots, NaN if inactive.
     """
-    root = np.full(a.shape, np.nan)
+    root = np.full_like(a, np.nan)
     if not active.any():
         return root
     dc = _deriv(c)
@@ -231,40 +247,53 @@ def _roots(c, lo, hi):
     and so is a critical point where |p| <= 1e-10 (1 + scale) that ends no
     bracket: p touches zero there without a sign change to bracket.  Roots
     within ROOT_TOL max(1, |lo|, |hi|) of a smaller one merge into it.
-    Returns the roots of each row sorted along the last axis, NaN-padded.
+    The candidates come in the order cut 0, bracket 0, cut 1, .., with no
+    sort: a bracket's root lies between its cuts, and a cut that ends a
+    bracket is no candidate.  Returns the roots of each row sorted along
+    the last axis, NaN-padded.
     """
     rows = c.shape[:-1]
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), rows)[..., None]
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), rows)[..., None]
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), rows)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), rows)
     if c.shape[-1] < 2:
         return np.full(rows + (0,), np.nan)
-    crit = _roots(_deriv(c), lo[..., 0], hi[..., 0])
-    inside = (lo < crit) & (crit < hi)
+    crit = _roots(_deriv(c), lo, hi)
+    inside = (lo[..., None] < crit) & (crit < hi[..., None])
+    n = crit.shape[-1] + 2
     # Critical points off the open interval (and the NaN padding) repeat an
     # end, so the cuts stay sorted and their extra pieces have length zero.
-    cuts = np.concatenate([lo, np.clip(np.nan_to_num(crit, nan=np.inf), lo, hi), hi], -1)
+    cuts = np.zeros(rows + (n,), order="F")
+    cuts[..., 0], cuts[..., -1] = lo, hi
+    cuts[..., 1:-1] = np.clip(np.nan_to_num(crit, nan=np.inf), lo[..., None], hi[..., None])
     c = c[..., None, :]
     vals = _horner(c, cuts)
     scale = np.max(np.abs(vals), axis=-1, keepdims=True)
     zero_cut, touch_tol = 1e-14 * (1.0 + scale), 1e-10 * (1.0 + scale)
     va, vb = vals[..., :-1], vals[..., 1:]
     split = (np.minimum(np.abs(va), np.abs(vb)) > zero_cut) & ((va > 0.0) != (vb > 0.0))
-    tols = np.concatenate([zero_cut, np.where(inside, touch_tol, -np.inf), zero_cut], -1)
+    tols = np.zeros(rows + (n,), order="F")
+    tols[..., :1] = tols[..., -1:] = zero_cut
+    tols[..., 1:-1] = np.where(inside, touch_tol, -np.inf)
     at_cut = np.abs(vals) <= tols
     at_cut[..., :-1] &= ~split
     at_cut[..., 1:] &= ~split
-    candidates = np.sort(np.concatenate([
-        np.where(at_cut, cuts, np.nan),
-        _solve_brackets(c, cuts[..., :-1], cuts[..., 1:], va, vb, split),
-    ], -1), axis=-1)
+    candidates = np.zeros(rows + (2 * n - 1,), order="F")
+    candidates[..., ::2] = np.where(at_cut, cuts, np.nan)
+    candidates[..., 1::2] = _solve_brackets(c, cuts[..., :-1], cuts[..., 1:], va, vb, split)
     merge = ROOT_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    keep = ~np.isnan(candidates)
-    last = candidates[..., :1]
-    for j in range(1, candidates.shape[-1]):
-        keep[..., j] &= (candidates[..., j : j + 1] - last > merge)[..., 0]
-        last = np.where(keep[..., j : j + 1], candidates[..., j : j + 1], last)
-    roots = np.sort(np.where(keep, candidates, np.nan), axis=-1)
-    return roots[..., : keep.sum(-1).max(initial=0)]
+    # A kept candidate goes to the count of candidates kept before it in its row.
+    keep, pos = [], []
+    last, count = np.full(rows, -np.inf), np.zeros(rows, dtype=int)
+    for j in range(2 * n - 1):
+        keep.append(candidates[..., j] - last > merge)
+        last = np.where(keep[-1], candidates[..., j], last)
+        pos.append(count)
+        count = count + keep[-1]
+    keep = np.array(keep)
+    roots = np.full(rows + (count.max(initial=0),), np.nan, order="F")
+    j, *at = np.nonzero(keep)
+    roots[(*at, np.array(pos)[keep])] = candidates[(*at, j)]
+    return roots
 
 
 def real_roots(p, iv):
@@ -280,11 +309,14 @@ def _abs_integral(anti, a, b, roots):
     a <= b hold one entry per interval along their last axis; the NaN-padded
     roots of each row along the last axis of roots may reach beyond the intervals.
     """
-    a, b = a[..., None], b[..., None]
-    r = np.nan_to_num(roots[..., None, :], nan=np.inf)
-    cuts = np.concatenate([a, np.clip(r, a, b), b], -1)
+    r = np.clip(np.nan_to_num(roots[..., None, :], nan=np.inf), a[..., None], b[..., None])
+    cuts = np.zeros(r.shape[:-1] + (r.shape[-1] + 2,), order="F")
+    cuts[..., 0], cuts[..., 1:-1], cuts[..., -1] = a, r, b
     vals = _horner(anti[..., None, None, :], cuts)
-    return np.cumsum(np.abs(vals[..., 1:] - vals[..., :-1]), axis=-1)[..., -1]
+    total = np.abs(vals[..., 1] - vals[..., 0])
+    for k in range(2, vals.shape[-1]):
+        total = total + np.abs(vals[..., k] - vals[..., k - 1])
+    return total
 
 
 def abs_integral(p, iv):

@@ -113,6 +113,24 @@ def test_area_swap_antisymmetry_for_low_degree():
             assert abs(fwd + rev) <= 1e-10 * (1.0 + abs(fwd))
 
 
+def test_area_discrepancy_isolates_no_root(monkeypatch):
+    # A needs no sign change of p' or q', so area_discrepancy gives the same
+    # value, in either orientation, with the root isolation made to fail.
+    rng = np.random.default_rng(19)
+    pairs = []
+    for m in (1, 2, 3):
+        nodes = distinct_nodes(rng, 3)
+        jets = CurveJets.from_polys(nodes, *(random_poly(rng, m + 2) for _ in "fgh"), m)
+        pairs += [(jets, nodes[0], nodes[2], m), (jets, nodes[2], nodes[0], m)]
+    want = [area_discrepancy(*pair) for pair in pairs]
+
+    def fail(*_):
+        raise AssertionError("area_discrepancy isolated roots")
+
+    monkeypatch.setattr(av, "_roots", fail)
+    assert [area_discrepancy(*pair) for pair in pairs] == want
+
+
 def test_av_left_invariance():
     rng = np.random.default_rng(13)
     for m in (1, 2, 3):

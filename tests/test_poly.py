@@ -323,6 +323,29 @@ def test_newton_roots_match_bisection(row):
     assert abs(got_int - want_int) <= 4.0 * EPS * size
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(root_rows(), min_size=2, max_size=6), st.data())
+def test_root_kernels_give_each_row_of_a_stack_its_own_bits(rows, data):
+    # Rows of one degree, each on its own part of its interval, so their
+    # critical point and root counts differ: stacked, each row's roots and
+    # |p| integral keep the bits the row gets alone (ascending, no NaN), and
+    # NaN pads it to the stack's width.
+    rows = [r for r in rows if r[0].size == rows[0][0].size]
+    c = np.array([r[0] for r in rows])
+    ends = [sorted(data.draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2)))
+            for _, lo, hi in rows]
+    lo, hi = np.array(ends).T
+    roots = poly._roots(c, lo, hi)
+    ints = poly._abs_integral(poly._antideriv(c), lo[:, None], hi[:, None], roots)
+    for k, row in enumerate(c):
+        alone = poly._roots(row, lo[k], hi[k])
+        assert np.all(np.diff(alone) > 0.0)
+        assert roots[k, : alone.size].tobytes() == alone.tobytes()
+        assert np.isnan(roots[k, alone.size :]).all()
+        one = poly._abs_integral(poly._antideriv(row), lo[k : k + 1], hi[k : k + 1], alone)
+        assert ints[k].tobytes() == one.tobytes()
+
+
 def test_three_steps_resolve_degree_1_rows(monkeypatch):
     # The first iterate, the secant point, is the root of a degree-1 row up
     # to rounding, so its step ends the bracket; rows with roots near 1e4
