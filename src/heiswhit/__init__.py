@@ -5,10 +5,10 @@ interpolant, the interpolant is synthesized when compatible, and the
 finite-subset constants behind the guarantee are measured.
 """
 
-from .av import AVPair, av_pair, av_profile, discrete_av_pair
+from .av import AVPair, av_pair, discrete_av_pair
 from .divdiff import SampledCurve
 from .errors import HeisWhitError
-from .heis import CurveJets, HPoint, dilate, group_mul, horizontality_defect, inverse, pansu_dq
+from .heis import CurveJets, HPoint, dilate, group_mul, horizontality_defect, inverse
 from .horizontal import (
     FinitenessReport,
     HorizontalCurve,
@@ -19,14 +19,13 @@ from .horizontal import (
     finiteness_check,
     synthesize,
 )
-from .poly import Interval, Poly, abs_integral, real_roots
+from .poly import Poly
 from .profiles import Profile, ThresholdPolicy
 from .whitney import (
     ModulusFn,
     PiecewiseCm,
     WhitneyField,
     extend,
-    jets_from_samples,
     transition_poly,
     validate_field,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "HPoint",
     "HeisWhitError",
     "HorizontalCurve",
-    "Interval",
     "ModulusFn",
     "PiecewiseCm",
     "Poly",
@@ -49,9 +47,7 @@ __all__ = [
     "ThresholdPolicy",
     "Verdict",
     "WhitneyField",
-    "abs_integral",
     "av_pair",
-    "av_profile",
     "check_c1",
     "check_cm",
     "check_cm_via_w",
@@ -62,9 +58,6 @@ __all__ = [
     "group_mul",
     "horizontality_defect",
     "inverse",
-    "jets_from_samples",
-    "pansu_dq",
-    "real_roots",
     "synthesize",
     "transition_poly",
     "validate_field",

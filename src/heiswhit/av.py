@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSubsetError, OrderViolationError, TooFewNodesError
+from .errors import BadSubsetError, OrderViolationError
 from .divdiff import _subset_table
 from .heis import _velocity
 from .poly import _abs_integral, _antideriv, _deriv, _horner, _roots, _rows, _taylor_rows
-from .profiles import banded_sup, delta_grid
+from .profiles import banded_sup
 
 
 @dataclass(frozen=True)
@@ -171,19 +171,8 @@ def discrete_av_pair(samples, subset, a, b, m):
     return AVPair(float(area[0, 0]), float(velocity[0, 0]))
 
 
-def av_profile(jets, m):
-    """Banded sup of |A/V| over node pairs, scaled by pair separation."""
-    nodes = jets.nodes
-    if len(nodes) < m + 1:
-        raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
-    t = np.array(nodes, dtype=float)
-    deltas = delta_grid(t[-1] - t[0], np.diff(t).min())
-    f, g, h = _jet_arrays(jets, m)
-    return _av_profile(t, f, g, h[:, 0], m, deltas)
-
-
 def _av_profile(t, f, g, hs, m, deltas):
-    """av_profile on arrays: nodes t, jets of f and g to order m, and h's values."""
+    """Banded sup of |A/V| over node pairs: nodes t, jets of f and g to order m, h's values."""
     ia, ib, area, velocity = _taylor_av(t, f[:-1], g[:-1], np.stack([f[:, 0], g[:, 0], hs]), m)
     return banded_sup(
         np.column_stack((t[ib] - t[ia], np.abs(area / velocity))), deltas, name="av_ratio"

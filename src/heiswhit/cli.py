@@ -120,18 +120,22 @@ def _load_json(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict) or "samples" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
         raise ParseError(f"{path}: expected an object with a 'samples' array")
     rows = []
     for i, rec in enumerate(doc["samples"]):
         if not isinstance(rec, dict) or any(k not in rec for k in "txyz"):
             raise ParseError(f"{path}: samples[{i}] needs keys t, x, y, z")
+        values = [rec[k] for k in "txyz"]
+        if any(isinstance(v, bool) for v in values):
+            raise ParseError(f"{path}: samples[{i}] holds a boolean, not a number")
         try:
-            rows.append(tuple(map(float, (rec["t"], rec["x"], rec["y"], rec["z"]))))
+            rows.append(tuple(map(float, values)))
         except (TypeError, ValueError):
             raise ParseError(f"{path}: samples[{i}] holds a bad number") from None
     m_hint = doc.get("m")
-    if m_hint is not None and (not isinstance(m_hint, int) or m_hint < 1):
+    # JSON's true and false load as bool, a subclass of int.
+    if m_hint is not None and (type(m_hint) is not int or m_hint < 1):
         raise ParseError(f"{path}: 'm' must be a positive integer")
     return SampledCurve.from_rows(rows), m_hint
 
@@ -263,18 +267,18 @@ def run(config):
 
         if config.plot_out and plot_profiles:
             emit_plot_data(plot_profiles, config.plot_out)
+
+        report["timings"] = timings
+        report["exit_code"] = code
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if config.report_path:
+            with open(config.report_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (HeisWhitError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-    report["timings"] = timings
-    report["exit_code"] = code
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

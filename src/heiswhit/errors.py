@@ -5,20 +5,12 @@ class HeisWhitError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class IdenticallyZeroError(HeisWhitError):
-    """Root isolation was asked to isolate roots of the zero polynomial."""
-
-
 class RootBudgetError(HeisWhitError):
     """A root bracket did not close within its step budget."""
 
 
 class ZeroDilationError(HeisWhitError):
     """Dilation by r = 0 is not a group automorphism."""
-
-
-class CoincidentNodesError(HeisWhitError):
-    """A difference quotient needs two distinct parameters."""
 
 
 class LengthMismatchError(HeisWhitError):

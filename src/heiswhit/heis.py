@@ -9,14 +9,12 @@ condition h' = 2(f' g - f g') for curves (f, g, h): one twist, which every
 module takes from _twist (on values) and _velocity (on coefficient rows).
 """
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    CoincidentNodesError,
     DuplicateNodeError,
     LengthMismatchError,
     NodeNotFoundError,
@@ -60,17 +58,8 @@ def dilate(r, p):
     return HPoint(r * p.x, r * p.y, r * r * p.z)
 
 
-def pansu_dq(pa, pb, a, b):
-    """Group-dilated difference quotient delta_{1/(b-a)}(pa^-1 * pb)."""
-    if a == b:
-        raise CoincidentNodesError("difference quotient needs a != b")
-    if math.isinf(b - a):
-        raise ZeroDilationError("dilation by 0 collapses the group")
-    return HPoint(*_pansu_quotient(pa, pb, a, b))
-
-
 def _pansu_quotient(pa, pb, a, b):
-    """pansu_dq unchecked, on (x, y, z) of floats or arrays: inverse, product, dilation."""
+    """delta_{1/(b-a)}(pa^-1 * pb) on (x, y, z) of floats or arrays: inverse, product, dilation."""
     (xa, ya, za), (xb, yb, zb) = pa, pb
     r = 1.0 / (b - a)
     return r * (-xa + xb), r * (-ya + yb), r * r * (-za + zb + _twist(-xa, -ya, xb, yb))

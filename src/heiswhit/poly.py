@@ -17,11 +17,9 @@ on a (7728, 3) array, a max over the last axis took 403 us in C order and
 since every element sees the same operations in the same order.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import IdenticallyZeroError, RootBudgetError
+from .errors import RootBudgetError
 
 # Trailing coefficients below TRIM_REL * max|c| are dropped on construction.
 TRIM_REL = 1e-14
@@ -179,18 +177,6 @@ class Poly:
         return p(x)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] with lo <= hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (self.lo <= self.hi):
-            raise ValueError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
-
-
 def _in_bracket(y, a, b):
     """y where it lies inside the open bracket (a, b), else the midpoint."""
     return np.where((a < y) & (y < b), y, 0.5 * (a + b))
@@ -296,13 +282,6 @@ def _roots(c, lo, hi):
     return roots
 
 
-def real_roots(p, iv):
-    """Roots of p inside iv, sorted and deduplicated (see _roots)."""
-    if p.is_zero:
-        raise IdenticallyZeroError("the zero polynomial vanishes everywhere")
-    return _roots(np.array(p.coeffs), iv.lo, iv.hi).tolist()
-
-
 def _abs_integral(anti, a, b, roots):
     """Integral of |p| from a to b for rows anti = _antideriv(p), split at p's roots.
 
@@ -318,10 +297,3 @@ def _abs_integral(anti, a, b, roots):
         total = total + np.abs(vals[..., k] - vals[..., k - 1])
     return total
 
-
-def abs_integral(p, iv):
-    """Integral of |p| over iv: split at the roots, sum unsigned pieces."""
-    if p.is_zero or iv.hi == iv.lo:
-        return 0.0
-    c, lo, hi = np.array(p.coeffs), np.array([iv.lo]), np.array([iv.hi])
-    return float(_abs_integral(_antideriv(c), lo, hi, _roots(c, iv.lo, iv.hi))[0])

@@ -72,11 +72,13 @@ class ModulusFn:
         if self.kind == "power":
             if not (0.0 < self.exponent <= 1.0):
                 raise ValueError("power modulus needs exponent in (0, 1]")
-            if not (self.coeff > 0.0):
-                raise ValueError("power modulus needs a positive coefficient")
+            if not (0.0 < self.coeff < math.inf):
+                raise ValueError("power modulus needs a positive finite coefficient")
         elif self.kind == "tabulated":
             ts = [t for t, _ in self.table]
             ws = [w for _, w in self.table]
+            if not np.isfinite(ts + ws).all():
+                raise ValueError("tabulated modulus needs finite entries")
             if len(self.table) < 2 or ts != sorted(ts) or len(set(ts)) != len(ts):
                 raise ValueError("tabulated modulus needs increasing abscissae")
             if any(b < a for a, b in zip(ws, ws[1:])) or any(w < 0 for w in ws):
@@ -105,19 +107,14 @@ class PiecewiseCm:
     Piece i covers (-inf, b_0) for i = 0, [b_{i-1}, b_i) in the middle, and
     [b_last, inf) at the right end, in the local variable u = t - center_i,
     which keeps evaluation stable on short pieces far from the origin.  The
-    pieces come as Polys or as a 2-D array of ascending coefficient rows,
-    kept as one zero-padded table with Poly's trailing-coefficient cut.
+    pieces come as a 2-D array of ascending coefficient rows, kept as one
+    zero-padded table with Poly's trailing-coefficient cut.
     Evaluation is one searchsorted plus Horner over its rows, which gives
     each piece's own Horner value bit for bit; breakpoint_jumps measures
     how C^m the pieces were built.
     """
 
     def __init__(self, breakpoints, centers, pieces, order):
-        if not isinstance(pieces, np.ndarray):
-            width = max((len(p.coeffs) for p in pieces), default=0)
-            pieces = np.array(
-                [p.coeffs + (0.0,) * (width - len(p.coeffs)) for p in pieces]
-            ).reshape(len(pieces), width)
         if len(pieces) != len(breakpoints) + 1 or len(centers) != len(pieces):
             raise LengthMismatchError(
                 "need len(pieces) == len(breakpoints) + 1 == len(centers)"
@@ -129,11 +126,6 @@ class PiecewiseCm:
         self.centers = np.array(centers, dtype=float)
         self.order = int(order)
         self._tables = {0: _trim_rows(pieces.astype(float))}
-
-    @property
-    def pieces(self):
-        """The pieces as Polys in their local variables."""
-        return tuple(Poly(row) for row in self._tables[0])
 
     def _table(self, deriv):
         """Ascending coefficients of every piece's deriv-th derivative, zero-padded."""
@@ -227,29 +219,13 @@ def extend(whitney_field):
     return PiecewiseCm(t, centers, rows, whitney_field.order)
 
 
-def jets_from_samples(nodes, values, m):
-    """Candidate jets by local interpolation through m+1 nearest nodes.
-
-    Ties in distance resolve toward smaller t; the zeroth jet component is
-    the sample itself, exactly.
-    """
-    nodes = tuple(float(t) for t in nodes)
-    values = tuple(float(v) for v in values)
-    n = len(nodes)
-    if n != len(values):
-        raise LengthMismatchError("one value per node required")
-    if n < m + 1:
-        raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")
-    check_nodes(nodes)
-    jets = _jets(np.array(nodes), np.array(values), m)
-    return WhitneyField(nodes, tuple(map(tuple, jets.tolist())))
-
-
 def _jets(t, values, m):
-    """jets_from_samples on arrays: values (.., n) at increasing nodes t (n,).
+    """Candidate jets by local interpolation through the m+1 nearest nodes.
 
-    Returns the jets, shape (.., n, m+1); every leading row of values
-    shares one stencil per node.
+    values (.., n) sit at increasing nodes t (n,).  Ties in distance resolve
+    toward smaller t, and the zeroth jet component is the sample itself,
+    exactly.  Returns the jets, shape (.., n, m+1); every leading row of
+    values shares one stencil per node.
     """
     # Grow every stencil [lo, hi] by m steps toward its nearer neighbour.
     n = len(t)

@@ -151,11 +151,6 @@ def signed_integral(p, a, b):
     return anti(b) - anti(a)
 
 
-def integrate(p, iv):
-    """Exact signed integral of p over an Interval."""
-    return signed_integral(p, iv.lo, iv.hi)
-
-
 def leibniz_stack(fjet, gjet, m):
     """Derivatives of the horizontal velocity from the jets of f and g.
 

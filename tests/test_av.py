@@ -27,7 +27,6 @@ from heiswhit import (
     ModulusFn,
     SampledCurve,
     av_pair,
-    av_profile,
     check_cm,
     check_cm_via_w,
     discrete_av_pair,
@@ -35,7 +34,7 @@ from heiswhit import (
     group_mul,
 )
 from heiswhit import av, horizontal
-from heiswhit.av import _av, _discrete_av, _taylor_av, area_discrepancy
+from heiswhit.av import _av, _av_profile, _discrete_av, _taylor_av, area_discrepancy
 from heiswhit.divdiff import _newton_table, _subset_table
 from heiswhit.errors import (
     BadSubsetError,
@@ -44,6 +43,14 @@ from heiswhit.errors import (
     TooFewNodesError,
 )
 from heiswhit.poly import Poly
+from heiswhit.profiles import delta_grid
+
+
+def av_profile(jets, m):
+    """The Taylor AV profile of jets, as check_cm_via_w takes it from its own jets."""
+    t = np.array(jets.nodes)
+    f, g, h = (np.array(js) for js in (jets.fjets, jets.gjets, jets.hjets))
+    return _av_profile(t, f, g, h[:, 0], m, delta_grid(t[-1] - t[0], np.diff(t).min()))
 
 
 def drift_jets(nodes, m):
@@ -423,11 +430,11 @@ def test_drift_profiles_stay_bounded_below():
 
 
 def test_profiles_reject_too_few_nodes():
-    with pytest.raises(TooFewNodesError):
-        av_profile(circle_jets([0.0, 0.5], 2), 2)
     curve = line_curve(3)
     with pytest.raises(TooFewNodesError):
         check_cm(curve, 3)
+    with pytest.raises(TooFewNodesError):
+        check_cm_via_w(curve, 3)
 
 
 def test_profile_deltas_strictly_decrease():

@@ -108,6 +108,12 @@ def test_json_shape_errors(tmp_path):
         '{"samples": [{"t": 0, "x": "wat", "y": 0, "z": 0}]}',
         '{"m": 0, "samples": []}',
         "{not json",
+        # A non-list samples raised a TypeError, and a boolean was read as 1 or 0.
+        '{"samples": 5}',
+        '{"samples": null}',
+        '{"m": true, "samples": [{"t": 0, "x": 0, "y": 0, "z": 0}, {"t": 1, "x": 1, "y": 0, "z": 0}]}',
+        '{"samples": [{"t": 0, "x": 0, "y": 0, "z": 0}, {"t": 1, "x": true, "y": 0, "z": 0}]}',
+        '{"samples": [{"t": false, "x": 0, "y": 0, "z": 0}, {"t": 1, "x": 1, "y": 0, "z": 0}]}',
     )
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -311,11 +317,11 @@ def test_synthesize_report_audit_matches_direct_evaluation(tmp_path):
         assert len(audit["breakpoint_jumps"][name]) == 3
     # The defect bound of every piece, in scalar arithmetic: D = h' - 2(f'g - fg')
     # from the stored coefficients, summed as |d_k| r^k by Horner.
-    width = max(len(p.coeffs) for c in (curve.f, curve.g, curve.h) for p in c.pieces)
+    width = max(c._table(0).shape[1] for c in (curve.f, curve.g, curve.h))
     spans = [curve.f.breakpoints[0], *curve.f.breakpoints, curve.f.breakpoints[-1]]
     bounds = []
     for i, center in enumerate(curve.f.centers):
-        f, g, h = ((list(c.pieces[i].coeffs) + [0.0] * 2 * width)[: 2 * width]
+        f, g, h = ((c._table(0)[i].tolist() + [0.0] * 2 * width)[: 2 * width]
                    for c in (curve.f, curve.g, curve.h))
         df, dg, dh = ([k * c[k] for k in range(1, len(c))] for c in (f, g, h))
         d = []
@@ -522,7 +528,7 @@ def test_config_validation():
 def test_parse_omega():
     omega = parse_omega("power:2:0.5")
     assert omega(4.0) == pytest.approx(4.0)
-    for bad in ("power:2", "exp:1:1", "power:a:b"):
+    for bad in ("power:2", "exp:1:1", "power:a:b", "power:inf:1", "power:nan:1"):
         with pytest.raises(ParseError):
             parse_omega(bad)
 
@@ -575,6 +581,21 @@ def test_main_maps_bad_input_to_exit_3(tmp_path, capsys):
     code = main(["--mode", "check-c1", "--input", str(tmp_path / "nope.csv")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # The report was written after the error handling: a traceback and exit 1.
+    ["--mode", "finiteness", "--report", "OUT"],
+    # Already exit 3; the same error path.
+    ["--mode", "check-c1", "--plot-out", "OUT"],
+])
+def test_main_maps_an_unwritable_output_to_exit_3(tmp_path, capsys, argv):
+    path = write_csv(tmp_path / "circle.csv", circle_rows(12))
+    out = str(tmp_path / "no" / "such" / "dir" / "out.json")
+    assert main(["--input", path, *(out if a == "OUT" else a for a in argv)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "no").exists()
 
 
 CHECK_CM = ["--mode", "check-cm", "--input", "IN"]

@@ -8,19 +8,23 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import abs_quad_oracle, circle_curve, integrate, integrate_exact, random_poly
-from heiswhit import (
-    Interval,
-    ModulusFn,
-    Poly,
-    abs_integral,
-    finiteness_check,
-    poly,
-    real_roots,
-)
-from heiswhit.errors import IdenticallyZeroError, RootBudgetError
+from conftest import abs_quad_oracle, circle_curve, integrate_exact, random_poly, signed_integral
+from heiswhit import ModulusFn, Poly, finiteness_check, poly
+from heiswhit.errors import RootBudgetError
 
 EPS = np.finfo(float).eps
+
+
+def roots_on(p, lo, hi):
+    """Roots of p in [lo, hi], as the AV kernel isolates them."""
+    return poly._roots(np.array(p.coeffs), lo, hi).tolist()
+
+
+def abs_integral_on(p, lo, hi):
+    """Integral of |p| over [lo, hi], as the AV kernel takes it: split at p's roots."""
+    c, a, b = np.array(p.coeffs), np.array([lo]), np.array([hi])
+    return float(poly._abs_integral(poly._antideriv(c), a, b, poly._roots(c, lo, hi))[0])
+
 
 coeff_lists = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -75,20 +79,20 @@ def test_derivative_undoes_antiderivative(coeffs):
 
 
 def test_integrate_square_unit_interval():
-    assert integrate(Poly([0.0, 0.0, 1.0]), Interval(0.0, 1.0)) == pytest.approx(
+    assert signed_integral(Poly([0.0, 0.0, 1.0]), 0.0, 1.0) == pytest.approx(
         1.0 / 3.0, abs=1e-15
     )
 
 
 def test_integrate_odd_symmetry():
-    assert integrate(Poly([0.0, 1.0]), Interval(-1.0, 1.0)) == pytest.approx(
+    assert signed_integral(Poly([0.0, 1.0]), -1.0, 1.0) == pytest.approx(
         0.0, abs=1e-15
     )
 
 
 @given(coeff_lists, st.floats(-5.0, 5.0, allow_nan=False))
 def test_integrate_degenerate_interval(coeffs, a):
-    assert integrate(Poly(coeffs), Interval(a, a)) == 0.0
+    assert signed_integral(Poly(coeffs), a, a) == 0.0
 
 
 # The antiderivative once cut its terms again, relative to its own largest:
@@ -99,9 +103,9 @@ def test_integrate_degenerate_interval(coeffs, a):
 @given(coeff_lists, coeff_lists)
 def test_integrate_linearity(pc, qc):
     p, q = Poly(pc), Poly(qc)
-    iv = Interval(-1.0, 2.0)
-    lhs = integrate(p + q, iv)
-    rhs = integrate(p, iv) + integrate(q, iv)
+    lo, hi = -1.0, 2.0
+    lhs = signed_integral(p + q, lo, hi)
+    rhs = signed_integral(p, lo, hi) + signed_integral(q, lo, hi)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
 
 
@@ -112,37 +116,37 @@ def test_integrate_matches_rational_oracle():
         lo = float(rng.uniform(-2.0, 1.0))
         hi = lo + float(rng.uniform(0.0, 3.0))
         want = integrate_exact(p, lo, hi)
-        got = integrate(p, Interval(lo, hi))
+        got = signed_integral(p, lo, hi)
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
 def test_roots_of_shifted_square():
-    roots = real_roots(Poly([-1.0, 0.0, 1.0]), Interval(-2.0, 2.0))
+    roots = roots_on(Poly([-1.0, 0.0, 1.0]), -2.0, 2.0)
     assert roots == pytest.approx([-1.0, 1.0], abs=1e-10)
 
 
 def test_roots_none_when_positive():
-    assert real_roots(Poly([1.0, 0.0, 1.0]), Interval(-2.0, 2.0)) == []
+    assert roots_on(Poly([1.0, 0.0, 1.0]), -2.0, 2.0) == []
 
 
 def test_double_root_found_by_deflation():
     # x(x-1)^2: the touch at 1 has no sign change and must come from the
     # derivative recursion.
     p = Poly([0.0, 1.0, -2.0, 1.0])
-    roots = real_roots(p, Interval(-1.0, 2.0))
+    roots = roots_on(p, -1.0, 2.0)
     assert roots == pytest.approx([0.0, 1.0], abs=1e-9)
 
 
 def test_roots_1e4_apart_are_both_found():
     p = Poly([-0.5, 1.0]) * Poly([-0.5001, 1.0])
-    assert real_roots(p, Interval(0.0, 1.0)) == pytest.approx([0.5, 0.5001], abs=1e-9)
+    assert roots_on(p, 0.0, 1.0) == pytest.approx([0.5, 0.5001], abs=1e-9)
 
 
 def test_root_near_2e4_ends_its_bisection():
     # Neighbouring floats near 2e4 lie 3.6e-12 apart, farther than tol, and
     # p is nonzero at both ends of the last bracket.
     p = Poly([60001.28477690172, -3.0])
-    assert real_roots(p, Interval(0.0, 3e4)) == pytest.approx(
+    assert roots_on(p, 0.0, 3e4) == pytest.approx(
         [60001.28477690172 / 3.0], rel=1e-15
     )
 
@@ -161,7 +165,7 @@ def test_roots_of_separated_linear_factors(roots):
     p = Poly([1.0])
     for r in roots:
         p = p * Poly([-r, 1.0])
-    got = real_roots(p, Interval(-0.5, 1.5))
+    got = roots_on(p, -0.5, 1.5)
     assert got == sorted(got)
     assert len(got) == len(roots)
     for g, r in zip(got, sorted(roots)):
@@ -172,20 +176,15 @@ def test_roots_of_separated_linear_factors(roots):
         assert abs(g - r) <= 1e-9 + 8.0 * EPS * cond / slope
 
 
-def test_roots_of_zero_poly_rejected():
-    with pytest.raises(IdenticallyZeroError):
-        real_roots(Poly(), Interval(0.0, 1.0))
-
-
 def test_abs_integral_of_x():
-    assert abs_integral(Poly([0.0, 1.0]), Interval(-1.0, 1.0)) == pytest.approx(
+    assert abs_integral_on(Poly([0.0, 1.0]), -1.0, 1.0) == pytest.approx(
         1.0, abs=1e-12
     )
 
 
 def test_abs_integral_with_interior_sign_change():
     # |x^2-1| on [0,2]: 2/3 below the root plus 4/3 above it.
-    got = abs_integral(Poly([-1.0, 0.0, 1.0]), Interval(0.0, 2.0))
+    got = abs_integral_on(Poly([-1.0, 0.0, 1.0]), 0.0, 2.0)
     assert got == pytest.approx(2.0, abs=1e-11)
 
 
@@ -193,11 +192,11 @@ def test_abs_integral_with_interior_sign_change():
 def test_abs_integral_of_nonnegative_is_signed(coeffs):
     p = Poly(coeffs)
     sq = p * p
-    iv = Interval(-1.0, 1.5)
+    lo, hi = -1.0, 1.5
     if sq.is_zero:
         return
-    want = integrate(sq, iv)
-    assert abs_integral(sq, iv) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    want = signed_integral(sq, lo, hi)
+    assert abs_integral_on(sq, lo, hi) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,8 +205,8 @@ def test_abs_integral_dominates_signed(coeffs, lo, width):
     p = Poly(coeffs)
     if p.is_zero:
         return
-    iv = Interval(lo, lo + width)
-    assert abs_integral(p, iv) + 1e-10 >= abs(integrate(p, iv))
+    hi = lo + width
+    assert abs_integral_on(p, lo, hi) + 1e-10 >= abs(signed_integral(p, lo, hi))
 
 
 def test_abs_integral_against_subdivision_oracle():
@@ -220,7 +219,7 @@ def test_abs_integral_against_subdivision_oracle():
         lo = float(rng.uniform(-2.0, 1.0))
         hi = lo + float(rng.uniform(0.05, 3.0))
         want = abs_quad_oracle(p, lo, hi, tol=1e-12)
-        got = abs_integral(p, Interval(lo, hi))
+        got = abs_integral_on(p, lo, hi)
         assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
 
@@ -380,8 +379,8 @@ def test_root_budget_error_when_a_bracket_needs_more_steps(monkeypatch):
     # several steps to reach sqrt(2).
     monkeypatch.setattr(poly, "ROOT_BUDGET", 1)
     with pytest.raises(RootBudgetError):
-        real_roots(Poly([-2.0, 0.0, 1.0]), Interval(0.0, 2.0))
+        roots_on(Poly([-2.0, 0.0, 1.0]), 0.0, 2.0)
     monkeypatch.setattr(poly, "ROOT_BUDGET", 200)
-    assert real_roots(Poly([-2.0, 0.0, 1.0]), Interval(0.0, 2.0)) == pytest.approx(
+    assert roots_on(Poly([-2.0, 0.0, 1.0]), 0.0, 2.0) == pytest.approx(
         [math.sqrt(2.0)], abs=1e-15
     )

@@ -4,7 +4,7 @@ check_cm's dd profiles pair two (m+1)-subsets when their union spans fewer
 than the window width; the oracle here pairs them window by window instead,
 the way the scan used to, and both must give the same profiles bit for bit.
 The same goes for the subsets themselves (collected window by window into a
-set) and for check_c1 (one pansu_dq per node pair).  Its discrete AV profile
+set) and for check_c1 (one Pansu quotient per node pair, from the group law).  Its discrete AV profile
 is checked against one discrete_av_pair per subset and endpoint pair.
 """
 
@@ -26,7 +26,7 @@ from heiswhit.cli import RunConfig, run
 from heiswhit import divdiff
 from heiswhit.divdiff import _scan, dd_windows, divided_difference
 from heiswhit.errors import TooFewNodesError
-from heiswhit.heis import _horizontality_residual, horizontality_defect, pansu_dq
+from heiswhit.heis import _horizontality_residual, dilate, group_mul, horizontality_defect, inverse
 from heiswhit.profiles import banded_sup, delta_grid
 
 
@@ -119,6 +119,11 @@ def test_dd_windows_match_the_window_by_window_set(m, full_enum):
         width = n if full_enum else min(n, 2 * m + 4)
         subsets, span = dd_windows(n, m, width)
         assert (list(map(tuple, subsets.tolist())), span) == dd_windows_by_set(n, m, width)
+
+
+def pansu_dq(pa, pb, a, b):
+    """The Pansu quotient delta_{1/(b-a)}(pa^-1 * pb), from the group law."""
+    return dilate(1.0 / (b - a), group_mul(inverse(pa), pb))
 
 
 def check_c1_by_pairs(samples, deltas):

@@ -3,7 +3,7 @@
 The oracles below are the former implementation, kept verbatim in spirit:
 one gap at a time on Poly objects (blends, bump basis, bracket integrals,
 the scalar amplitude rule, the h chain and the end pieces), and the
-former loop of jets_from_samples.
+former per-node loop of the sample jets.
 """
 
 import math
@@ -23,9 +23,6 @@ from conftest import (
 from heiswhit import (
     PiecewiseCm,
     SampledCurve,
-    WhitneyField,
-    extend,
-    jets_from_samples,
     synthesize,
     transition_poly,
 )
@@ -156,11 +153,17 @@ def synthesize_oracle(samples, m):
     g.append(jet_poly(gj[-1]))
     h.append(end_h_oracle(fj[-1], gj[-1], hs[-1], m))
     centers.append(nodes[-1])
-    return tuple(PiecewiseCm(breaks, centers, c, m) for c in (f, g, h)), lams
+    return tuple(PiecewiseCm(breaks, centers, poly_rows(c), m) for c in (f, g, h)), lams
+
+
+def poly_rows(polys):
+    """The ascending coefficients of polys, zero-padded into one row each."""
+    width = max(len(p.coeffs) for p in polys)
+    return np.array([p.coeffs + (0.0,) * (width - len(p.coeffs)) for p in polys])
 
 
 def jets_oracle(nodes, values, m):
-    """The former per-node loop of jets_from_samples."""
+    """The former per-node loop of the sample jets."""
     n = len(nodes)
     jets = []
     for i, a in enumerate(nodes):
@@ -326,9 +329,8 @@ def test_amplitude_rule_raises_for_the_first_unsolvable_gap():
 
 
 def _check_jets(nodes, values, m):
-    got = jets_from_samples(nodes, values, m)
-    want = jets_oracle(tuple(nodes), tuple(values), m)
-    assert got.jets == want
+    got = tuple(map(tuple, _jets(np.array(nodes), np.array(values), m).tolist()))
+    assert got == jets_oracle(tuple(nodes), tuple(values), m)
     return got
 
 
@@ -348,8 +350,8 @@ def test_jets_equal_the_node_by_node_loop(m):
     for deg in range(m):
         p = Poly(rng.uniform(-1.0, 1.0, deg + 1))
         for nodes in (uniform, far):
-            field = _check_jets(nodes, [p(t) for t in nodes], m)
-            zeroed += sum(jet[m] == 0.0 for jet in field.jets)
+            jets = _check_jets(nodes, [p(t) for t in nodes], m)
+            zeroed += sum(jet[m] == 0.0 for jet in jets)
     assert zeroed > 0
 
 
@@ -360,14 +362,4 @@ def test_stacked_components_get_each_components_jets(m):
     t = np.array(sorted(distinct_nodes(rng, 12)))
     values = rng.uniform(-2.0, 2.0, (3, len(t)))
     for row, jets in zip(values, _jets(t, values, m)):
-        assert jets.tolist() == list(map(list, jets_from_samples(t, row, m).jets))
-
-
-def test_piecewise_rows_equal_poly_pieces():
-    field = WhitneyField((0.0, 0.4, 1.0), ((1.0, -2.0, 0.5), (0.3, 1.0, 2.0), (0.0, 0.0, 1.0)))
-    ext = extend(field)
-    rebuilt = PiecewiseCm(ext.breakpoints, ext.centers, ext.pieces, ext.order)
-    ts = np.linspace(-0.5, 1.5, 201)
-    for k in range(ext.order + 2):
-        np.testing.assert_array_equal(ext(ts, k), rebuilt(ts, k))
-    assert rebuilt.pieces == ext.pieces
+        assert jets.tolist() == _jets(t, row, m).tolist()
