@@ -34,7 +34,7 @@ def main(argv=None):
     parser.add_argument("--omega-exponent", type=float, default=1.0)
     args = parser.parse_args(argv)
 
-    omega = ModulusFn("power", args.omega_coeff, args.omega_exponent)
+    omega = ModulusFn(args.omega_coeff, args.omega_exponent)
     for label, make in (("circle", circle), ("drift", drift)):
         print(f"=== {label} (m={args.m}) ===")
         header = (

@@ -22,12 +22,13 @@ point on either side.
 
 The call set, every call writing ``--plot-out``: check-c1; check-cm and
 check-cm-w with the default window and with ``--window 9``; synthesize with
-``--grid-out``; finiteness.  The modes with an order run at m = 1, 2, 3
-and 4; m = 4 gives the AV kernel cubic p' rows, the root isolation's
-deepest recursion.  Inputs are circle, poly and drift CSV files from
-``perfbench/inputs.make_rows(7, "cmp", family, n)`` for n in N_VALUES, plus
-the files of every benchmark workload at seed 1 with the workload's own
-arguments.
+``--grid-out``; finiteness, and on the n = 13 files at m = 1 and 2 also
+finiteness with ``--omega power:2:0.5``.  The modes with an order run at
+m = 1, 2, 3 and 4; m = 4 gives the AV kernel cubic p' rows, the root
+isolation's deepest recursion.  Inputs are circle, poly and drift CSV
+files from ``perfbench/inputs.make_rows(7, "cmp", family, n)`` for n in
+N_VALUES, plus the files of every benchmark workload at seed 1 with the
+workload's own arguments.
 """
 
 import argparse
@@ -44,6 +45,9 @@ import inputs  # noqa: E402
 
 N_VALUES = (9, 13, 17, 21, 25, 31)
 ORDERS = (1, 2, 3, 4)
+# A modulus with c != 1 and s < 1, so its finiteness calls cover both factors
+# of the ratios and the seminorm's diam ** (1 - s).
+OMEGA, OMEGA_N, OMEGA_ORDERS = "power:2:0.5", 13, (1, 2)
 SIGNIFICANT = 1e-6
 # Report fields that locate a value (a subset, a pair, a piece) rather than measure one.
 WITNESSES = ("worst_subset", "worst_pair", "audit/defect_piece")
@@ -65,6 +69,9 @@ def cmp_calls(work):
                 yield (f"synthesize m={m} {family} n={n}",
                        ["--mode", "synthesize", "--grid-out", str(work / "grid.csv"), *base])
                 yield f"finiteness m={m} {family} n={n}", ["--mode", "finiteness", *base]
+                if n == OMEGA_N and m in OMEGA_ORDERS:
+                    yield (f"finiteness m={m} omega={OMEGA} {family} n={n}",
+                           ["--mode", "finiteness", "--omega", OMEGA, *base])
 
 
 def workload_calls(work):

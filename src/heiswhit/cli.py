@@ -75,7 +75,7 @@ def parse_omega(spec):
     except ValueError as exc:
         raise ParseError(f"bad omega numbers in {spec!r}") from exc
     try:
-        return ModulusFn("power", coeff, exponent)
+        return ModulusFn(coeff, exponent)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

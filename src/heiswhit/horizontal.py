@@ -362,13 +362,11 @@ def _seminorm(slope, diam, omega):
     """C^{m,omega} seminorms of interpolants with affine m-th derivatives.
 
     |p^(m)(b) - p^(m)(a)| = |slope| |b - a|; slope (.., S) and diam (S,).
+    Under omega = c t^s the sup of |slope| d / omega(d) over d <= diam is
+    reached at d = diam, since s <= 1.  A tiny c may overflow it to inf.
     """
-    if omega.kind == "power":
+    with np.errstate(over="ignore"):
         return np.abs(slope) * diam ** (1.0 - omega.exponent) / omega.coeff
-    d = diam * 0.5 ** np.arange(60)[:, None]  # 60 halvings of each diam
-    w = omega(d)
-    out = np.zeros(np.shape(slope)[:-1] + d.shape)
-    return np.divide(np.abs(slope)[..., None, :] * d, w, out=out, where=w > 0).max(-2)
 
 
 def finiteness_check(samples, m, omega, window=None, full_enum=None):
@@ -402,7 +400,10 @@ def finiteness_check(samples, m, omega, window=None, full_enum=None):
     sep = xs[:, ib] - xs[:, ia]
     w = omega(sep)
     ratios = np.full(sep.shape, math.inf)
-    np.divide(np.abs(area), velocity * w, out=ratios, where=w > 0)
+    # A tiny coefficient can underflow velocity * w to 0 or overflow the
+    # ratio; either gives inf, which the verdict never reads as collapsed.
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(np.abs(area), velocity * w, out=ratios, where=w > 0)
     items = np.column_stack((sep.ravel(), ratios.ravel()))
     # The first largest ratio in (subset, pair) order is the witness.
     s, k = divmod(int(np.argmax(ratios)), len(ia))

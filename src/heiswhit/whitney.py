@@ -61,43 +61,20 @@ class WhitneyField:
 
 @dataclass(frozen=True)
 class ModulusFn:
-    """Modulus of continuity: power law c * t^s or a tabulated profile."""
+    """Modulus of continuity: the power law c * t^s."""
 
-    kind: str = "power"
     coeff: float = 1.0
     exponent: float = 1.0
-    table: tuple = ()
 
     def __post_init__(self):
-        if self.kind == "power":
-            if not (0.0 < self.exponent <= 1.0):
-                raise ValueError("power modulus needs exponent in (0, 1]")
-            if not (0.0 < self.coeff < math.inf):
-                raise ValueError("power modulus needs a positive finite coefficient")
-        elif self.kind == "tabulated":
-            ts = [t for t, _ in self.table]
-            ws = [w for _, w in self.table]
-            if not np.isfinite(ts + ws).all():
-                raise ValueError("tabulated modulus needs finite entries")
-            if len(self.table) < 2 or ts != sorted(ts) or len(set(ts)) != len(ts):
-                raise ValueError("tabulated modulus needs increasing abscissae")
-            if any(b < a for a, b in zip(ws, ws[1:])) or any(w < 0 for w in ws):
-                raise ValueError("tabulated modulus must be nonnegative, nondecreasing")
-        else:
-            raise ValueError(f"unknown modulus kind {self.kind!r}")
+        if not (0.0 < self.exponent <= 1.0):
+            raise ValueError("power modulus needs exponent in (0, 1]")
+        if not (0.0 < self.coeff < math.inf):
+            raise ValueError("power modulus needs a positive finite coefficient")
 
     def __call__(self, t):
         """omega(|t|): a float for a scalar t, elementwise for an array."""
-        u = np.abs(np.asarray(t, dtype=float))
-        if self.kind == "power":
-            out = self.coeff * np.power(u, self.exponent)
-        else:
-            ts, ws = np.array(self.table, dtype=float).T
-            i = np.clip(np.searchsorted(ts, u, side="right") - 1, 0, len(ts) - 2)
-            frac = (u - ts[i]) / (ts[i + 1] - ts[i])
-            out = ws[i] + frac * (ws[i + 1] - ws[i])
-            below = ws[0] * (u / ts[0]) if ts[0] > 0 else ws[0]
-            out = np.where(u <= ts[0], below, np.where(u >= ts[-1], ws[-1], out))
+        out = self.coeff * np.power(np.abs(np.asarray(t, dtype=float)), self.exponent)
         return out if isinstance(t, np.ndarray) else float(out)
 
 
@@ -253,16 +230,14 @@ class FieldReport:
     per_k: dict
     combined: Profile
     max_remainder: float
-    omega_constant: float = None
     pair_count: int = 0
 
 
-def validate_field(whitney_field, omega=None):
+def validate_field(whitney_field):
     """Taylor-remainder diagnostics of a field.
 
-    Banded decay profiles of R_k per derivative order and combined, and,
-    given a modulus omega, the smallest constant C with
-    R_k <= C * omega(|b - a|) over all ordered pairs.
+    Banded decay profiles of R_k per derivative order and combined over
+    all ordered pairs of nodes.
     """
     m = whitney_field.order
     nodes = whitney_field.nodes
@@ -287,8 +262,4 @@ def validate_field(whitney_field, omega=None):
     }
     r, dk = np.concatenate(rs), np.tile(d, m + 1)
     combined = banded_sup(np.column_stack((dk, r)), deltas, name="remainders")
-    omega_c = None
-    if omega is not None:
-        w = omega(dk)
-        omega_c = float(np.divide(r, w, out=np.full_like(r, math.inf), where=w > 0).max())
-    return FieldReport(per_k, combined, float(r.max()), omega_c, len(u))
+    return FieldReport(per_k, combined, float(r.max()), len(u))

@@ -178,6 +178,10 @@ def test_av_pair_rejects_bad_endpoints():
         av_pair(jets, 0.5, 0.5, 1)
     with pytest.raises(NodeNotFoundError):
         av_pair(jets, 0.0, 0.25, 1)
+    with pytest.raises(OrderViolationError):  # jets of order 1 at m = 2
+        av_pair(jets, 0.0, 1.0, 2)
+    with pytest.raises(OrderViolationError):
+        area_discrepancy(jets, 0.5, 0.5, 1)
 
 
 def test_avpair_requires_positive_velocity():
@@ -229,7 +233,7 @@ def test_finiteness_anchors_match_the_per_pair_oracle(monkeypatch, m):
     rng = np.random.default_rng(67 + m)
     nodes = distinct_nodes(rng, 9)
     curve = SampledCurve.from_rows([(t, *rng.uniform(-1.0, 1.0, 3)) for t in nodes])
-    finiteness_check(curve, m, ModulusFn("power", 1.0, 1.0), full_enum=True)
+    finiteness_check(curve, m, ModulusFn(1.0, 1.0), full_enum=True)
     ((t, f, g, values, _), (got_ia, got_ib, area, velocity)), = calls
     ia, ib = np.triu_indices(m + 2, 1)
     assert np.array_equal(got_ia, ia) and np.array_equal(got_ib, ib)
@@ -267,7 +271,7 @@ def test_anchor_kernel_isolates_roots_once_per_anchor(monkeypatch):
 
     roots = av._roots
     monkeypatch.setattr(av, "_roots", counting_roots)
-    finiteness_check(circle_curve(13), 2, ModulusFn("power", 1.0, 1.0), full_enum=True)
+    finiteness_check(circle_curve(13), 2, ModulusFn(1.0, 1.0), full_enum=True)
     assert sum(rows) == 2 * 715 * 3
     rows.clear()
     check_cm_via_w(circle_curve(33), 2)

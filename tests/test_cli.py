@@ -2,9 +2,12 @@
 
 import csv
 import gc
+import importlib.util
 import io
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +71,9 @@ def test_csv_rows_sorted_and_crlf_ok(tmp_path):
     curve = load_input(str(path))[0]
     assert curve.nodes == (0.0, 0.5, 1.0)
     assert curve.points[1].x == 2.0
+    # Blank and whitespace-only lines between rows are skipped.
+    path.write_text("t,x,y,z\n1,1,0,0\n\n0,0,0,0\n  \n0.5,2,0,0\n")
+    assert load_input(str(path))[0].nodes == (0.0, 0.5, 1.0)
 
 
 def test_csv_rejects_duplicates_nonfinite_and_garbage(tmp_path):
@@ -416,6 +422,25 @@ def test_run_finiteness_inconclusive_exits_2(tmp_path):
     assert report["status"] == "inconclusive"
     assert set(report["constants"]) == {"M_hat", "C2_hat", "subsets_scanned"}
     assert len(report["worst_pair"]) == 2
+
+
+def test_finiteness_on_a_subnormal_modulus_exits_2_quietly(tmp_path, capsys):
+    # At c = 1e-320, velocity * omega underflows to 0 and every ratio is inf;
+    # an inf profile once read as collapsed (exit 0), with numpy warnings on stderr.
+    spec = importlib.util.spec_from_file_location(
+        "inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    paths = {family: str(tmp_path / f"{family}.csv") for family in ("drift", "circle")}
+    for family, path in paths.items():
+        inputs.write_samples(path, inputs.make_rows(1, "x", family, 13))
+    argv = ["--mode", "finiteness", "--m", "2", "--input"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in paths.values():  # the circle's C2_hat overflows too
+            assert main([*argv, path, "--omega", "power:1e-320:1"]) == 2
+        assert capsys.readouterr().err == ""
+        assert main([*argv, paths["drift"], "--omega", "power:1:1"]) == 1
 
 
 def test_finiteness_window_applies_on_twenty_nodes_or_fewer(tmp_path):

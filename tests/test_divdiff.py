@@ -73,7 +73,7 @@ def test_dd_matches_partial_fraction_oracle():
         assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_hermite_genocchi_of_power_is_one(m):
     nodes = [0.1 * i + 0.05 for i in range(m + 1)]
     fm = lambda x: float(math.factorial(m))

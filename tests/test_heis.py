@@ -232,6 +232,14 @@ def test_curve_jets_reject_non_finite_jets(field, k, value):
         CurveJets(**replaced(jets, field, 2, k, value))
 
 
+def test_curve_jets_reject_mismatched_jets():
+    jets = circle_jets((0.0, 0.5, 1.0), 1)
+    with pytest.raises(LengthMismatchError):  # two f jets for three nodes
+        CurveJets(jets.nodes, jets.fjets[:2], jets.gjets, jets.hjets)
+    with pytest.raises(LengthMismatchError):  # one h jet of order 2
+        CurveJets(jets.nodes, jets.fjets, jets.gjets, jets.hjets[:2] + ((0.0, 1.0, 2.0),))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_curve_jets_reject_non_finite_nodes(value):
     jets = circle_jets((0.0, 0.5, 1.0), 1)

@@ -366,7 +366,7 @@ def test_three_steps_resolve_degree_1_rows(monkeypatch):
 def test_three_steps_resolve_the_degree_2_rows_of_the_av_kernel(monkeypatch):
     # At m = 2 every row the AV kernel integrates |p'| of is p' of a
     # degree-2 Taylor or interpolant row: degree 1, so three steps suffice.
-    curve, omega = circle_curve(13), ModulusFn("power", 1.0, 1.0)
+    curve, omega = circle_curve(13), ModulusFn(1.0, 1.0)
     want = finiteness_check(curve, 2, omega, full_enum=True)
     monkeypatch.setattr(poly, "ROOT_BUDGET", 3)
     got = finiteness_check(curve, 2, omega, full_enum=True)

@@ -160,6 +160,15 @@ def test_policy_middle_ground_is_inconclusive():
     status, _ = policy.classify(prof)
     assert status == INCONCLUSIVE
     assert policy.classify(Profile(()))[0] == INCONCLUSIVE
+    assert policy.bounded(Profile(())) == (INCONCLUSIVE, 0.0)
+
+
+@pytest.mark.parametrize("values", [(math.inf, math.inf), (1.0, math.inf)])
+def test_policy_never_reads_an_infinite_terminal_as_collapsed(values):
+    # An inf terminal once passed zero_tol * max(1, top) when the top was inf too.
+    prof = Profile(((1.0, values[0]), (0.5, values[1])))
+    policy = ThresholdPolicy()
+    assert policy.classify(prof)[0] == policy.bounded(prof)[0] == INCONCLUSIVE
 
 
 def test_combine_statuses_worst_wins():

@@ -15,7 +15,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # __all__, and the __init__ and public methods of its classes.  A new knob
 # is added here on purpose or not at all.
 KEYWORDS = {
-    "ModulusFn.__init__": ("kind", "coeff", "exponent", "table"),
+    "ModulusFn.__init__": ("coeff", "exponent"),
     "PiecewiseCm.breakpoint_jumps": ("up_to",),
     "Poly.__init__": ("coeffs",),
     "Poly.deriv_at": ("order",),
@@ -25,7 +25,6 @@ KEYWORDS = {
     "check_cm_via_w": ("window",),
     "finiteness_check": ("window", "full_enum"),
     "synthesize": ("force", "window"),
-    "validate_field": ("omega",),
 }
 
 

@@ -23,7 +23,6 @@ from heiswhit.errors import (
     NonFiniteError,
     TooFewNodesError,
 )
-from heiswhit.horizontal import _seminorm
 from heiswhit.poly import Poly
 from heiswhit.profiles import banded_sup, delta_grid
 from heiswhit.whitney import _jets
@@ -124,20 +123,11 @@ def test_single_pair_top_order_remainder():
     assert report.per_k[2].points[0][1] == pytest.approx(8.0, rel=1e-12)
 
 
-def test_omega_constant_for_square():
-    report = validate_field(
-        poly_field(Poly((0.0, 0.0, 1.0)), (0.0, 1.0), 1),
-        omega=ModulusFn(),
-    )
-    assert report.omega_constant == pytest.approx(2.0, rel=1e-12)
-    assert report.pair_count == 2
-
-
-def validate_field_by_pairs(field, omega=None):
+def validate_field_by_pairs(field):
     """Brute force: one Taylor polynomial per node and order, pair by pair."""
     m, nodes, jets = field.order, field.nodes, field.jets
     deltas = delta_grid(nodes[-1] - nodes[0], min(np.diff(nodes)))
-    items, omega_c, worst, pairs = {k: [] for k in range(m + 1)}, 0.0, 0.0, 0
+    items, worst, pairs = {k: [] for k in range(m + 1)}, 0.0, 0
     for ia, a in enumerate(nodes):
         truncated = [jet_poly(jets[ia][k:]) for k in range(m + 1)]
         for ib, b in enumerate(nodes):
@@ -149,12 +139,9 @@ def validate_field_by_pairs(field, omega=None):
                 r = abs(jets[ib][k] - truncated[k](b - a)) / d ** (m - k)
                 items[k].append((d, r))
                 worst = max(worst, r)
-                if omega is not None:
-                    w = omega(d)
-                    omega_c = max(omega_c, r / w if w > 0 else math.inf)
     per_k = {k: banded_sup(items[k], deltas, name=f"remainder_k{k}") for k in items}
     combined = banded_sup([i for k in items for i in items[k]], deltas, name="remainders")
-    return per_k, combined, worst, omega_c if omega is not None else None, pairs
+    return per_k, combined, worst, pairs
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -162,11 +149,10 @@ def test_validate_field_matches_pair_by_pair_loop(m):
     rng = np.random.default_rng(70 + m)
     nodes = tuple(sorted(distinct_nodes(rng, 9)))
     field = WhitneyField(nodes, tuple(tuple(rng.uniform(-2.0, 2.0, m + 1)) for _ in nodes))
-    for omega in (None, ModulusFn(coeff=2.0, exponent=0.5)):
-        got = validate_field(field, omega=omega)
-        want = validate_field_by_pairs(field, omega)
-        assert (got.per_k, got.combined, got.max_remainder, got.omega_constant,
-                got.pair_count) == want
+    got = validate_field(field)
+    assert (got.per_k, got.combined, got.max_remainder, got.pair_count) == (
+        validate_field_by_pairs(field)
+    )
 
 
 def test_validate_field_needs_two_nodes():
@@ -329,48 +315,20 @@ def test_power_modulus_basics():
     for coeff in (math.inf, math.nan):
         with pytest.raises(ValueError):
             ModulusFn(coeff=coeff)
-    with pytest.raises(ValueError):
-        ModulusFn(kind="mystery")
-
-
-def test_tabulated_modulus_interpolates():
-    w = ModulusFn(kind="tabulated", table=((1.0, 2.0), (3.0, 6.0)))
-    assert w(2.0) == pytest.approx(4.0, rel=1e-12)
-    assert w(0.5) == pytest.approx(1.0, rel=1e-12)  # linear through zero
-    assert w(10.0) == 6.0
 
 
 def scalar_modulus(omega, t):
     """omega(t) as ModulusFn computed it one Python float at a time."""
-    t = abs(float(t))
-    if omega.kind == "power":
-        return omega.coeff * t ** omega.exponent
-    ts = [abscissa for abscissa, _ in omega.table]
-    ws = [w for _, w in omega.table]
-    if t <= ts[0]:
-        return ws[0] * (t / ts[0]) if ts[0] > 0 else ws[0]
-    if t >= ts[-1]:
-        return ws[-1]
-    i = bisect_right(ts, t) - 1
-    frac = (t - ts[i]) / (ts[i + 1] - ts[i])
-    return ws[i] + frac * (ws[i + 1] - ws[i])
+    return omega.coeff * abs(float(t)) ** omega.exponent
 
 
-class ScalarModulus:
-    """A modulus that evaluates an array with scalar_modulus, element by element."""
-
-    def __init__(self, omega):
-        self.omega, self.kind = omega, omega.kind
-
-    def __call__(self, t):
-        return np.vectorize(lambda x: scalar_modulus(self.omega, x), otypes=[float])(t)
-
-
-TABULATED = (
-    ModulusFn(kind="tabulated", table=((0.1, 0.5), (1.0, 1.0), (3.0, 2.0))),
-    ModulusFn(kind="tabulated", table=((0.0, 0.25), (0.5, 0.25), (2.0, 4.0))),
+MODULI = (
+    ModulusFn(),
+    ModulusFn(coeff=2.0, exponent=0.5),
+    ModulusFn(coeff=0.7, exponent=0.3),
+    ModulusFn(coeff=2.0, exponent=1.0),
+    ModulusFn(coeff=1e-3, exponent=0.75),
 )
-MODULI = (ModulusFn(), ModulusFn(coeff=2.0, exponent=0.5), ModulusFn(coeff=0.7, exponent=0.3), *TABULATED)
 
 
 @pytest.mark.parametrize("omega", MODULI)
@@ -382,31 +340,9 @@ def test_modulus_on_an_array_matches_scalar_calls(omega):
     assert got.shape == ts.shape
     for t, w in zip(ts.ravel().tolist(), got.ravel().tolist()):
         assert type(omega(t)) is float and omega(t) == w
+        # numpy's array pow may round the last bit unlike the C library's
         want = scalar_modulus(omega, t)
-        if omega.kind == "tabulated":
-            assert w == want
-        else:  # numpy's array pow may round the last bit unlike the C library's
-            assert abs(w - want) <= np.spacing(want)
-
-
-@pytest.mark.parametrize("omega", TABULATED)
-def test_tabulated_modulus_gives_the_scalar_results(omega):
-    rng = np.random.default_rng(32)
-    nodes = tuple(sorted(distinct_nodes(rng, 9, 0.0, 4.0)))
-    field = WhitneyField(nodes, tuple(tuple(rng.uniform(-2.0, 2.0, 3)) for _ in nodes))
-    got = validate_field(field, omega=omega)
-    assert got == validate_field(field, omega=ScalarModulus(omega))
-    slope, diam = rng.normal(size=(3, 5)), rng.uniform(0.01, 4.0, 5)
-    assert np.array_equal(_seminorm(slope, diam, omega), _seminorm(slope, diam, ScalarModulus(omega)))
-    with pytest.raises(ValueError):
-        ModulusFn(kind="tabulated", table=((1.0, 2.0),))
-    with pytest.raises(ValueError):
-        ModulusFn(kind="tabulated", table=((1.0, 2.0), (1.0, 3.0)))
-    with pytest.raises(ValueError):
-        ModulusFn(kind="tabulated", table=((1.0, 2.0), (3.0, 1.0)))
-    for table in (((1.0, 2.0), (3.0, math.inf)), ((1.0, 2.0), (math.inf, 3.0))):
-        with pytest.raises(ValueError):
-            ModulusFn(kind="tabulated", table=table)
+        assert abs(w - want) <= np.spacing(want)
 
 
 @given(
