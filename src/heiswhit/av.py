@@ -108,21 +108,15 @@ def _taylor_area(area, tf, tg, values, ia, ib, u):
     )
 
 
-def _jet_arrays(jets, m):
-    if jets.order < m:
-        raise OrderViolationError(
-            f"jets carry order {jets.order}, need at least {m}"
-        )
-    return [np.array(js, dtype=float) for js in (jets.fjets, jets.gjets, jets.hjets)]
-
-
 def _jets_pair(jets, a, b, m):
     """The jets of f and g at a, one row each, and f, g and h at a and b."""
     ia, ib = jets.index(a), jets.index(b)
     if ia == ib:
         raise OrderViolationError("need two distinct nodes")
-    f, g, h = _jet_arrays(jets, m)
-    return f[[ia]], g[[ia]], np.stack([c[[ia, ib], 0] for c in (f, g, h)])
+    if jets.order < m:
+        raise OrderViolationError(f"jets carry order {jets.order}, need at least {m}")
+    f, g, _ = jets._jets
+    return f[[ia]], g[[ia]], jets._jets[:, [ia, ib], 0]
 
 
 def area_discrepancy(jets, a, b, m):
@@ -157,16 +151,16 @@ def discrete_av_pair(samples, subset, a, b, m):
     x = sorted(set(float(t) for t in subset))
     if len(x) != m + 1 or len(x) != len(tuple(subset)):
         raise BadSubsetError(f"subset must hold {m + 1} distinct nodes")
-    node_set = set(samples.nodes)
-    if any(t not in node_set for t in x):
+    t = samples._t
+    sub = np.minimum(np.searchsorted(t, x), len(t) - 1)
+    if np.any(t[sub] != x):
         raise BadSubsetError("subset must consist of sample nodes")
     if a not in x or b not in x:
         raise BadSubsetError("endpoints must belong to the subset")
     if not (a < b):
         raise OrderViolationError(f"need a < b, got a={a}, b={b}")
 
-    sub = [samples.nodes.index(t) for t in x]
-    table = _subset_table(samples, np.array([sub]), sub[-1] - sub[0] + 1)
+    table = _subset_table(samples, sub[None], sub[-1] - sub[0] + 1)
     area, velocity = _discrete_av(table, samples._xyz[2], [x.index(a)], [x.index(b)], m)
     return AVPair(float(area[0, 0]), float(velocity[0, 0]))
 

@@ -13,6 +13,7 @@ import argparse
 import csv
 import gc
 import json
+import math
 import os
 import sys
 import time
@@ -195,6 +196,15 @@ def _verdict_report(verdict):
     }
 
 
+def _strict(value):
+    """value with each non-finite float as the string "inf", "-inf" or "nan": strict JSON."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return str(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_grid(curve_obj, config):
     import numpy as np
 
@@ -219,7 +229,7 @@ def run(config):
         m = m_hint if m_hint is not None else config.m
         report["m"] = m
         policy = ThresholdPolicy()
-        window = _full_window(len(curve.nodes), m, config.window, config.full_enum)
+        window = _full_window(len(curve._t), m, config.window, config.full_enum)
 
         t0 = time.perf_counter()
         plot_profiles = None
@@ -270,7 +280,7 @@ def run(config):
 
         report["timings"] = timings
         report["exit_code"] = code
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
         if config.report_path:
             with open(config.report_path, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -9,70 +9,65 @@ the profiles here measure exactly that shrinkage.
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import LengthMismatchError, QuadratureBudgetError, ScanTooLargeError, TooFewNodesError
-from .heis import HPoint, check_finite, check_nodes, group_mul
+from .heis import HPoint, _twist, check_finite, check_nodes
 from .poly import Poly
 from .profiles import banded_sup, delta_grid
 
 
-@dataclass(frozen=True)
 class SampledCurve:
-    """Curve samples: strictly increasing nodes with one HPoint per node, also
-    held once as read-only arrays: _t, the nodes (n,), and _xyz, the values (3, n)."""
+    """Curve samples at strictly increasing nodes, held once as read-only
+    arrays: _t, the nodes (n,), and _xyz, the values (3, n).  nodes, points,
+    fs, gs and hs are tuples built from them on each read."""
 
-    nodes: tuple
-    points: tuple
+    __slots__ = ("_t", "_xyz")
 
-    def __post_init__(self):
-        if len(self.nodes) < 2:
+    def __init__(self, nodes, points):
+        xyz = np.array(list(zip(*points)), dtype=float).reshape(3, -1)
+        self._hold(np.array(nodes, dtype=float), xyz)
+
+    @classmethod
+    def _of(cls, t, xyz):
+        """The curve of nodes t (n,) and values xyz (3, n), which it keeps and freezes."""
+        curve = cls.__new__(cls)
+        curve._hold(t, xyz)
+        return curve
+
+    def _hold(self, t, xyz):
+        """Check nodes t and values xyz by the node and value rules; keep them read-only."""
+        if len(t) < 2:
             raise TooFewNodesError("a sampled curve needs at least two nodes")
-        if len(self.nodes) != len(self.points):
+        if xyz.shape[1] != len(t):
             raise LengthMismatchError("one point per node required")
-        object.__setattr__(self, "_xyz", np.array(list(zip(*self.points)), dtype=float))
-        check_finite(self._xyz, "samples")
-        object.__setattr__(self, "_t", np.array(self.nodes, dtype=float))
-        check_nodes(self._t)
-        self._t.flags.writeable = self._xyz.flags.writeable = False
+        check_finite(xyz, "samples")
+        check_nodes(t)
+        t.flags.writeable = xyz.flags.writeable = False
+        self._t, self._xyz = t, xyz
 
     @classmethod
     def from_rows(cls, rows):
         """Build from (t, x, y, z) rows, sorting by t."""
-        rows = sorted(rows, key=lambda r: r[0])
-        return cls(
-            tuple(float(r[0]) for r in rows),
-            tuple(HPoint(float(r[1]), float(r[2]), float(r[3])) for r in rows),
-        )
+        a = np.array(rows, dtype=float).reshape(len(rows), 4)
+        a = np.ascontiguousarray(a[np.argsort(a[:, 0], kind="stable")].T)
+        return cls._of(a[0], a[1:])
 
-    @property
-    def fs(self):
-        return tuple(p.x for p in self.points)
-
-    @property
-    def gs(self):
-        return tuple(p.y for p in self.points)
-
-    @property
-    def hs(self):
-        return tuple(p.z for p in self.points)
-
-    @property
-    def diam(self):
-        return self.nodes[-1] - self.nodes[0]
-
-    @property
-    def min_gap(self):
-        return float(np.min(np.diff(self._t)))
+    nodes = property(lambda self: tuple(self._t.tolist()))
+    points = property(lambda self: tuple(HPoint(*p) for p in self._xyz.T.tolist()))
+    fs = property(lambda self: tuple(self._xyz[0].tolist()))
+    gs = property(lambda self: tuple(self._xyz[1].tolist()))
+    hs = property(lambda self: tuple(self._xyz[2].tolist()))
+    diam = property(lambda self: float(self._t[-1] - self._t[0]))
+    min_gap = property(lambda self: float(np.min(np.diff(self._t))))
 
     def translated(self, p):
         """Left translate p * curve, sample by sample."""
-        return SampledCurve(
-            self.nodes, tuple(group_mul(p, q) for q in self.points)
-        )
+        x, y, z = self._xyz
+        moved = np.stack([p.x + x, p.y + y, p.z + z + _twist(p.x, p.y, x, y)])
+        return SampledCurve._of(self._t, moved)
 
 
 def dd_coefficients(values, nodes):
@@ -246,7 +241,7 @@ def _subset_table(samples, idx, width):
 
 def _newton_table(samples, m, width):
     """The table of every (m+1)-subset of a width, if it fits in physical memory."""
-    n = len(samples.nodes)
+    n = len(samples._t)
     count = _subset_count(n, m, width)
     # The table's six (count, m + 1) arrays and up to three monomial rows its readers build
     size = 9 * 8 * (m + 1) * count
@@ -271,7 +266,7 @@ def _scan(samples, m, window, order=None):
     min(n, window) consecutive nodes, and the scales are the geometric grid
     from diam down to the smallest gap.
     """
-    n = len(samples.nodes)
+    n = len(samples._t)
     if n < m + 2:
         raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")
     if window is not None and window < m + 2:

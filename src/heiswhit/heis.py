@@ -9,7 +9,6 @@ condition h' = 2(f' g - f g') for curves (f, g, h): one twist, which every
 module takes from _twist (on values) and _velocity (on coefficient rows).
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,35 +114,36 @@ def horizontality_defect(f, g, h, grid):
     return float(np.max(np.abs(residual), initial=0.0))
 
 
-@dataclass(frozen=True)
 class CurveJets:
-    """Per-node jets of a curve (f, g, h): three (m+1)-vectors per node."""
+    """Per-node jets of a curve (f, g, h), held once as read-only arrays: _t,
+    the nodes (n,), and _jets, the (m+1)-vectors of f, g and h (3, n, m+1).
+    nodes, fjets, gjets and hjets are tuples built from them on each read."""
 
-    nodes: tuple
-    fjets: tuple
-    gjets: tuple
-    hjets: tuple
+    __slots__ = ("_t", "_jets")
 
-    def __post_init__(self):
-        n = len(self.nodes)
-        if not (len(self.fjets) == len(self.gjets) == len(self.hjets) == n):
+    def __init__(self, nodes, fjets, gjets, hjets):
+        n = len(nodes)
+        jets = (fjets, gjets, hjets)
+        if not (len(fjets) == len(gjets) == len(hjets) == n):
             raise LengthMismatchError("one jet triple per node required")
-        jets = (self.fjets, self.gjets, self.hjets)
-        check_finite([v for js in jets for j in js for v in j], "jets")
-        check_nodes(self.nodes)
-        if n:
-            width = len(self.fjets[0])
-            for js in jets:
-                if any(len(j) != width for j in js):
-                    raise LengthMismatchError("all jets must share one length")
+        width = len(fjets[0]) if n else 0
+        if any(len(j) != width for js in jets for j in js):
+            raise LengthMismatchError("all jets must share one length")
+        self._jets = np.array(jets, dtype=float).reshape(3, n, width)
+        check_finite(self._jets, "jets")
+        self._t = np.array(nodes, dtype=float)
+        check_nodes(self._t)
+        self._t.flags.writeable = self._jets.flags.writeable = False
 
-    @property
-    def order(self):
-        return len(self.fjets[0]) - 1 if self.nodes else -1
+    nodes = property(lambda self: tuple(self._t.tolist()))
+    fjets, gjets, hjets = (
+        property(lambda self, c=c: tuple(map(tuple, self._jets[c].tolist()))) for c in range(3)
+    )
+    order = property(lambda self: self._jets.shape[-1] - 1)
 
     def index(self, t):
-        i = bisect_left(self.nodes, t)
-        if i == len(self.nodes) or self.nodes[i] != t:
+        i = int(np.searchsorted(self._t, t))
+        if i == len(self._t) or self._t[i] != t:
             raise NodeNotFoundError(f"{t} is not a node")
         return i
 
@@ -165,11 +165,7 @@ class CurveJets:
         The values move by the group law, and every order picks up the twist
         of p with that order of (f, g).
         """
-        f, g, h = (np.array(js, dtype=float).reshape(len(self.nodes), self.order + 1)
-                   for js in (self.fjets, self.gjets, self.hjets))
-        twist = _twist(p.x, p.y, f, g)
-        f[:, :1] += p.x
-        g[:, :1] += p.y
-        h[:, :1] += p.z
-        h += twist
-        return CurveJets(self.nodes, *(tuple(map(tuple, c.tolist())) for c in (f, g, h)))
+        jets = self._jets.copy()
+        jets[..., :1] += np.array([p.x, p.y, p.z])[:, None, None]
+        jets[2] += _twist(p.x, p.y, *self._jets[:2])
+        return CurveJets(self._t, *jets)

@@ -381,8 +381,8 @@ def finiteness_check(samples, m, omega, window=None, full_enum=None):
     so when no window is given and there are at most 20 nodes.
     """
     if full_enum is None:
-        full_enum = window is None and len(samples.nodes) <= 20
-    window = _full_window(len(samples.nodes), m, window, full_enum)
+        full_enum = window is None and len(samples._t) <= 20
+    window = _full_window(len(samples._t), m, window, full_enum)
     table, deltas = _scan(samples, m, window, order=m + 1)
     # Interpolants and their jets live in u; node values and separations
     # are read off the global nodes xs.  The Taylor kernel reads the

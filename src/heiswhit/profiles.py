@@ -122,8 +122,8 @@ class ThresholdPolicy:
 
     classify judges a profile that must decay, bounded one that need only
     stay bounded.  Under classify a profile is consistent when it has
-    already collapsed (a finite terminal below zero_tol relative to its
-    own scale) or decays with a healthy slope down to a terminal value
+    already collapsed (a terminal below zero_tol relative to its own
+    finite scale) or decays with a healthy slope down to a terminal value
     small relative to scale.  It is inconsistent when it is flat or growing while the
     terminal value stays large.  Everything in between is inconclusive.
     The numbers are policy, chosen so the stock fixtures separate cleanly
@@ -143,7 +143,7 @@ class ThresholdPolicy:
         scale = max(1.0, profile.top)
         slope = profile.slope()
         term = profile.terminal
-        if math.isfinite(term) and term <= self.zero_tol * scale:
+        if math.isfinite(scale) and term <= self.zero_tol * scale:
             return CONSISTENT, slope
         if slope >= self.slope_consistent and term <= self.rel_tol * scale:
             return CONSISTENT, slope
@@ -161,7 +161,8 @@ class ThresholdPolicy:
             return INCONCLUSIVE, 0.0
         slope = profile.slope()
         term, top = profile.terminal, profile.top
-        if math.isfinite(term) and term <= self.zero_tol * max(1.0, top):
+        scale = max(1.0, top)
+        if math.isfinite(scale) and term <= self.zero_tol * scale:
             return CONSISTENT, slope
         growing = slope <= -self.slope_consistent
         if growing and term >= self.deadband * max(top, self.zero_tol):

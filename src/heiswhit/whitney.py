@@ -22,41 +22,36 @@ from .poly import Poly, _deriv, _horner, _mul, _padded, _taylor_rows, _trim_rows
 from .profiles import Profile, banded_sup, delta_grid
 
 
-@dataclass(frozen=True)
 class WhitneyField:
-    """Jets (F^0, .., F^m) attached to strictly increasing nodes."""
+    """Jets (F^0, .., F^m) attached to strictly increasing nodes, held once
+    as read-only arrays: _t, the nodes (n,), and _jets, the jets (n, m+1).
+    nodes and jets are tuples built from them on each read."""
 
-    nodes: tuple
-    jets: tuple
+    __slots__ = ("_t", "_jets")
 
-    def __post_init__(self):
-        if len(self.nodes) != len(self.jets):
+    def __init__(self, nodes, jets):
+        if len(nodes) != len(jets):
             raise LengthMismatchError("one jet per node required")
-        if not self.nodes:
+        if not len(nodes):
             raise TooFewNodesError("a field needs at least one node")
-        check_nodes(self.nodes)
-        width = len(self.jets[0])
-        if any(len(j) != width for j in self.jets):
+        self._t = np.array(nodes, dtype=float)
+        check_nodes(self._t)
+        if any(len(j) != len(jets[0]) for j in jets):
             raise LengthMismatchError("all jets must share one length")
-        check_finite(self.jets, "jets")
+        self._jets = np.array(jets, dtype=float)
+        check_finite(self._jets, "jets")
+        self._t.flags.writeable = self._jets.flags.writeable = False
 
-    @property
-    def order(self):
-        return len(self.jets[0]) - 1
-
-    @property
-    def scale(self):
-        return max(abs(v) for j in self.jets for v in j) if self.jets else 0.0
+    nodes = property(lambda self: tuple(self._t.tolist()))
+    jets = property(lambda self: tuple(map(tuple, self._jets.tolist())))
+    order = property(lambda self: self._jets.shape[1] - 1)
+    scale = property(lambda self: float(np.max(np.abs(self._jets))))
 
     def combine(self, other, ca=1.0, cb=1.0):
         """Linear combination ca * self + cb * other on shared nodes."""
-        if self.nodes != other.nodes or self.order != other.order:
+        if not np.array_equal(self._t, other._t) or self.order != other.order:
             raise LengthMismatchError("fields must share nodes and order")
-        jets = tuple(
-            tuple(ca * u + cb * v for u, v in zip(ja, jb))
-            for ja, jb in zip(self.jets, other.jets)
-        )
-        return WhitneyField(self.nodes, jets)
+        return WhitneyField(self._t, ca * self._jets + cb * other._jets)
 
 
 @dataclass(frozen=True)
@@ -186,8 +181,7 @@ def extend(whitney_field):
     Taylor polynomial of the extreme jet.  Linear in the field, exact on
     the jets at every node, degree at most 3m+1.
     """
-    t = np.array(whitney_field.nodes)
-    jets = np.array(whitney_field.jets, dtype=float)
+    t, jets = whitney_field._t, whitney_field._jets
     gaps = np.diff(t)
     blends = _unit_to_local(_blend(jets[:-1], jets[1:], gaps), gaps)
     ends = _end_rows(jets, blends.shape[-1])
@@ -239,13 +233,10 @@ def validate_field(whitney_field):
     Banded decay profiles of R_k per derivative order and combined over
     all ordered pairs of nodes.
     """
-    m = whitney_field.order
-    nodes = whitney_field.nodes
-    jets = whitney_field.jets
-    n = len(nodes)
+    m, t, jet = whitney_field.order, whitney_field._t, whitney_field._jets
+    n = len(t)
     if n < 2:
         raise TooFewNodesError("remainder ratios need at least two nodes")
-    t, jet = np.array(nodes), np.array(jets, dtype=float)
     deltas = delta_grid(t[-1] - t[0], np.diff(t).min())
 
     # Every ordered pair (a, b) of distinct nodes, a major.

@@ -403,6 +403,17 @@ def test_discrete_pair_rejects_bad_subsets():
         discrete_av_pair(curve, nodes[:2], nodes[1], nodes[0], 1)
 
 
+def test_discrete_pair_rejects_nodes_outside_the_samples():
+    # The node lookup is a searchsorted: a value past the last node lands at
+    # index n, which is clamped to the last node and must not match it.
+    curve = line_curve(5)
+    nodes = curve.nodes
+    for outside in (nodes[-1] + 0.5, nodes[0] - 0.5):
+        subset = sorted([nodes[0] if outside > nodes[0] else nodes[-1], outside])
+        with pytest.raises(BadSubsetError):
+            discrete_av_pair(curve, subset, *subset, 1)
+
+
 def test_profile_single_pair_is_the_ratio():
     jets = circle_jets([0.0, 0.3], 1)
     prof = av_profile(jets, 1)

@@ -424,13 +424,19 @@ def test_run_finiteness_inconclusive_exits_2(tmp_path):
     assert len(report["worst_pair"]) == 2
 
 
-def test_finiteness_on_a_subnormal_modulus_exits_2_quietly(tmp_path, capsys):
-    # At c = 1e-320, velocity * omega underflows to 0 and every ratio is inf;
-    # an inf profile once read as collapsed (exit 0), with numpy warnings on stderr.
+def benchmark_inputs():
+    """perfbench/inputs.py, the benchmark's sample generator, as a module."""
     spec = importlib.util.spec_from_file_location(
         "inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_finiteness_on_a_subnormal_modulus_exits_2_quietly(tmp_path, capsys):
+    # At c = 1e-320, velocity * omega underflows to 0 and every ratio is inf;
+    # an inf profile once read as collapsed (exit 0), with numpy warnings on stderr.
+    inputs = benchmark_inputs()
     paths = {family: str(tmp_path / f"{family}.csv") for family in ("drift", "circle")}
     for family, path in paths.items():
         inputs.write_samples(path, inputs.make_rows(1, "x", family, 13))
@@ -441,6 +447,27 @@ def test_finiteness_on_a_subnormal_modulus_exits_2_quietly(tmp_path, capsys):
             assert main([*argv, path, "--omega", "power:1e-320:1"]) == 2
         assert capsys.readouterr().err == ""
         assert main([*argv, paths["drift"], "--omega", "power:1:1"]) == 1
+
+
+def test_reports_are_strict_json_with_non_finite_values_as_strings(tmp_path):
+    # The subnormal modulus's report once held the tokens Infinity and NaN,
+    # which are not JSON (RFC 8259).
+    path = str(tmp_path / "drift.csv")
+    inputs = benchmark_inputs()
+    inputs.write_samples(path, inputs.make_rows(1, "x", "drift", 13))
+    report_path = tmp_path / "report.json"
+    argv = ["--mode", "finiteness", "--m", "2", "--omega", "power:1e-320:1", "--input", path,
+            "--report", str(report_path)]
+    assert main(argv) == 2
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads(report_path.read_text(), parse_constant=reject)
+    assert report["constants"]["M_hat"] == "inf"
+    assert report["profiles"]["finiteness_ratio"]["slope"] == "nan"
+    assert cli._strict({"a": (-math.inf, 1.5, np.float64(math.nan)), "b": [True, None]}) == {
+        "a": ["-inf", 1.5, "nan"], "b": [True, None]}
 
 
 def test_finiteness_window_applies_on_twenty_nodes_or_fewer(tmp_path):

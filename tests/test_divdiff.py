@@ -14,7 +14,7 @@ from heiswhit.divdiff import (
     hermite_genocchi,
     newton_interp,
 )
-from heiswhit.errors import DuplicateNodeError, TooFewNodesError
+from heiswhit.errors import DuplicateNodeError, QuadratureBudgetError, TooFewNodesError
 
 
 def test_dd_of_square_is_leading_coefficient():
@@ -91,6 +91,17 @@ def test_hermite_genocchi_confluent_limit():
     a = 0.2
     got = hermite_genocchi(math.exp, [a, a, a], tol=1e-10)
     assert got == pytest.approx(math.exp(a) / 2.0, abs=1e-9)
+
+
+def test_hermite_genocchi_raises_when_budget_or_depth_runs_out():
+    # Five evaluations cover one refinement, so a budget of four runs out in it.
+    with pytest.raises(QuadratureBudgetError, match="budget"):
+        hermite_genocchi(math.exp, [0.0, 1.0], budget=4)
+    # A jump off the dyadic points leaves an error of its own size in every
+    # halving, so the refinement reaches its depth limit first.
+    step = lambda x: float(x > 1.0 / 3.0)
+    with pytest.raises(QuadratureBudgetError, match="depth"):
+        hermite_genocchi(step, [0.0, 1.0])
 
 
 def test_hermite_genocchi_agrees_with_dd_on_random_polys():

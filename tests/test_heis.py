@@ -215,6 +215,47 @@ def test_velocity_rows_are_those_of_h_prime():
                                atol=1e-14 * scale)
 
 
+def test_sampled_curve_translation_is_the_group_law_sample_by_sample():
+    rng = np.random.default_rng(17)
+    nodes = tuple(np.sort(rng.uniform(-3.0, 3.0, 12)).tolist())
+    points = tuple(HPoint(*rng.uniform(-2.0, 2.0, 3).tolist()) for _ in nodes)
+    curve = SampledCurve(nodes, points)
+    for _ in range(5):
+        p = HPoint(*rng.uniform(-5.0, 5.0, 3).tolist())
+        moved = curve.translated(p)
+        assert moved.nodes == curve.nodes
+        assert moved.points == tuple(group_mul(p, q) for q in curve.points)
+
+
+def test_from_rows_sorts_shuffled_rows():
+    rng = np.random.default_rng(19)
+    rows = [(float(t), *map(float, rng.uniform(-1.0, 1.0, 3))) for t in range(10)]
+    curve = SampledCurve.from_rows([rows[i] for i in rng.permutation(len(rows))])
+    assert curve.nodes == tuple(r[0] for r in rows)
+    assert curve.points == tuple(HPoint(*r[1:]) for r in rows)
+    assert (curve.fs, curve.gs, curve.hs) == tuple(zip(*rows))[1:]
+
+
+# Each container on two nodes, with its arrays named.
+CONTAINERS = {
+    "SampledCurve": lambda: SampledCurve((0.0, 1.0), (ORIGIN, HPoint(1.0, 2.0, 3.0))),
+    "CurveJets": lambda: circle_jets((0.0, 1.0), 2),
+    "WhitneyField": lambda: WhitneyField((0.0, 1.0), ((1.0, 2.0), (3.0, 4.0))),
+}
+
+
+@pytest.mark.parametrize("entry", CONTAINERS)
+def test_containers_hold_only_read_only_arrays(entry):
+    obj = CONTAINERS[entry]()
+    assert not hasattr(obj, "__dict__")
+    for name in type(obj).__slots__:
+        array = getattr(obj, name)
+        assert isinstance(array, np.ndarray)
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 7.0
+    assert isinstance(obj.nodes, tuple)
+
+
 def replaced(jets, field, i, k, value):
     """jets with entry k of the jet of field ("fjets", ..) at node i set to value."""
     rows = [list(j) for j in getattr(jets, field)]

@@ -131,6 +131,10 @@ def test_slope_window_ignores_coarse_scales():
     assert fit_loglog_slope(points) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_slope_of_one_repeated_scale_is_flat():
+    assert fit_loglog_slope(((1.0, 1.0), (1.0, 4.0))) == 0.0
+
+
 def test_policy_collapsed_is_consistent():
     policy = ThresholdPolicy()
     prof = Profile(((1.0, 1e-12), (0.5, 1e-13)))
@@ -169,6 +173,16 @@ def test_policy_never_reads_an_infinite_terminal_as_collapsed(values):
     prof = Profile(((1.0, values[0]), (0.5, values[1])))
     policy = ThresholdPolicy()
     assert policy.classify(prof)[0] == policy.bounded(prof)[0] == INCONCLUSIVE
+
+
+def test_policy_never_reads_a_profile_under_an_infinite_top_as_collapsed():
+    # A finite terminal once passed zero_tol * max(1, top) when the top was
+    # inf, and both rules returned (consistent, nan).
+    prof = Profile(((1.0, math.inf), (0.5, 1e-12)))
+    policy = ThresholdPolicy()
+    for status, slope in (policy.classify(prof), policy.bounded(prof)):
+        assert status == INCONCLUSIVE
+        assert math.isnan(slope)
 
 
 def test_combine_statuses_worst_wins():

@@ -81,6 +81,11 @@ def test_transition_poly_frozen_low_orders():
     )
 
 
+def test_transition_poly_rejects_a_negative_order():
+    with pytest.raises(ValueError):
+        transition_poly(-1)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_transition_poly_conditions(m):
     s = transition_poly(m)
