@@ -23,7 +23,7 @@ from .errors import BadSubsetError, OrderViolationError
 from .divdiff import _subset_table
 from .heis import _velocity
 from .poly import _abs_integral, _antideriv, _deriv, _horner, _roots, _rows, _taylor_rows
-from .profiles import banded_sup
+from .profiles import _anchor_blocks, _BandMax
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,18 @@ def _av(p, q, hull, at, a, b, ha, hb, length, m):
 def _taylor_av(t, f, g, values, m):
     """Pairs ia < ib of nodes t along the last axis, and A and V of each.
 
-    Every node but the last anchors the pairs that start at it: f and g
-    hold the jets (value, first derivative, ..) of the anchors along the
-    last axis, one anchor per entry of the axis before it.  values holds
-    f, g and h at every node along its last axis.  An anchor's Taylor
-    polynomials are one row of _av, so their sign changes are isolated
-    once, on the hull from the anchor to the last node.  Returns ia, ib,
-    A and V.
+    The first nodes, one per entry of the axis of f and g before the last,
+    anchor the pairs that start at them: f and g hold the anchors' jets
+    (value, first derivative, ..) along the last axis, and every pair of
+    an anchor and a later node is formed.  values holds f, g and h at
+    every node along its last axis.  An anchor's Taylor polynomials are one row of
+    _av, so their sign changes are isolated once, on the hull from the
+    anchor to the last node.  Returns ia, ib, A and V.
     """
-    ia, ib = np.triu_indices(t.shape[-1], 1)
+    anchors = f.shape[-2]
+    ia, ib = np.nonzero(np.arange(anchors)[:, None] < np.arange(t.shape[-1]))
     u = t[..., ib] - t[..., ia]
-    span = t[..., -1:] - t[..., :-1]
+    span = t[..., -1:] - t[..., :anchors]
     hull = np.minimum(span, 0.0), np.maximum(span, 0.0)
     tf, tg = _taylor_rows(f[..., : m + 1]), _taylor_rows(g[..., : m + 1])
     hv = values[2]
@@ -166,11 +167,15 @@ def discrete_av_pair(samples, subset, a, b, m):
 
 
 def _av_profile(t, f, g, hs, m, deltas):
-    """Banded sup of |A/V| over node pairs: nodes t, jets of f and g to order m, h's values."""
-    ia, ib, area, velocity = _taylor_av(t, f[:-1], g[:-1], np.stack([f[:, 0], g[:, 0], hs]), m)
-    return banded_sup(
-        np.column_stack((t[ib] - t[ia], np.abs(area / velocity))), deltas, name="av_ratio"
-    )
+    """Banded sup of |A/V| over node pairs: nodes t, jets of f and g to order m, h's values.
+
+    The pairs run in blocks of anchors; each block's Taylor rows and roots are its own.
+    """
+    values, bands = np.stack([f[:, 0], g[:, 0], hs]), _BandMax(deltas)
+    for a, b in _anchor_blocks(np.arange(len(t) - 1, 0, -1)):
+        ia, ib, area, velocity = _taylor_av(t[a:], f[a:b], g[a:b], values[:, a:], m)
+        bands.add(t[a + ib] - t[a + ia], np.abs(area / velocity))
+    return bands.profile("av_ratio")
 
 
 def _discrete_av(table, hs, ia, ib, m):
@@ -181,10 +186,11 @@ def _discrete_av(table, hs, ia, ib, m):
     )
 
 
-def _discrete_av_profile(table, hs, m, deltas):
-    """Banded sup of |A[X]/V[X]| over the subsets of a Newton table."""
+def _discrete_av_ratios(table, hs, m):
+    """diam(X) and the largest |A[X]/V[X]| over X's pairs, for every subset X of a table.
+
+    All of a subset's pairs share its diameter, so its largest ratio is all
+    that a band of its diameter can take from it.
+    """
     area, velocity = _discrete_av(table, hs, *np.triu_indices(m + 1, 1), m)
-    ratios = np.abs(area / velocity)
-    diam = np.broadcast_to(table.u[:, -1:], ratios.shape)
-    items = np.column_stack((diam.ravel(), ratios.ravel()))
-    return banded_sup(items, deltas, name="discrete_av_ratio")
+    return table.u[:, -1], np.fmax.reduce(np.abs(area / velocity), axis=1)

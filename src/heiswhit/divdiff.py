@@ -16,7 +16,7 @@ import numpy as np
 from .errors import LengthMismatchError, QuadratureBudgetError, ScanTooLargeError, TooFewNodesError
 from .heis import HPoint, _twist, check_finite, check_nodes
 from .poly import Poly
-from .profiles import banded_sup, delta_grid
+from .profiles import _BandMax, _chunk_rows, delta_grid
 
 
 class SampledCurve:
@@ -214,7 +214,7 @@ def _physical_memory():
 
 
 class _Table(NamedTuple):
-    """Newton coefficients of f, g and h on every subset of a scan."""
+    """Newton coefficients of f, g and h on a slice of the subsets of a scan."""
 
     idx: np.ndarray  # (S, k) sorted node indices per subset
     width: int
@@ -239,18 +239,23 @@ def _subset_table(samples, idx, width):
     return _Table(idx, width, xs, xs - xs[:, :1], _newton_columns(xs, values))
 
 
-def _newton_table(samples, m, width):
-    """The table of every (m+1)-subset of a width, if it fits in physical memory."""
-    n = len(samples._t)
-    count = _subset_count(n, m, width)
-    # The table's six (count, m + 1) arrays and up to three monomial rows its readers build
-    size = 9 * 8 * (m + 1) * count
-    if size > _physical_memory():
-        raise ScanTooLargeError(
-            f"{count} subsets of {m + 1} nodes need a {size / 2**30:.3g} GiB table, "
-            "more than physical memory"
-        )
-    return _subset_table(samples, dd_windows(n, m, width)[0], width)
+class _Scan(NamedTuple):
+    """The subsets of a scan, as dd_windows lists them, read in slices."""
+
+    samples: SampledCurve
+    idx: np.ndarray  # (S, k) node indices per subset, in lexicographic order
+    width: int
+    step: int  # subsets per slice
+
+    def tables(self):
+        """The Newton tables of consecutive slices of step subsets, in order."""
+        for s in range(0, len(self.idx), self.step):
+            yield _subset_table(self.samples, self.idx[s : s + self.step], self.width)
+
+
+# Peak bytes of a Newton-table slice and its readers' temporaries per
+# subset pair: tracemalloc measured 150 to 1050 on scans at m = 1 .. 4.
+SLICE_BYTES_PER_PAIR = 1024
 
 
 def _full_window(n, m, window, full_enum):
@@ -259,12 +264,16 @@ def _full_window(n, m, window, full_enum):
 
 
 def _scan(samples, m, window, order=None):
-    """Checked set-up of an order-m scan: its Newton table and scale grid.
+    """Checked set-up of an order-m scan: its _Scan and scale grid.
 
     The samples and the window (2m + 4 unless given) need m + 2 nodes.  The
-    table is of the given order (m unless set) on the subsets within
-    min(n, window) consecutive nodes, and the scales are the geometric grid
-    from diam down to the smallest gap.
+    subsets are those of k = order + 1 nodes (order m unless set) within
+    min(n, window) consecutive nodes, read in slices whose pairs number at
+    most CHUNK_PAIRS, and the scales are the geometric grid from diam down
+    to the smallest gap.  Before dd_windows lists a subset, the scan's peak
+    memory is estimated: dd_windows' index rows before and after its cut,
+    the dd profiles' extrema tables and one slice.  An estimate beyond
+    physical memory raises ScanTooLargeError.
     """
     n = len(samples._t)
     if n < m + 2:
@@ -273,41 +282,62 @@ def _scan(samples, m, window, order=None):
         raise TooFewNodesError(f"window must be at least {m + 2}")
     deltas = delta_grid(samples.diam, samples.min_gap)
     width = min(n, 2 * m + 4 if window is None else window)
-    return _newton_table(samples, m if order is None else order, width), deltas
+    k = (m if order is None else order) + 1
+    count, pairs = _subset_count(n, k - 1, width), math.comb(k, 2)
+    step = _chunk_rows(pairs)
+    # dd_windows' index rows before and after its cut, the dd extrema's
+    # twelve rows of n * width floats, and one slice
+    listing = 8 * k * (n * math.comb(width - 1, k - 1) + count)
+    size = listing + 12 * 8 * n * width + SLICE_BYTES_PER_PAIR * pairs * min(step, count)
+    if size > _physical_memory():
+        raise ScanTooLargeError(
+            f"{count} subsets of {k} nodes need {size / 2**30:.3g} GiB to scan, "
+            "more than physical memory"
+        )
+    return _Scan(samples, dd_windows(n, k - 1, width)[0], width, step), deltas
 
 
-def _dd_profiles(table, deltas):
-    """Banded sup of |gamma[X] - gamma[Y]| at scale diam(X u Y), per component.
+class _DDProfiles:
+    """Banded sup of |gamma[X] - gamma[Y]| at scale diam(X u Y), per component,
+    fed the tables of a scan slice by slice.
 
-    X != Y run over pairs of table rows whose union spans fewer than width
-    consecutive indices.  That union is an interval [s, e] with e - s > m:
-    one member starts at s and the other ends at e, or one spans [s, e] and
-    the other lies inside.  So the interval's largest item is the larger
-    spread (max of one group minus min of the other) of those two group
-    pairs, read from running extrema by (first, span) and (last, span).
-    Rounding is monotone, so this is the pair maximum bit for bit.
+    X != Y run over pairs of the scan's subsets whose union spans fewer than
+    width consecutive indices.  That union is an interval [s, e] with
+    e - s > m: one member starts at s and the other ends at e, or one spans
+    [s, e] and the other lies inside.  So the interval's largest item is the
+    larger spread (max of one group minus min of the other) of those two
+    group pairs, read from running extrema by (first, span) and (last,
+    span), which add updates in the subsets' order.  Rounding is monotone,
+    so this is the pair maximum bit for bit.
     """
-    idx, width, top = table.idx, table.width, table.dd[..., -1]
-    n, m = idx[-1, -1] + 1, idx.shape[1] - 1
-    span = idx[:, -1] - idx[:, 0]
-    # Max and -min of each component, by (first, span) and by (last, span).
-    by = np.full((2, 6, n * width), -np.inf)
-    for rows, key in zip(by, (idx[:, 0] * width + span, idx[:, -1] * width + span)):
-        for row, values in zip(rows, (*top, *-top)):
-            np.maximum.at(row, key, values)
-    exact, ending = by.reshape(2, 2, 3, n, width)
-    inside = exact.copy()  # rows within [s, s + d]
-    for d in range(1, width):
-        shorter = np.maximum(inside[..., :-1, d - 1], inside[..., 1:, d - 1])
-        np.maximum(inside[..., :-1, d], shorter, out=inside[..., :-1, d])
-    s, d = np.nonzero((np.arange(width) > m) & (np.arange(n)[:, None] + np.arange(width) < n))
-    starts = np.maximum.accumulate(exact, axis=-1)[..., s, d]  # from s, within [s, s + d]
-    ends = np.maximum.accumulate(ending, axis=-1)[..., s + d, d]  # to s + d, within it
-    spread = np.maximum(starts + ends[::-1], exact[..., s, d] + inside[::-1, :, s, d])
-    x = np.empty(n)
-    x[idx] = table.xs
-    diams = x[s + d] - x[s]
-    # abs turns a -0.0 from signed-zero samples into the pair scan's +0.0
-    items = (np.column_stack((diams, np.abs(v))) for v in spread.max(axis=0))
-    return {c: banded_sup(i, deltas, name=f"dd_{c}") for c, i in zip("fgh", items)}
 
+    def __init__(self, scan):
+        self.scan = scan
+        # Max and -min of each component, by (first, span) and by (last, span).
+        self.by = np.full((2, 6, len(scan.samples._t) * scan.width), -np.inf)
+
+    def add(self, table):
+        """Fold in the next slice's table, in the scan's order."""
+        idx, width, top = table.idx, table.width, table.dd[..., -1]
+        span = idx[:, -1] - idx[:, 0]
+        for rows, key in zip(self.by, (idx[:, 0] * width + span, idx[:, -1] * width + span)):
+            for row, values in zip(rows, (*top, *-top)):
+                np.maximum.at(row, key, values)
+
+    def profiles(self, deltas):
+        """{"dd_f": .., "dd_g": .., "dd_h": ..} on the scales deltas, once every table is in."""
+        t, width, m = self.scan.samples._t, self.scan.width, self.scan.idx.shape[1] - 1
+        n = len(t)
+        exact, ending = self.by.reshape(2, 2, 3, n, width)
+        inside = exact.copy()  # rows within [s, s + d]
+        for d in range(1, width):
+            shorter = np.maximum(inside[..., :-1, d - 1], inside[..., 1:, d - 1])
+            np.maximum(inside[..., :-1, d], shorter, out=inside[..., :-1, d])
+        s, d = np.nonzero((np.arange(width) > m) & (np.arange(n)[:, None] + np.arange(width) < n))
+        starts = np.maximum.accumulate(exact, axis=-1)[..., s, d]  # from s, within [s, s + d]
+        ends = np.maximum.accumulate(ending, axis=-1)[..., s + d, d]  # to s + d, within it
+        spread = np.maximum(starts + ends[::-1], exact[..., s, d] + inside[::-1, :, s, d])
+        bands = _BandMax(deltas, 3)
+        # abs turns a -0.0 from signed-zero samples into the pair scan's +0.0
+        bands.add(t[s + d] - t[s], *np.abs(spread.max(axis=0)))
+        return {f"dd_{c}": bands.profile(f"dd_{c}", k) for k, c in enumerate("fgh")}

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .av import _av_profile, _discrete_av_profile, _taylor_av
-from .divdiff import _dd_profiles, _full_window, _scan
+from .av import _av_profile, _discrete_av_ratios, _taylor_av
+from .divdiff import _DDProfiles, _full_window, _scan
 from .errors import SynthesisDefectError, TooFewNodesError
 from .heis import _pansu_quotient, _velocity
 from .poly import _antideriv, _deriv, _horner, _mul, _padded
@@ -24,6 +24,8 @@ from .profiles import (
     INCONSISTENT,
     Profile,
     ThresholdPolicy,
+    _anchor_blocks,
+    _BandMax,
     banded_sup,
     combine_statuses,
     delta_grid,
@@ -302,18 +304,18 @@ def check_c1(samples):
     lo, hi = np.maximum(np.arange(n) - 1, 0), np.minimum(np.arange(n), n - 2)
     mx, my = (np.where(lo == hi, s[lo], (s[lo] + s[hi]) / 2) for s in steps[:2])
 
-    i, j = np.triu_indices(n, 1)
-    qx, qy, qz = _pansu_quotient(xyz[:, i], xyz[:, j], t[i], t[j])
-    d = t[j] - t[i]
-    z_items = np.column_stack((d, np.abs(qz)))
-    osc = [np.maximum(np.abs(qx - mx[k]), np.abs(qy - my[k])) for k in (i, j)]
-    xy_items = np.column_stack((np.concatenate((d, d)), np.concatenate(osc)))
-
-    profiles = {
-        "pansu_xy_osc": banded_sup(xy_items, deltas, name="pansu_xy_osc"),
-        "pansu_z": banded_sup(z_items, deltas, name="pansu_z"),
-    }
-    return _verdict(profiles)
+    # Pairs i < j by blocks of anchors i; a pair's oscillation is the larger
+    # of its two ends', both banded at its diameter.
+    bands = _BandMax(deltas, 2)
+    for a, b in _anchor_blocks(np.arange(n - 1, 0, -1)):
+        i, j = np.nonzero(np.arange(a, b)[:, None] < np.arange(n))
+        i += a
+        pa, pb = np.take(xyz, i, axis=1), np.take(xyz, j, axis=1)
+        qx, qy, qz = _pansu_quotient(pa, pb, t[i], t[j])
+        osc = (np.maximum(np.abs(qx - mx[k]), np.abs(qy - my[k])) for k in (i, j))
+        bands.add(t[j] - t[i], np.fmax(*osc), np.abs(qz))
+    names = ("pansu_xy_osc", "pansu_z")
+    return _verdict({name: bands.profile(name, k) for k, name in enumerate(names)})
 
 
 def check_cm(samples, m, window=None):
@@ -321,11 +323,15 @@ def check_cm(samples, m, window=None):
 
     Divided-difference decay per component plus the decay of the discrete
     area/velocity ratio, both read off one Newton table of the windowed
-    subsets.
+    subsets, slice by slice.
     """
-    table, deltas = _scan(samples, m, window)
-    profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
-    profiles["av_discrete"] = _discrete_av_profile(table, samples._xyz[2], m, deltas)
+    scan, deltas = _scan(samples, m, window)
+    dd, av = _DDProfiles(scan), _BandMax(deltas)
+    for table in scan.tables():
+        dd.add(table)
+        av.add(*_discrete_av_ratios(table, samples._xyz[2], m))
+    profiles = dd.profiles(deltas)
+    profiles["av_discrete"] = av.profile("discrete_av_ratio")
     return _verdict(profiles)
 
 
@@ -336,10 +342,13 @@ def check_cm_via_w(samples, m, window=None):
     of the fitted jets and the sampled h alongside the raw
     divided-difference decay.
     """
-    table, deltas = _scan(samples, m, window)
+    scan, deltas = _scan(samples, m, window)
+    dd = _DDProfiles(scan)
+    for table in scan.tables():
+        dd.add(table)
     t, xyz = samples._t, samples._xyz
     f, g = _jets(t, xyz[:2], m)
-    profiles = {f"dd_{c}": p for c, p in _dd_profiles(table, deltas).items()}
+    profiles = dd.profiles(deltas)
     profiles["av_w"] = _av_profile(t, f, g, xyz[2], m, deltas)
     return _verdict(profiles)
 
@@ -383,39 +392,44 @@ def finiteness_check(samples, m, omega, window=None, full_enum=None):
     if full_enum is None:
         full_enum = window is None and len(samples._t) <= 20
     window = _full_window(len(samples._t), m, window, full_enum)
-    table, deltas = _scan(samples, m, window, order=m + 1)
-    # Interpolants and their jets live in u; node values and separations
-    # are read off the global nodes xs.  The Taylor kernel reads the
-    # values at every node, the derivatives only at its anchors: every
-    # node but the last.
-    xs, u, p = table.xs, table.u, table.polys()
-    values = _horner(p[:, :, None, :], u)
-    jets, p = [values[:2, :, :-1]], p[:2]
-    for _ in range(m):
-        p = _deriv(p)
-        jets.append(_horner(p[..., None, :], u[:, :-1]))
-    ia, ib, area, velocity = _taylor_av(u, *np.stack(jets, axis=-1), values, m)
-    # Bin at the pair separation, not diam(X): a short pair inside a wide
-    # window would otherwise hide growth in the top bands.
-    sep = xs[:, ib] - xs[:, ia]
-    w = omega(sep)
-    ratios = np.full(sep.shape, math.inf)
-    # A tiny coefficient can underflow velocity * w to 0 or overflow the
-    # ratio; either gives inf, which the verdict never reads as collapsed.
-    with np.errstate(divide="ignore", over="ignore"):
-        np.divide(np.abs(area), velocity * w, out=ratios, where=w > 0)
-    items = np.column_stack((sep.ravel(), ratios.ravel()))
-    # The first largest ratio in (subset, pair) order is the witness.
-    s, k = divmod(int(np.argmax(ratios)), len(ia))
-    m_hat, worst_subset = float(ratios[s, k]), tuple(xs[s].tolist())
-    worst_pair = (float(xs[s, ia[k]]), float(xs[s, ib[k]]))
+    scan, deltas = _scan(samples, m, window, order=m + 1)
+    bands, worst, c2_hat = _BandMax(deltas), None, 0.0
+    for table in scan.tables():
+        # Interpolants and their jets live in u; node values and separations
+        # are read off the global nodes xs.  The Taylor kernel reads the
+        # values at every node, the derivatives only at its anchors: every
+        # node but the last.
+        xs, u, p = table.xs, table.u, table.polys()
+        values = _horner(p[:, :, None, :], u)
+        jets, p = [values[:2, :, :-1]], p[:2]
+        for _ in range(m):
+            p = _deriv(p)
+            jets.append(_horner(p[..., None, :], u[:, :-1]))
+        ia, ib, area, velocity = _taylor_av(u, *np.stack(jets, axis=-1), values, m)
+        # Bin at the pair separation, not diam(X): a short pair inside a wide
+        # window would otherwise hide growth in the top bands.
+        sep = xs[:, ib] - xs[:, ia]
+        w = omega(sep)
+        ratios = np.full(sep.shape, math.inf)
+        # A tiny coefficient can underflow velocity * w to 0 or overflow the
+        # ratio; either gives inf, which the verdict never reads as collapsed.
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(np.abs(area), velocity * w, out=ratios, where=w > 0)
+        bands.add(sep.ravel(), ratios.ravel())
+        # The witness is np.argmax's over the whole scan in (subset, pair)
+        # order: the first NaN, else the first largest ratio.
+        s, k = divmod(int(np.argmax(ratios)), len(ia))
+        ratio = float(ratios[s, k])
+        if worst is None or not (math.isnan(worst[0]) or ratio <= worst[0]):
+            worst = ratio, tuple(xs[s].tolist()), (float(xs[s, ia[k]]), float(xs[s, ib[k]]))
+        slope = table.dd[..., m + 1] * math.factorial(m + 1)
+        c2_hat = np.max(_seminorm(slope, xs[:, -1] - xs[:, 0], omega), initial=c2_hat)
+    m_hat, worst_subset, worst_pair = worst
     if not m_hat > 0.0:
         m_hat, worst_subset, worst_pair = 0.0, (), ()
-    slope = table.dd[..., m + 1] * math.factorial(m + 1)
-    c2_hat = float(np.max(_seminorm(slope, xs[:, -1] - xs[:, 0], omega), initial=0.0))
 
-    profile = banded_sup(items, deltas, name="finiteness_ratio")
+    profile = bands.profile("finiteness_ratio")
     status, slope = ThresholdPolicy().bounded(profile)
     return FinitenessReport(
-        m_hat, c2_hat, worst_subset, worst_pair, profile, status, slope, len(xs)
+        m_hat, float(c2_hat), worst_subset, worst_pair, profile, status, slope, len(scan.idx)
     )

@@ -17,6 +17,10 @@ import numpy as np
 # each scale of a grid is DELTA_RATIO times the one before it.
 SLOPE_DECADES = 3.0
 DELTA_RATIO = 0.5
+# Profile builders feed the band reducer in chunks of at most CHUNK_PAIRS
+# node pairs (a Newton-table slice holds as many subsets as have that many
+# pairs), so a scan's peak memory does not grow with its pair or subset count.
+CHUNK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -73,17 +77,58 @@ def banded_sup(items, deltas, name=""):
     items: (N, 2) array or iterable of (diam, value).  Band i collects
     diameters in (deltas[i+1], deltas[i]]; the last band keeps everything at
     or below the smallest delta, and diameters above the top fold into the
-    top band.  Empty bands are dropped.
+    top band.  NaN values and empty bands are dropped.
     """
     if not isinstance(items, np.ndarray):
         items = np.fromiter(items, (float, 2))
-    ascending = np.unique(np.asarray(deltas, dtype=float))
-    band = np.maximum(len(ascending) - 1 - np.searchsorted(ascending, items[:, 0]), 0)
-    sups = np.full(len(ascending), np.nan)
-    np.fmax.at(sups, band, items[:, 1])
-    keep = ~np.isnan(sups)
-    points = zip(ascending[::-1][keep].tolist(), sups[keep].tolist())
-    return Profile(tuple(points), name=name)
+    bands = _BandMax(deltas)
+    bands.add(items[:, 0], items[:, 1])
+    return bands.profile(name)
+
+
+class _BandMax:
+    """Running per-band maxima of value series fed chunk by chunk.
+
+    Every series shares one scale grid and one diameter per item, so a
+    chunk's bands are found once for all of them.  The bands are
+    banded_sup's, and np.fmax skips NaN and is exact, so any split of the
+    items into chunks gives the same profile bit for bit.
+    """
+
+    def __init__(self, deltas, series=1):
+        self._ascending = np.unique(np.asarray(deltas, dtype=float))
+        self._sups = np.full((series, len(self._ascending)), np.nan)
+
+    def add(self, diams, *values):
+        """Fold one chunk in: diameters (N,), and one (N,) array per series."""
+        top = len(self._ascending) - 1
+        band = np.maximum(top - np.searchsorted(self._ascending, diams), 0)
+        for sups, v in zip(self._sups, values):
+            np.fmax.at(sups, band, v)
+
+    def profile(self, name, *series):
+        """Profile of the given series' per-band maxima (all of them by default)."""
+        sups = np.fmax.reduce(self._sups[list(series) or slice(None)], axis=0)
+        keep = ~np.isnan(sups)
+        return Profile(tuple(zip(self._ascending[::-1][keep].tolist(), sups[keep].tolist())), name)
+
+
+def _chunk_rows(pairs):
+    """Rows to a chunk when every row holds pairs node pairs: CHUNK_PAIRS
+    pairs at most, but never fewer than one row."""
+    return max(1, CHUNK_PAIRS // max(pairs, 1))
+
+
+def _anchor_blocks(pairs):
+    """Chunks [a, b) of consecutive anchors, anchor i a row of pairs[i] node
+    pairs: CHUNK_PAIRS pairs at most, but never fewer than one anchor."""
+    ends = np.cumsum(pairs)
+    blocks, a = [], 0
+    while a < len(ends):
+        b = int(np.searchsorted(ends, ends[a] - pairs[a] + CHUNK_PAIRS, side="right"))
+        blocks.append((a, max(b, a + 1)))
+        a = blocks[-1][1]
+    return blocks
 
 
 def fit_loglog_slope(points):
@@ -121,11 +166,13 @@ class ThresholdPolicy:
     """Maps a profile to consistent / inconsistent / inconclusive.
 
     classify judges a profile that must decay, bounded one that need only
-    stay bounded.  Under classify a profile is consistent when it has
-    already collapsed (a terminal below zero_tol relative to its own
-    finite scale) or decays with a healthy slope down to a terminal value
-    small relative to scale.  It is inconsistent when it is flat or growing while the
-    terminal value stays large.  Everything in between is inconclusive.
+    stay bounded.  Both judge against the scale max(1, top), so a profile
+    whose top is not finite is inconclusive under both.  Under classify a
+    profile is consistent when it has already collapsed (a terminal below
+    zero_tol relative to scale) or decays with a healthy slope down to a
+    terminal value small relative to scale.  It is inconsistent when it is
+    flat or growing while the terminal value stays large.  Everything in
+    between is inconclusive.
     The numbers are policy, chosen so the stock fixtures separate cleanly
     at 32 nodes and beyond.
     """
@@ -140,10 +187,11 @@ class ThresholdPolicy:
         """Return (status, slope) for one profile."""
         if len(profile) == 0:
             return INCONCLUSIVE, 0.0
-        scale = max(1.0, profile.top)
         slope = profile.slope()
-        term = profile.terminal
-        if math.isfinite(scale) and term <= self.zero_tol * scale:
+        term, scale = profile.terminal, max(1.0, profile.top)
+        if not math.isfinite(profile.top):
+            return INCONCLUSIVE, slope
+        if term <= self.zero_tol * scale:
             return CONSISTENT, slope
         if slope >= self.slope_consistent and term <= self.rel_tol * scale:
             return CONSISTENT, slope
@@ -161,8 +209,9 @@ class ThresholdPolicy:
             return INCONCLUSIVE, 0.0
         slope = profile.slope()
         term, top = profile.terminal, profile.top
-        scale = max(1.0, top)
-        if math.isfinite(scale) and term <= self.zero_tol * scale:
+        if not math.isfinite(top):
+            return INCONCLUSIVE, slope
+        if term <= self.zero_tol * max(1.0, top):
             return CONSISTENT, slope
         growing = slope <= -self.slope_consistent
         if growing and term >= self.deadband * max(top, self.zero_tol):

@@ -19,7 +19,7 @@ from .errors import LengthMismatchError, TooFewNodesError
 from .divdiff import _monomial_rows, _newton_columns
 from .heis import check_finite, check_nodes
 from .poly import Poly, _deriv, _horner, _mul, _padded, _taylor_rows, _trim_rows
-from .profiles import Profile, banded_sup, delta_grid
+from .profiles import Profile, _anchor_blocks, _BandMax, delta_grid
 
 
 class WhitneyField:
@@ -239,18 +239,19 @@ def validate_field(whitney_field):
         raise TooFewNodesError("remainder ratios need at least two nodes")
     deltas = delta_grid(t[-1] - t[0], np.diff(t).min())
 
-    # Every ordered pair (a, b) of distinct nodes, a major.
-    ia, ib = np.nonzero(~np.eye(n, dtype=bool))
-    u = t[ib] - t[ia]
-    d = np.abs(u)
-    rs = [
-        np.abs(jet[ib, k] - _horner(_taylor_rows(jet[ia, k:]), u)) / d ** (m - k)
-        for k in range(m + 1)
-    ]
-    per_k = {
-        k: banded_sup(np.column_stack((d, r)), deltas, name=f"remainder_k{k}")
-        for k, r in enumerate(rs)
-    }
-    r, dk = np.concatenate(rs), np.tile(d, m + 1)
-    combined = banded_sup(np.column_stack((dk, r)), deltas, name="remainders")
-    return FieldReport(per_k, combined, float(r.max()), len(u))
+    # Every ordered pair (a, b) of distinct nodes, a major, by blocks of a.
+    # The combined profile is the per-k profiles' band maxima.
+    bands, largest = _BandMax(deltas, m + 1), -math.inf
+    for lo, hi in _anchor_blocks(np.full(n, n - 1)):
+        ia, ib = np.nonzero(np.arange(lo, hi)[:, None] != np.arange(n))
+        ia += lo
+        u = t[ib] - t[ia]
+        d = np.abs(u)
+        rs = [
+            np.abs(jet[ib, k] - _horner(_taylor_rows(jet[ia, k:]), u)) / d ** (m - k)
+            for k in range(m + 1)
+        ]
+        bands.add(d, *rs)
+        largest = np.max(rs, initial=largest)
+    per_k = {k: bands.profile(f"remainder_k{k}", k) for k in range(m + 1)}
+    return FieldReport(per_k, bands.profile("remainders"), float(largest), n * (n - 1))

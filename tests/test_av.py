@@ -35,7 +35,7 @@ from heiswhit import (
 )
 from heiswhit import av, horizontal
 from heiswhit.av import _av, _av_profile, _discrete_av, _taylor_av, area_discrepancy
-from heiswhit.divdiff import _newton_table, _subset_table
+from heiswhit.divdiff import _subset_table, dd_windows
 from heiswhit.errors import (
     BadSubsetError,
     NodeNotFoundError,
@@ -334,7 +334,7 @@ def test_discrete_pair_equals_the_scan_kernel_on_its_table_row(m):
         scale = rng.uniform(0.1, 10.0)
         nodes = [offset + scale * t for t in distinct_nodes(rng, m + 4)]
         curve = SampledCurve.from_rows([(t, *rng.uniform(-1.0, 1.0, 3)) for t in nodes])
-        table = _newton_table(curve, m, len(nodes))
+        table = _subset_table(curve, *dd_windows(len(nodes), m, len(nodes)))
         (pf, pg), u, hs = table.polys(2), table.u, np.array(curve.hs)[table.idx]
         rows = rng.choice(len(u), 5, replace=False)
         for s, (i, j) in itertools.product(rows, itertools.combinations(range(m + 1), 2)):

@@ -1,8 +1,9 @@
 """dd profiles from interval extrema against the pair scan they replace.
 
-_dd_profiles reads each index interval's largest |gamma[X] - gamma[Y]| from
-running extrema.  The oracle here lists every qualifying pair of table rows
-the way the scan used to, and both must give the same profiles bit for bit.
+_DDProfiles reads each index interval's largest |gamma[X] - gamma[Y]| from
+running extrema, fed the scan's table in slices.  The oracle here lists
+every qualifying pair of rows of the whole table the way the scan used to,
+and both must give the same profiles bit for bit.
 """
 
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiswhit.cli import main
-from heiswhit.divdiff import SampledCurve, _dd_profiles, _newton_table
+from heiswhit.divdiff import SampledCurve, _DDProfiles, _Scan, _subset_table, dd_windows
 from heiswhit.profiles import banded_sup, delta_grid
 
 from conftest import circle_curve, dump_samples_json
@@ -36,7 +37,7 @@ def dd_profiles_by_pairs(table, deltas):
     diams = np.maximum(xs[i, -1], xs[j, -1]) - xs[i, 0]
     top = table.dd[..., -1]
     return {
-        name: banded_sup(
+        f"dd_{name}": banded_sup(
             np.column_stack((diams, np.abs(top[c, i] - top[c, j]))), deltas, name=f"dd_{name}"
         )
         for c, name in enumerate("fgh")
@@ -64,9 +65,15 @@ def width_of(n, m, window):
 
 
 def both(samples, m, window=None):
-    table = _newton_table(samples, m, width_of(len(samples.nodes), m, window))
+    """The dd profiles fed in slices of 7 subsets, and the oracle's on the whole table."""
+    width = width_of(len(samples.nodes), m, window)
+    scan = _Scan(samples, dd_windows(len(samples.nodes), m, width)[0], width, 7)
     deltas = delta_grid(samples.diam, samples.min_gap)
-    return _dd_profiles(table, deltas), dd_profiles_by_pairs(table, deltas)
+    dd = _DDProfiles(scan)
+    for table in scan.tables():
+        dd.add(table)
+    table = _subset_table(samples, scan.idx, width)
+    return dd.profiles(deltas), dd_profiles_by_pairs(table, deltas)
 
 
 # The oracle's pair mask has about K * min(K, width * C(width - 1, m)) entries

@@ -185,6 +185,17 @@ def test_policy_never_reads_a_profile_under_an_infinite_top_as_collapsed():
         assert math.isnan(slope)
 
 
+@pytest.mark.parametrize("rate, slope", [(1, 1.0), (-1, -1.0)])
+def test_policy_judges_no_rule_under_an_infinite_top(rate, slope):
+    # An inf top outside the slope window once made every terminal small
+    # (decay: consistent) and none large (growth: inconclusive where a top
+    # of 1 is inconsistent) against the scale max(1, top).
+    points = tuple((2.0**-i, math.inf if i == 0 else 2.0 ** (-rate * i)) for i in range(11))
+    policy = ThresholdPolicy()
+    assert policy.classify(Profile(points)) == (INCONCLUSIVE, slope)
+    assert policy.bounded(Profile(points)) == (INCONCLUSIVE, slope)
+
+
 def test_combine_statuses_worst_wins():
     assert combine_statuses([CONSISTENT, CONSISTENT]) == CONSISTENT
     assert combine_statuses([CONSISTENT, INCONCLUSIVE]) == INCONCLUSIVE

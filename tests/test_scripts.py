@@ -38,6 +38,18 @@ def test_script_main_exits_0(name, capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_scan_memory_writes_one_row_per_call(tmp_path, capsys):
+    out = tmp_path / "scan.json"
+    argv = ["--out", str(out), "--sizes", "16", "--window", "6", "--window-nodes", "12"]
+    assert load("scan_memory").main(argv) == 0
+    rows = json.loads(out.read_text(encoding="utf-8"))
+    assert [(r["check"], r["n"], r["window"]) for r in rows] == [
+        ("check_cm", 12, 6), ("check_c1", 16, None), ("check_cm_via_w", 16, None)
+    ]
+    assert all(r["peak_mb"] >= r["base_mb"] > 0 and r["wall_s"] > 0 for r in rows)
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
 def digest_call(code, value, slope=-1.0):
     report = {"status": {0: "consistent", 1: "inconsistent"}[code], "exit_code": code,
               "profiles": {"dd_f": {"points": [[1.0, value], [0.5, 0.25]], "slope": slope,
