@@ -161,7 +161,7 @@ def discrete_av_pair(samples, subset, a, b, m):
     if not (a < b):
         raise OrderViolationError(f"need a < b, got a={a}, b={b}")
 
-    table = _subset_table(samples, sub[None], sub[-1] - sub[0] + 1)
+    table = _subset_table(samples, sub[None])
     area, velocity = _discrete_av(table, samples._xyz[2], [x.index(a)], [x.index(b)], m)
     return AVPair(float(area[0, 0]), float(velocity[0, 0]))
 

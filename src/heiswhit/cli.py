@@ -292,10 +292,7 @@ def run(config):
     return code
 
 
-# Every flag once, as (flag, RunConfig field, add_argument keywords).  Its
-# HEISWHIT_ variable is its string default, which argparse converts and
-# checks like the flag's own argument; a flag set nowhere leaves its field
-# to RunConfig's default.
+# Every flag once, as (flag, RunConfig field, add_argument keywords).
 FLAGS = (
     ("--mode", "mode", {"choices": MODES}),
     ("--input", "input_path", {"help": "sample file (.csv with header t,x,y,z, or .json)"}),
@@ -320,34 +317,36 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def build_parser():
-    parser = _Parser(
-        prog="heiswhit",
-        description="Check sampled curves for horizontal C^m interpolants, "
-        "synthesize the interpolant, or scan finiteness constants.",
-        argument_default=argparse.SUPPRESS,
-    )
+_PARSER = _Parser(
+    prog="heiswhit",
+    description="Check sampled curves for horizontal C^m interpolants, "
+    "synthesize the interpolant, or scan finiteness constants.",
+    argument_default=argparse.SUPPRESS,  # a flag set nowhere leaves RunConfig's default
+)
+_REQUIRED = {f.name for f in fields(RunConfig) if f.default is MISSING}
+for _flag, _dest, _kw in FLAGS:
+    _PARSER.add_argument(_flag, dest=_dest, required=_dest in _REQUIRED, **_kw)
+
+
+def config_from_args(argv=None):
+    """The RunConfig of argv, each set HEISWHIT_ variable read as its flag ahead of argv."""
     names = [env_name(flag) for flag, _, _ in FLAGS]
     stale = sorted(k for k in os.environ if k.startswith(ENV_PREFIX) and k not in names)
     if stale:
         raise ParseError(f"no flag reads {', '.join(stale)}")
-    required = {f.name for f in fields(RunConfig) if f.default is MISSING}
-    for name, (flag, dest, kw) in zip(names, FLAGS):
+    args = []
+    for name, (flag, _, kw) in zip(names, FLAGS):
         env = os.environ.get(name)
         if env is None:
-            kw = {**kw, "required": dest in required}
-        elif kw.get("action") == "store_true":  # a switch takes no argument to convert
-            if env.strip().lower() not in SWITCH_VALUES:
-                raise ParseError(f"{name}={env!r}: use 1/true/yes/on or 0/false/no/off")
-            kw = {**kw, "default": SWITCH_VALUES[env.strip().lower()]}
-        else:
-            kw = {**kw, "default": env}
-        parser.add_argument(flag, dest=dest, **kw)
-    return parser
-
-
-def config_from_args(argv=None):
-    return RunConfig(**vars(build_parser().parse_args(argv)))
+            continue
+        if kw.get("action") != "store_true":
+            args.append(f"{flag}={env}")  # "=" keeps a value that starts with "-" a value
+        elif env.strip().lower() not in SWITCH_VALUES:
+            raise ParseError(f"{name}={env!r}: use 1/true/yes/on or 0/false/no/off")
+        elif SWITCH_VALUES[env.strip().lower()]:  # the switch goes in bare when on
+            args.append(flag)
+    argv = sys.argv[1:] if argv is None else argv
+    return RunConfig(**vars(_PARSER.parse_args([*args, *argv])))
 
 
 def main(argv=None):

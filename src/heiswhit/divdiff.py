@@ -217,7 +217,6 @@ class _Table(NamedTuple):
     """Newton coefficients of f, g and h on a slice of the subsets of a scan."""
 
     idx: np.ndarray  # (S, k) sorted node indices per subset
-    width: int
     xs: np.ndarray  # (S, k) the subsets' nodes
     u: np.ndarray  # (S, k) local coordinate xs - xs[:, :1]
     dd: np.ndarray  # (3, S, k) Newton coefficients of f, g, h on xs
@@ -227,7 +226,7 @@ class _Table(NamedTuple):
         return _monomial_rows(self.dd[:count], self.u)
 
 
-def _subset_table(samples, idx, width):
+def _subset_table(samples, idx):
     """The table of the subsets whose node indices are the rows of idx.
 
     The divided differences run on the global nodes and the interpolants
@@ -236,7 +235,7 @@ def _subset_table(samples, idx, width):
     difference bit for bit.
     """
     xs, values = samples._t[idx], samples._xyz[:, idx]
-    return _Table(idx, width, xs, xs - xs[:, :1], _newton_columns(xs, values))
+    return _Table(idx, xs, xs - xs[:, :1], _newton_columns(xs, values))
 
 
 class _Scan(NamedTuple):
@@ -250,7 +249,7 @@ class _Scan(NamedTuple):
     def tables(self):
         """The Newton tables of consecutive slices of step subsets, in order."""
         for s in range(0, len(self.idx), self.step):
-            yield _subset_table(self.samples, self.idx[s : s + self.step], self.width)
+            yield _subset_table(self.samples, self.idx[s : s + self.step])
 
 
 # Peak bytes of a Newton-table slice and its readers' temporaries per
@@ -318,7 +317,7 @@ class _DDProfiles:
 
     def add(self, table):
         """Fold in the next slice's table, in the scan's order."""
-        idx, width, top = table.idx, table.width, table.dd[..., -1]
+        idx, width, top = table.idx, self.scan.width, table.dd[..., -1]
         span = idx[:, -1] - idx[:, 0]
         for rows, key in zip(self.by, (idx[:, 0] * width + span, idx[:, -1] * width + span)):
             for row, values in zip(rows, (*top, *-top)):

@@ -334,7 +334,7 @@ def test_discrete_pair_equals_the_scan_kernel_on_its_table_row(m):
         scale = rng.uniform(0.1, 10.0)
         nodes = [offset + scale * t for t in distinct_nodes(rng, m + 4)]
         curve = SampledCurve.from_rows([(t, *rng.uniform(-1.0, 1.0, 3)) for t in nodes])
-        table = _subset_table(curve, *dd_windows(len(nodes), m, len(nodes)))
+        table = _subset_table(curve, dd_windows(len(nodes), m, len(nodes))[0])
         (pf, pg), u, hs = table.polys(2), table.u, np.array(curve.hs)[table.idx]
         rows = rng.choice(len(u), 5, replace=False)
         for s, (i, j) in itertools.product(rows, itertools.combinations(range(m + 1), 2)):
@@ -381,7 +381,7 @@ def test_discrete_area_is_the_exact_area_to_first_order(family, layout, m, seed)
     # the Newton-to-monomial steps, the product sums and the two Horner
     # passes.  18,900 subsets from this generator stayed below 0.82 eps times it.
     curve = _subset_samples(family, layout, m, np.random.default_rng(seed))
-    table = _subset_table(curve, np.arange(m + 1)[None], m + 1)
+    table = _subset_table(curve, np.arange(m + 1)[None])
     ia, ib = np.triu_indices(m + 1, 1)
     area, _ = _discrete_av(table, np.array(curve.hs), ia, ib, m)
     bound = 8 * (m + 1) * Fraction(np.finfo(float).eps)

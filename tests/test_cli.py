@@ -674,6 +674,8 @@ CHECK_CM = ["--mode", "check-cm", "--input", "IN"]
     ([*CHECK_CM, "--delta-ratio", "0.5"], {}, "unrecognized arguments: --delta-ratio 0.5"),
     (CHECK_CM, {"HEISWHIT_TOL": "0.1"}, "no flag reads HEISWHIT_TOL"),
     (CHECK_CM, {"HEISWHIT_DELTA_RATIO": "0.5"}, "no flag reads HEISWHIT_DELTA_RATIO"),
+    (["--input", "IN"], {"HEISWHIT_MODE": "paint"}, "argument --mode: invalid choice"),
+    (CHECK_CM, {"HEISWHIT_WINDOW": "-1"}, "window must be at least 3"),
 ])
 def test_main_maps_usage_and_setting_errors_to_exit_3(
     tmp_path, capsys, monkeypatch, argv, env, message
@@ -684,6 +686,22 @@ def test_main_maps_usage_and_setting_errors_to_exit_3(
         monkeypatch.setenv(name, value)
     assert main([path if a == "IN" else a for a in argv]) == 3
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_main_builds_no_parser_per_call(tmp_path, monkeypatch):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    path = write_csv(tmp_path / "circle.csv", circle_rows(12))
+    argv = ["--mode", "check-c1", "--input", path, "--report", str(tmp_path / "r.json")]
+    for _ in range(3):
+        assert main(argv) == 0
+    assert built == []
 
 
 def test_main_collects_the_cycles_each_call_leaves(tmp_path):

@@ -20,13 +20,13 @@ from heiswhit.profiles import banded_sup, delta_grid
 from conftest import circle_curve, dump_samples_json
 
 
-def dd_profiles_by_pairs(table, deltas):
+def dd_profiles_by_pairs(table, width, deltas):
     """Brute force: one item per pair of rows whose union spans < width indices.
 
     Rows are sorted, so the union of row i and a later row j starts at
     idx[i, 0], and only rows before stop[i] can qualify.
     """
-    idx, width, xs = table.idx, table.width, table.xs
+    idx, xs = table.idx, table.xs
     first, rows = idx[:, 0], np.arange(len(idx))
     stop = np.searchsorted(first, first + width)
     offsets = np.arange(1, (stop - rows).max())
@@ -72,8 +72,8 @@ def both(samples, m, window=None):
     dd = _DDProfiles(scan)
     for table in scan.tables():
         dd.add(table)
-    table = _subset_table(samples, scan.idx, width)
-    return dd.profiles(deltas), dd_profiles_by_pairs(table, deltas)
+    table = _subset_table(samples, scan.idx)
+    return dd.profiles(deltas), dd_profiles_by_pairs(table, width, deltas)
 
 
 # The oracle's pair mask has about K * min(K, width * C(width - 1, m)) entries
