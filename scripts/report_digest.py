@@ -8,8 +8,11 @@ Usage, from the root of a checkout:
 
 ``--out`` runs every call of the set in this process through
 ``heiswhit.cli.main``, imported from ``--src`` (default: this checkout's
-``src``), and stores per call the exit code, the JSON report without its
-``timings``, and the plot and grid CSVs.  ``--diff`` prints, for every call
+``src``), and stores per call its group (mode, order and input family),
+the exit code, the JSON report without its ``timings``, and the plot and
+grid CSVs.  It prints the verdict scoreboard: per group and in total, how
+many calls exit with the code their family expects
+(``perfbench/inputs.EXPECTED_EXIT``).  ``--diff`` prints, for every call
 whose outputs differ, any change of exit code or status; the largest
 absolute and relative difference over the values (profile points,
 constants, CSV cells) and, apart, over the fitted slopes and over the
@@ -18,7 +21,7 @@ move far), the relative one also over numbers of magnitude at least 1e-6
 only; whether the finiteness witnesses or the synthesis audit's
 ``defect_piece`` moved; the fields found on one side only, or holding
 different strings; and each profile whose status changed with its largest
-point on either side.
+point on either side.  Then it prints both scoreboards side by side.
 
 The call set, every call writing ``--plot-out``: check-c1; check-cm and
 check-cm-w with the default window and with ``--window 9``; synthesize with
@@ -54,33 +57,37 @@ WITNESSES = ("worst_subset", "worst_pair", "audit/defect_piece")
 
 
 def cmp_calls(work):
-    """(name, argv) for the circle, poly and drift files of every size."""
+    """(name, group, argv) for the circle, poly and drift files of every size."""
     for family in inputs.FAMILIES:
         for n in N_VALUES:
             path = str(work / f"{family}-{n}.csv")
             inputs.write_samples(path, inputs.make_rows(7, "cmp", family, n))
-            yield f"check-c1 {family} n={n}", ["--mode", "check-c1", "--input", path]
+            yield (f"check-c1 {family} n={n}", f"check-c1 m=1 {family}",
+                   ["--mode", "check-c1", "--input", path])
             for m in ORDERS:
                 base = ["--input", path, "--m", str(m)]
                 for mode in ("check-cm", "check-cm-w"):
-                    yield f"{mode} m={m} {family} n={n}", ["--mode", mode, *base]
-                    yield (f"{mode} m={m} window=9 {family} n={n}",
+                    group = f"{mode} m={m} {family}"
+                    yield f"{mode} m={m} {family} n={n}", group, ["--mode", mode, *base]
+                    yield (f"{mode} m={m} window=9 {family} n={n}", group,
                            ["--mode", mode, "--window", "9", *base])
-                yield (f"synthesize m={m} {family} n={n}",
+                yield (f"synthesize m={m} {family} n={n}", f"synthesize m={m} {family}",
                        ["--mode", "synthesize", "--grid-out", str(work / "grid.csv"), *base])
-                yield f"finiteness m={m} {family} n={n}", ["--mode", "finiteness", *base]
+                group = f"finiteness m={m} {family}"
+                yield f"finiteness m={m} {family} n={n}", group, ["--mode", "finiteness", *base]
                 if n == OMEGA_N and m in OMEGA_ORDERS:
-                    yield (f"finiteness m={m} omega={OMEGA} {family} n={n}",
+                    yield (f"finiteness m={m} omega={OMEGA} {family} n={n}", group,
                            ["--mode", "finiteness", "--omega", OMEGA, *base])
 
 
 def workload_calls(work):
-    """(name, argv) for every call of the benchmark workloads at seed 1."""
+    """(name, group, argv) for every call of the benchmark workloads at seed 1."""
     import run
 
     for workload in run.WORKLOADS:
         for call in run.make_batch(workload, 1, work):
-            yield f"{workload} {call.mode} m={call.m} {call.family} n={call.n}", call.argv
+            group = f"{call.mode} m={call.m} {call.family}"
+            yield f"{workload} {group} n={call.n}", group, call.argv
 
 
 def read(path):
@@ -97,7 +104,7 @@ def collect(src):
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name, argv in [*cmp_calls(work), *workload_calls(work)]:
+        for name, group, argv in [*cmp_calls(work), *workload_calls(work)]:
             files = {key: work / f"{key}.out" for key in ("report", "plot")}
             grid = argv[argv.index("--grid-out") + 1] if "--grid-out" in argv else None
             for path in [*files.values(), grid]:
@@ -111,10 +118,31 @@ def collect(src):
             report = json.loads(text) if text else None
             if report:
                 report.pop("timings", None)
-            out[name] = {"exit": code, "report": report, "plot": read(files["plot"]),
-                         "grid": read(grid) if grid else None}
+            out[name] = {"group": group, "exit": code, "report": report,
+                         "plot": read(files["plot"]), "grid": read(grid) if grid else None}
             print(f"{code} {name}", file=sys.stderr)
     return out
+
+
+def scoreboard(digest):
+    """{group: (calls exiting with their family's expected code, calls)}, and "total"."""
+    board = {}
+    for call in digest.values():
+        family = call["group"].split()[-1]
+        for key in (call["group"], "total"):
+            hits, calls = board.get(key, (0, 0))
+            board[key] = (hits + (call["exit"] == inputs.EXPECTED_EXIT[family]), calls + 1)
+    return board
+
+
+def print_scoreboard(before, after=None):
+    """One line per group and the total: hits of calls, before -> after when both are given."""
+    boards = [scoreboard(d) for d in (before, after) if d is not None]
+    print("calls exiting as their family expects "
+          f"({', '.join(f'{k} {v}' for k, v in inputs.EXPECTED_EXIT.items())}):")
+    for key in sorted(set().union(*boards) - {"total"}) + ["total"]:
+        cells = [" of ".join(map(str, b.get(key, (0, 0)))) for b in boards]
+        print(f"  {key}: {' -> '.join(cells)}")
 
 
 def leaves(value, path=""):
@@ -209,6 +237,7 @@ def diff(before, after):
               + (f"; other fields differ: {', '.join(other)}" if other else ""))
         for line in profile_changes(a["report"], b["report"]):
             print(line)
+    print_scoreboard(before, after)
     print(f"{len(names)} calls: {same} identical, {len(names) - same} differ, "
           f"{changed_codes} change their exit code")
 
@@ -224,6 +253,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.out:
         digest = collect(args.src)
+        print_scoreboard(digest)
         Path(args.out).write_text(json.dumps(digest, sort_keys=True) + "\n", encoding="utf-8")
         return 0
     before, after = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff)

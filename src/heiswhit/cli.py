@@ -40,6 +40,8 @@ CHECKERS = {
     "check-cm": lambda *args, **kw: horizontal.check_cm(*args, **kw),
     "check-cm-w": lambda *args, **kw: horizontal.check_cm_via_w(*args, **kw),
 }
+# The ThresholdPolicy constants a verdict report lists under "thresholds".
+THRESHOLDS = ("slope_consistent", "slope_flat", "rel_tol", "zero_tol", "deadband")
 
 
 @dataclass
@@ -64,6 +66,7 @@ class RunConfig:
             raise ParseError("m must be at least 1")
         if self.grid_samples < 2:
             raise ParseError("grid-samples must be at least 2")
+        parse_omega(self.omega)
 
 
 def parse_omega(spec):
@@ -182,20 +185,6 @@ def _profile_entry(prof, status, slope):
     }
 
 
-def _verdict_report(verdict):
-    return {
-        "status": verdict.status,
-        "profiles": {
-            name: _profile_entry(prof, verdict.statuses[name], verdict.slopes[name])
-            for name, prof in verdict.profiles.items()
-        },
-        "thresholds": {
-            name: getattr(ThresholdPolicy, name)
-            for name in ("slope_consistent", "slope_flat", "rel_tol", "zero_tol", "deadband")
-        },
-    }
-
-
 def _strict(value):
     """value with each non-finite float as the string "inf", "-inf" or "nan": strict JSON."""
     if isinstance(value, dict):
@@ -218,68 +207,53 @@ def _write_grid(curve_obj, config):
     _write_csv(config.grid_out, "t,x,y,z,defect", (",".join(map(repr, row)) for row in rows))
 
 
+def _dispatch(config, curve, m):
+    """One mode's report fields, its judged profiles {name: (profile, status, slope)}
+    (None after a failed synthesis) and its exit code."""
+    window = _full_window(len(curve._t), m, config.window, config.full_enum)
+    if config.mode == "synthesize":
+        try:
+            synth = horizontal.synthesize(curve, m, window=window)
+        except SynthesisDefectError as exc:
+            return {"status": "defect", "error": str(exc)}, None, 1
+        if config.grid_out:
+            _write_grid(synth, config)
+        fields = {"status": "synthesized", "defect": synth.defect, "audit": synth.audit,
+                  "bump_amplitudes": list(synth.bump_amplitudes)}
+        return fields, {f"modulus_{k}": (p, *ThresholdPolicy().classify(p))
+                        for k, p in synth.modulus.items()}, 0
+    if config.mode == "finiteness":
+        rep = horizontal.finiteness_check(curve, m, parse_omega(config.omega), window=window)
+        constants = {"M_hat": rep.m_hat, "C2_hat": rep.c2_hat,
+                     "subsets_scanned": rep.subsets_scanned}
+        fields = {"status": rep.status, "constants": constants,
+                  "worst_subset": list(rep.worst_subset), "worst_pair": list(rep.worst_pair)}
+        judged = {"finiteness_ratio": (rep.profile, rep.status, rep.slope)}
+    else:
+        verdict = CHECKERS[config.mode](curve, m, window=window)
+        fields = {"status": verdict.status,
+                  "thresholds": {name: getattr(ThresholdPolicy, name) for name in THRESHOLDS}}
+        judged = {name: (prof, verdict.statuses[name], verdict.slopes[name])
+                  for name, prof in verdict.profiles.items()}
+    return fields, judged, EXIT_BY_STATUS[fields["status"]]
+
+
 def run(config):
-    """Execute one configured run; returns the process exit code."""
-    timings = {}
-    report = {"mode": config.mode, "m": config.m}
+    """Execute one configured run and write its report; returns the process exit code."""
     try:
         t0 = time.perf_counter()
         curve, m_hint = load_input(config.input_path)
-        timings["parse_s"] = time.perf_counter() - t0
+        timings = {"parse_s": time.perf_counter() - t0}
         m = m_hint if m_hint is not None else config.m
-        report["m"] = m
-        policy = ThresholdPolicy()
-        window = _full_window(len(curve._t), m, config.window, config.full_enum)
-
         t0 = time.perf_counter()
-        plot_profiles = None
-        if config.mode in CHECKERS:
-            verdict = CHECKERS[config.mode](curve, m, window=window)
-            report.update(_verdict_report(verdict))
-            code = EXIT_BY_STATUS[verdict.status]
-            plot_profiles = verdict.profiles
-        elif config.mode == "finiteness":
-            rep = horizontal.finiteness_check(curve, m, parse_omega(config.omega), window=window)
-            report["status"] = rep.status
-            report["constants"] = {
-                "M_hat": rep.m_hat,
-                "C2_hat": rep.c2_hat,
-                "subsets_scanned": rep.subsets_scanned,
-            }
-            report["worst_subset"] = list(rep.worst_subset)
-            report["worst_pair"] = list(rep.worst_pair)
-            report["profiles"] = {
-                "finiteness_ratio": _profile_entry(rep.profile, rep.status, rep.slope)
-            }
-            code = EXIT_BY_STATUS[rep.status]
-            plot_profiles = {"finiteness_ratio": rep.profile}
-        else:  # synthesize
-            try:
-                curve_obj = horizontal.synthesize(curve, m, window=window)
-            except SynthesisDefectError as exc:
-                report["status"] = "defect"
-                report["error"] = str(exc)
-                code = 1
-            else:
-                report["status"] = "synthesized"
-                report["defect"] = curve_obj.defect
-                report["bump_amplitudes"] = list(curve_obj.bump_amplitudes)
-                report["audit"] = curve_obj.audit
-                report["profiles"] = {
-                    f"modulus_{k}": _profile_entry(p, *policy.classify(p))
-                    for k, p in curve_obj.modulus.items()
-                }
-                plot_profiles = curve_obj.modulus
-                code = 0
-                if config.grid_out:
-                    _write_grid(curve_obj, config)
+        fields, judged, code = _dispatch(config, curve, m)
         timings["compute_s"] = time.perf_counter() - t0
 
-        if config.plot_out and plot_profiles:
-            emit_plot_data(plot_profiles, config.plot_out)
-
-        report["timings"] = timings
-        report["exit_code"] = code
+        report = {"mode": config.mode, "m": m, **fields, "timings": timings, "exit_code": code}
+        if judged is not None:
+            report["profiles"] = {name: _profile_entry(*entry) for name, entry in judged.items()}
+            if config.plot_out:
+                emit_plot_data({name: entry[0] for name, entry in judged.items()}, config.plot_out)
         text = json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
         if config.report_path:
             with open(config.report_path, "w", encoding="utf-8") as fh:

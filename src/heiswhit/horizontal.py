@@ -254,18 +254,24 @@ def _defect_bounds(f, g, h):
     piece the defect D is a polynomial in the local variable u, and
     sum_k |d_k| r^k bounds it where |u| <= r.  r is the largest |u| over
     the piece's span: the whole piece between two breakpoints, and only
-    the attachment node for the two unbounded end pieces.  The scale is
-    1 + max|h'| + 2 max|f'g| + 2 max|fg'| over the values at the
-    breakpoints and centers.
+    the attachment node for the two unbounded end pieces.  Each float d_k
+    is at most w + 3 roundings (w = d's width) from the exact one, so adding
+    gamma = (w + 4) eps/2 times S = |h'| + 2(|f'| |g| + |f| |g'|), each row
+    read as sum_k |c_k| r^k, and the factor 1 + 3 gamma for the rounding of r
+    and the Horner sums make the bound strict for the stored rows.  The
+    scale is 1 + max|h'| + 2 max|f'g| + 2 max|fg'| at the breakpoints and centers.
     """
-    d = h._table(1) - _velocity(f._table(0), f._table(1), g._table(0), g._table(1))
+    f0, f1, g0, g1, h1 = f._table(0), f._table(1), g._table(0), g._table(1), h._table(1)
+    d = h1 - _velocity(f0, f1, g0, g1)
     r = np.max(np.abs(_piece_spans(f) - f.centers), axis=0)
+    af, adf, ag, adg, adh, ad = (_horner(np.abs(c), r) for c in (f0, f1, g0, g1, h1, d))
+    gamma = (d.shape[-1] + 4) * np.finfo(float).eps / 2.0
     ts = np.union1d(f.breakpoints, f.centers)
     fv, dfv, gv, dgv, dhv = f(ts), f(ts, 1), g(ts), g(ts, 1), h(ts, 1)
     scale = 1.0 + float(
         np.max(np.abs(dhv)) + 2.0 * np.max(np.abs(dfv * gv)) + 2.0 * np.max(np.abs(fv * dgv))
     )
-    return _horner(np.abs(d), r), scale
+    return (ad + gamma * (adh + 2.0 * (adf * ag + af * adg))) * (1.0 + 3.0 * gamma), scale
 
 
 def _empirical_modulus(exts, m, nodes, points=513):

@@ -216,13 +216,12 @@ def test_run_synthesize_polynomial_exits_0_with_small_grid_defect(tmp_path):
     assert max(float(row[4]) for row in grid) <= 1e-9
 
 
-@pytest.mark.parametrize("at,error", [
-    ((1, 1), "horizontality defect"),  # h' off on the gap's middle third
-    ((slice(None), 0), "node reproduction failed at t=0.5:"),  # h off on the whole gap
-])
-def test_run_synthesize_failed_audit_exits_1_without_grid(tmp_path, monkeypatch, at, error):
-    # The plant of test_defect_bound_catches_a_defect_the_grid_steps_over: a
-    # 1e-3 change of one gap's h rows after horizontalization.
+def planted_defect_csv(tmp_path, monkeypatch, at=(1, 1)):
+    """Samples whose synthesis fails its audit.
+
+    The plant of test_defect_bound_catches_a_defect_the_grid_steps_over: a
+    1e-3 change of one gap's h rows, at index `at`, after horizontalization.
+    """
     nodes = sorted([i / 8.0 for i in range(9)] + [0.50003])
     rows = [(t, math.cos(t), math.sin(t), -2.0 * t) for t in nodes]
     gap = nodes.index(0.5)
@@ -235,8 +234,16 @@ def test_run_synthesize_failed_audit_exits_1_without_grid(tmp_path, monkeypatch,
         return (f, g, h, *rest)
 
     monkeypatch.setattr(horizontal, "_horizontalize_gaps", planted)
+    return write_csv(tmp_path / "in.csv", rows)
+
+
+@pytest.mark.parametrize("at,error", [
+    ((1, 1), "horizontality defect"),  # h' off on the gap's middle third
+    ((slice(None), 0), "node reproduction failed at t=0.5:"),  # h off on the whole gap
+])
+def test_run_synthesize_failed_audit_exits_1_without_grid(tmp_path, monkeypatch, at, error):
     report_path, grid_path = tmp_path / "report.json", tmp_path / "grid.csv"
-    config = RunConfig(mode="synthesize", input_path=write_csv(tmp_path / "in.csv", rows),
+    config = RunConfig(mode="synthesize", input_path=planted_defect_csv(tmp_path, monkeypatch, at),
                        report_path=str(report_path), grid_out=str(grid_path))
     assert run(config) == 1
     report = json.loads(report_path.read_text())
@@ -244,6 +251,45 @@ def test_run_synthesize_failed_audit_exits_1_without_grid(tmp_path, monkeypatch,
     assert report["error"].startswith(error)
     assert report["exit_code"] == 1
     assert not grid_path.exists()
+
+
+@pytest.mark.parametrize("case,fields", [
+    ("check-c1", {"thresholds", "profiles"}),
+    ("check-cm", {"thresholds", "profiles"}),
+    ("check-cm-w", {"thresholds", "profiles"}),
+    ("finiteness", {"constants", "worst_subset", "worst_pair", "profiles"}),
+    ("synthesize", {"defect", "audit", "bump_amplitudes", "profiles"}),
+    ("defect", {"error"}),
+])
+def test_each_mode_writes_its_report_fields_and_plots_its_profiles(
+    tmp_path, monkeypatch, case, fields
+):
+    # The README's table of report fields lists these sets.
+    if case == "defect":
+        mode, path = "synthesize", planted_defect_csv(tmp_path, monkeypatch)
+    else:
+        mode, path = case, write_csv(tmp_path / "circle.csv", circle_rows(12))
+    report_path, plot_path = tmp_path / "report.json", tmp_path / "plot.csv"
+    argv = ["--mode", mode, "--input", path, "--report", str(report_path),
+            "--plot-out", str(plot_path)]
+    assert main(argv) == (1 if case == "defect" else 0)
+    report = json.loads(report_path.read_text())
+    assert set(report) == {"mode", "m", "status", "timings", "exit_code", *fields}
+    if case == "defect":
+        assert not plot_path.exists()
+        return
+    assert report["profiles"]
+    for entry in report["profiles"].values():
+        assert set(entry) == {"points", "slope", "status", "terminal"}
+    # A series is named by its Profile.name, which two AV profiles spell
+    # apart from their report key.
+    plotted = {}
+    for row in plot_path.read_text().splitlines()[1:]:
+        delta, value, series = row.split(",")
+        plotted.setdefault(series, []).append([float(delta), float(value)])
+    names = {"av_discrete": "discrete_av_ratio", "av_w": "av_ratio"}
+    assert plotted == {names.get(name, name): sorted(entry["points"], reverse=True)
+                       for name, entry in report["profiles"].items()}
 
 
 class _SpecialValues:
@@ -322,8 +368,10 @@ def test_synthesize_report_audit_matches_direct_evaluation(tmp_path):
         assert audit["breakpoint_jumps"][name] == ext.breakpoint_jumps(2)
         assert len(audit["breakpoint_jumps"][name]) == 3
     # The defect bound of every piece, in scalar arithmetic: D = h' - 2(f'g - fg')
-    # from the stored coefficients, summed as |d_k| r^k by Horner.
+    # from the stored coefficients, every row read as sum_k |c_k| r^k by Horner,
+    # and |D| + gamma (|h'| + 2(|f'||g| + |f||g'|)) times 1 + 3 gamma.
     width = max(c._table(0).shape[1] for c in (curve.f, curve.g, curve.h))
+    gamma = (curve.h._table(1).shape[1] + 4) * np.finfo(float).eps / 2.0
     spans = [curve.f.breakpoints[0], *curve.f.breakpoints, curve.f.breakpoints[-1]]
     bounds = []
     for i, center in enumerate(curve.f.centers):
@@ -338,10 +386,15 @@ def test_synthesize_report_audit_matches_direct_evaluation(tmp_path):
                 fdg += f[j] * dg[k - j]
             d.append(dh[k] - 2.0 * (dfg - fdg))
         r = max(abs(spans[i] - center), abs(spans[i + 1] - center))
-        bound = 0.0
-        for dk in reversed(d):
-            bound = bound * r + abs(dk)
-        bounds.append(bound)
+
+        def at(row):
+            out = 0.0
+            for c in reversed(row):
+                out = out * r + abs(c)
+            return out
+
+        size = at(dh) + 2.0 * (at(df) * at(g) + at(f) * at(dg))
+        bounds.append((at(d) + gamma * size) * (1.0 + 3.0 * gamma))
     top = bounds.index(max(bounds))
     assert audit["defect_piece"] == [top, spans[top], spans[top + 1]]
     assert docs[0]["defect"] == bounds[top] <= 1e-12
@@ -676,6 +729,10 @@ CHECK_CM = ["--mode", "check-cm", "--input", "IN"]
     (CHECK_CM, {"HEISWHIT_DELTA_RATIO": "0.5"}, "no flag reads HEISWHIT_DELTA_RATIO"),
     (["--input", "IN"], {"HEISWHIT_MODE": "paint"}, "argument --mode: invalid choice"),
     (CHECK_CM, {"HEISWHIT_WINDOW": "-1"}, "window must be at least 3"),
+    # Only finiteness mode read --omega: both exited 0.
+    ([*CHECK_CM, "--m", "1", "--omega", "bogus"], {}, "unsupported omega spec 'bogus'"),
+    (["--mode", "synthesize", "--input", "IN"], {"HEISWHIT_OMEGA": "power:0:1"},
+     "power modulus needs a positive finite coefficient"),
 ])
 def test_main_maps_usage_and_setting_errors_to_exit_3(
     tmp_path, capsys, monkeypatch, argv, env, message

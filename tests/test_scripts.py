@@ -50,19 +50,21 @@ def test_scan_memory_writes_one_row_per_call(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
-def digest_call(code, value, slope=-1.0):
+def digest_call(code, value, slope=-1.0, group="check-cm m=1 circle"):
     report = {"status": {0: "consistent", 1: "inconsistent"}[code], "exit_code": code,
               "profiles": {"dd_f": {"points": [[1.0, value], [0.5, 0.25]], "slope": slope,
                                     "status": "consistent", "terminal": 0.25}}}
-    return {"exit": code, "report": report, "plot": f"delta,value,series\n1.0,{value!r},dd_f\n",
-            "grid": None}
+    return {"group": group, "exit": code, "report": report,
+            "plot": f"delta,value,series\n1.0,{value!r},dd_f\n", "grid": None}
 
 
 def test_report_digest_diff_reports_exit_and_rounding_changes(tmp_path, capsys):
+    drift = "check-cm m=1 drift"  # a drift call is expected to exit 1
     before = {"same": digest_call(0, 0.5), "exit": digest_call(0, 0.5),
-              "rounding": digest_call(0, 0.5)}
+              "rounding": digest_call(0, 0.5), "drift": digest_call(0, 0.5, group=drift)}
     after = {"same": digest_call(0, 0.5), "exit": digest_call(1, 0.5),
-             "rounding": digest_call(0, 0.5 * (1.0 + 2.0**-52))}
+             "rounding": digest_call(0, 0.5 * (1.0 + 2.0**-52)),
+             "drift": digest_call(1, 0.5, group=drift)}
     paths = [tmp_path / "before.json", tmp_path / "after.json"]
     for path, digest in zip(paths, (before, after)):
         path.write_text(json.dumps(digest), encoding="utf-8")
@@ -71,14 +73,21 @@ def test_report_digest_diff_reports_exit_and_rounding_changes(tmp_path, capsys):
     assert lines[0].startswith("exit: exit 0 -> 1, status consistent -> inconsistent")
     assert lines[1].startswith("rounding: exit 0 -> 0, status consistent -> consistent; "
                                "values 1.11e-16 absolute, 2.22e-16 relative")
-    assert lines[-1] == "3 calls: 1 identical, 2 differ, 1 change their exit code"
+    assert lines[-5:] == [
+        "calls exiting as their family expects (circle 0, poly 0, drift 1):",
+        "  check-cm m=1 circle: 3 of 3 -> 2 of 3",
+        "  check-cm m=1 drift: 0 of 1 -> 1 of 1",
+        "  total: 3 of 4 -> 3 of 4",
+        "4 calls: 1 identical, 3 differ, 2 change their exit code",
+    ]
 
 
 def test_report_digest_diff_reports_the_defect_apart(tmp_path, capsys):
     def synthesized(defect, piece, bump, audit_key="defect_piece"):
         report = {"status": "synthesized", "exit_code": 0, "bump_amplitudes": [bump],
                   "defect": defect, "audit": {audit_key: piece, "max_bump": bump}}
-        return {"exit": 0, "report": report, "plot": None, "grid": None}
+        return {"group": "synthesize m=1 circle", "exit": 0, "report": report, "plot": None,
+                "grid": None}
 
     before = {"synth": synthesized(3e-14, [4, 0.25, 0.5], 0.5),
               "renamed": synthesized(3e-14, 0.375, 0.5, audit_key="defect_t")}
