@@ -145,17 +145,12 @@ def _load_json(path):
 
 
 def emit_plot_data(profiles, path):
-    """Write profiles as CSV rows delta,value,series.
+    """Write profiles {name: Profile} as CSV rows delta,value,series; the series is the name.
 
     Ordering is deterministic: series name, then delta descending.  An
     empty profile collection is an error and writes nothing.
     """
-    rows = []
-    for name in sorted(profiles):
-        prof = profiles[name]
-        series = prof.name or name
-        for d, v in prof.points:
-            rows.append((d, v, series))
+    rows = [(d, v, name) for name, prof in profiles.items() for d, v in prof.points]
     if not rows:
         raise ValueError("no profile points to emit")
     rows.sort(key=lambda r: (r[2], -r[0]))
@@ -244,7 +239,8 @@ def run(config):
         t0 = time.perf_counter()
         curve, m_hint = load_input(config.input_path)
         timings = {"parse_s": time.perf_counter() - t0}
-        m = m_hint if m_hint is not None else config.m
+        # check-c1 is first order, whatever --m or the file's hint says.
+        m = 1 if config.mode == "check-c1" else (config.m if m_hint is None else m_hint)
         t0 = time.perf_counter()
         fields, judged, code = _dispatch(config, curve, m)
         timings["compute_s"] = time.perf_counter() - t0

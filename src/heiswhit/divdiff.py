@@ -186,16 +186,18 @@ def hermite_genocchi(fm, nodes, tol=1e-9, budget=2_000_000):
 def dd_windows(n, m, width):
     """(m+1)-subsets of node indices within a sliding window of width <= n nodes.
 
-    Returns (subsets, width): subsets is an (S, m+1) array of index rows,
-    each ascending and its last index less than width past its first, in
-    lexicographic order.  Each row is a first index plus a row of one
-    offset table, 0 and an m-combination of 1 .. width - 1.
+    Returns (positions, offsets): offsets is the (C, m+1) table of 0 and each
+    m-combination of 1 .. width - 1, in lexicographic order, and positions
+    the ascending places p in the (first index x offset row) grid whose row
+    p // C + offsets[p % C] ends below n.  So the subsets' index rows come
+    in lexicographic order.
     """
     offsets = np.array(
         [(0, *rest) for rest in itertools.combinations(range(1, width), m)], dtype=np.intp
     ).reshape(-1, m + 1)
-    rows = np.arange(n)[:, None, None] + offsets
-    return rows[rows[..., -1] < n], width
+    # Index sums, not a bool compare: freeing their (n, C) array lifts glibc's
+    # mmap and trim thresholds, so slices reuse heap pages instead of faulting.
+    return np.flatnonzero(np.arange(n)[:, None] + offsets[:, -1] < n), offsets
 
 
 def _subset_count(n, m, width):
@@ -242,14 +244,16 @@ class _Scan(NamedTuple):
     """The subsets of a scan, as dd_windows lists them, read in slices."""
 
     samples: SampledCurve
-    idx: np.ndarray  # (S, k) node indices per subset, in lexicographic order
+    positions: np.ndarray  # (S,) each subset's place in the (first x offset row) grid
+    offsets: np.ndarray  # (C, k) offset rows, in lexicographic order
     width: int
     step: int  # subsets per slice
 
     def tables(self):
         """The Newton tables of consecutive slices of step subsets, in order."""
-        for s in range(0, len(self.idx), self.step):
-            yield _subset_table(self.samples, self.idx[s : s + self.step])
+        for s in range(0, len(self.positions), self.step):
+            first, row = np.divmod(self.positions[s : s + self.step], len(self.offsets))
+            yield _subset_table(self.samples, first[:, None] + self.offsets[row])
 
 
 # Peak bytes of a Newton-table slice and its readers' temporaries per
@@ -270,8 +274,8 @@ def _scan(samples, m, window, order=None):
     min(n, window) consecutive nodes, read in slices whose pairs number at
     most CHUNK_PAIRS, and the scales are the geometric grid from diam down
     to the smallest gap.  Before dd_windows lists a subset, the scan's peak
-    memory is estimated: dd_windows' index rows before and after its cut,
-    the dd profiles' extrema tables and one slice.  An estimate beyond
+    memory is estimated: dd_windows' grid sums, mask and positions, the
+    dd profiles' extrema tables and one slice.  An estimate beyond
     physical memory raises ScanTooLargeError.
     """
     n = len(samples._t)
@@ -284,16 +288,16 @@ def _scan(samples, m, window, order=None):
     k = (m if order is None else order) + 1
     count, pairs = _subset_count(n, k - 1, width), math.comb(k, 2)
     step = _chunk_rows(pairs)
-    # dd_windows' index rows before and after its cut, the dd extrema's
-    # twelve rows of n * width floats, and one slice
-    listing = 8 * k * (n * math.comb(width - 1, k - 1) + count)
+    # dd_windows' grid of 8-byte index sums and its mask, 8-byte positions,
+    # the dd extrema's twelve rows of n * width floats, and one slice
+    listing = 9 * n * math.comb(width - 1, k - 1) + 8 * count
     size = listing + 12 * 8 * n * width + SLICE_BYTES_PER_PAIR * pairs * min(step, count)
     if size > _physical_memory():
         raise ScanTooLargeError(
             f"{count} subsets of {k} nodes need {size / 2**30:.3g} GiB to scan, "
             "more than physical memory"
         )
-    return _Scan(samples, dd_windows(n, k - 1, width)[0], width, step), deltas
+    return _Scan(samples, *dd_windows(n, k - 1, width), width, step), deltas
 
 
 class _DDProfiles:
@@ -325,7 +329,7 @@ class _DDProfiles:
 
     def profiles(self, deltas):
         """{"dd_f": .., "dd_g": .., "dd_h": ..} on the scales deltas, once every table is in."""
-        t, width, m = self.scan.samples._t, self.scan.width, self.scan.idx.shape[1] - 1
+        t, width, m = self.scan.samples._t, self.scan.width, self.scan.offsets.shape[1] - 1
         n = len(t)
         exact, ending = self.by.reshape(2, 2, 3, n, width)
         inside = exact.copy()  # rows within [s, s + d]

@@ -437,5 +437,5 @@ def finiteness_check(samples, m, omega, window=None, full_enum=None):
     profile = bands.profile("finiteness_ratio")
     status, slope = ThresholdPolicy().bounded(profile)
     return FinitenessReport(
-        m_hat, float(c2_hat), worst_subset, worst_pair, profile, status, slope, len(scan.idx)
+        m_hat, float(c2_hat), worst_subset, worst_pair, profile, status, slope, len(scan.positions)
     )

@@ -15,6 +15,7 @@ import numpy as np
 
 from heiswhit import CurveJets, Poly, SampledCurve
 from heiswhit.av import _av
+from heiswhit.divdiff import dd_windows
 from heiswhit.errors import LengthMismatchError
 from heiswhit.horizontal import _horizontalize_gaps
 from heiswhit.poly import _horner, _taylor_rows
@@ -46,6 +47,13 @@ def circle_jets(nodes, m):
     gd = lambda t, k: math.sin(t + 0.5 * math.pi * k)
     jets = (tuple(tuple(d(t, k) for k in range(m + 1)) for t in nodes) for d in (fd, gd, hd))
     return CurveJets(nodes, *jets)
+
+
+def subset_rows(n, m, width):
+    """dd_windows' subsets as index rows: place p is first node p // C plus offset row p % C."""
+    positions, offsets = dd_windows(n, m, width)
+    first, row = np.divmod(positions, len(offsets))
+    return first[:, None] + offsets[row]
 
 
 def line_curve(n, lo=0.0, hi=1.0):

@@ -281,14 +281,12 @@ def test_each_mode_writes_its_report_fields_and_plots_its_profiles(
     assert report["profiles"]
     for entry in report["profiles"].values():
         assert set(entry) == {"points", "slope", "status", "terminal"}
-    # A series is named by its Profile.name, which two AV profiles spell
-    # apart from their report key.
+    # A series is named by its report key.
     plotted = {}
     for row in plot_path.read_text().splitlines()[1:]:
         delta, value, series = row.split(",")
         plotted.setdefault(series, []).append([float(delta), float(value)])
-    names = {"av_discrete": "discrete_av_ratio", "av_w": "av_ratio"}
-    assert plotted == {names.get(name, name): sorted(entry["points"], reverse=True)
+    assert plotted == {name: sorted(entry["points"], reverse=True)
                        for name, entry in report["profiles"].items()}
 
 
@@ -331,9 +329,8 @@ def test_grid_writer_writes_what_csv_writer_would(tmp_path):
         assert len(rows) == 101
 
     plot_path = tmp_path / "plot.csv"
-    odd = Profile(((1e22, 5e-324), (1.0 / 3.0, 1e22), (2.5e-7, 1.0 / 3.0), (5e-324, -0.0)),
-                  'odd, "quoted"\nname')
-    emit_plot_data({**synthesized.modulus, "odd": odd}, str(plot_path))
+    odd = Profile(((1e22, 5e-324), (1.0 / 3.0, 1e22), (2.5e-7, 1.0 / 3.0), (5e-324, -0.0)))
+    emit_plot_data({**synthesized.modulus, 'odd, "quoted"\nname': odd}, str(plot_path))
     header, rows = check(plot_path, 2)
     assert header == ["delta", "value", "series"]
     assert len(rows) == 4 + sum(len(p) for p in synthesized.modulus.values())
@@ -586,6 +583,33 @@ def test_run_json_m_hint_overrides_flag(tmp_path):
     )
     run(config)
     assert json.loads(report_path.read_text())["m"] == 2
+
+
+def first_order_report(tmp_path, path, argv=()):
+    """check-c1's report on the samples at path, without its timings."""
+    report_path = tmp_path / "report.json"
+    argv = ["--mode", "check-c1", "--input", str(path), "--report", str(report_path), *argv]
+    assert main(argv) == 0
+    report = json.loads(report_path.read_text())
+    del report["timings"]
+    return report
+
+
+def test_check_c1_reports_first_order_whatever_the_m_flag(tmp_path):
+    path = write_csv(tmp_path / "circle.csv", circle_rows(12))
+    report = first_order_report(tmp_path, path, ["--m", "3", "--window", "5"])
+    assert report["m"] == 1
+    assert report == first_order_report(tmp_path, path)
+
+
+def test_check_c1_reports_first_order_whatever_the_file_hint(tmp_path):
+    samples = [{"t": t, "x": x, "y": y, "z": z} for t, x, y, z in circle_rows(12)]
+    hinted, plain = tmp_path / "hinted.json", tmp_path / "plain.json"
+    hinted.write_text(json.dumps({"m": 3, "samples": samples}))
+    plain.write_text(json.dumps({"samples": samples}))
+    report = first_order_report(tmp_path, hinted)
+    assert report["m"] == 1
+    assert report == first_order_report(tmp_path, plain)
 
 
 def test_run_plot_out_writes_checker_profiles(tmp_path):

@@ -17,7 +17,7 @@ from heiswhit.cli import main
 from heiswhit.divdiff import SampledCurve, _DDProfiles, _Scan, _subset_table, dd_windows
 from heiswhit.profiles import banded_sup, delta_grid
 
-from conftest import circle_curve, dump_samples_json
+from conftest import circle_curve, dump_samples_json, subset_rows
 
 
 def dd_profiles_by_pairs(table, width, deltas):
@@ -66,13 +66,14 @@ def width_of(n, m, window):
 
 def both(samples, m, window=None):
     """The dd profiles fed in slices of 7 subsets, and the oracle's on the whole table."""
-    width = width_of(len(samples.nodes), m, window)
-    scan = _Scan(samples, dd_windows(len(samples.nodes), m, width)[0], width, 7)
+    n = len(samples.nodes)
+    width = width_of(n, m, window)
+    scan = _Scan(samples, *dd_windows(n, m, width), width, 7)
     deltas = delta_grid(samples.diam, samples.min_gap)
     dd = _DDProfiles(scan)
     for table in scan.tables():
         dd.add(table)
-    table = _subset_table(samples, scan.idx)
+    table = _subset_table(samples, subset_rows(n, m, width))
     return dd.profiles(deltas), dd_profiles_by_pairs(table, width, deltas)
 
 

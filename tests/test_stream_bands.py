@@ -133,8 +133,9 @@ scan_memory = load(ROOT / "scripts" / "scan_memory.py")
 def test_scan_memory_does_not_grow_with_the_pair_or_subset_count():
     # Each call runs in a fresh interpreter, which reads its own peak
     # resident set.  check_c1 on 2048 nodes has 16 times the pairs of 512
-    # nodes; the window-40 scan at m=3 has 310,726 subsets.
+    # nodes; the window-40 scan at m=3 has 310,726 subsets, held as one
+    # position each.
     small, large = (scan_memory.measure("check_c1", 1, n) for n in (512, 2048))
     assert large["peak_mb"] <= small["peak_mb"] + 4.0
     window = scan_memory.measure("check_cm", 3, 64, 40)
-    assert window["peak_mb"] < 100.0
+    assert window["peak_mb"] <= window["base_mb"] + 10.0

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import (
     bounded_horizontal_triple, circle_curve, dump_samples_json, line_curve, poly_curve,
+    subset_rows,
 )
 from heiswhit import (
     ModulusFn, SampledCurve, ThresholdPolicy, check_c1, check_cm, check_cm_via_w,
@@ -117,7 +118,8 @@ def dd_windows_by_set(n, m, window):
 def test_dd_windows_match_the_window_by_window_set(m, full_enum):
     for n in sizes(m).values():
         width = n if full_enum else min(n, 2 * m + 4)
-        subsets, span = dd_windows(n, m, width)
+        span = int(dd_windows(n, m, width)[1][-1, -1]) + 1  # the last offset is width - 1
+        subsets = subset_rows(n, m, width)
         assert (list(map(tuple, subsets.tolist())), span) == dd_windows_by_set(n, m, width)
 
 
@@ -238,8 +240,9 @@ def test_dd_windows_default_to_the_scan_window():
         return _scan(smooth_curve(n), m, window)[0]
 
     for m in (1, 2, 3):
-        got, (want, width) = table(30, m, None), dd_windows(30, m, 2 * m + 4)
-        assert got.width == width and np.array_equal(got.idx, want)
+        got, (positions, offsets) = table(30, m, None), dd_windows(30, m, 2 * m + 4)
+        assert got.width == offsets[-1, -1] + 1 == 2 * m + 4
+        assert np.array_equal(got.positions, positions) and np.array_equal(got.offsets, offsets)
         assert table(12, m, None).width < table(12, m, 12).width == 12
 
 
