@@ -15,10 +15,10 @@ many calls exit with the code their family expects
 (``perfbench/inputs.EXPECTED_EXIT``).  ``--diff`` prints, for every call
 whose outputs differ, any change of exit code or status; the largest
 absolute and relative difference over the values (profile points,
-constants, CSV cells) and, apart, over the fitted slopes and over the
-synthesis ``defect`` (a bound of rounding size, which one operand swap can
-move far), the relative one also over numbers of magnitude at least 1e-6
-only; whether the finiteness witnesses or the synthesis audit's
+constants, grid cells by position, plot cells by series and delta) and,
+apart, over the fitted slopes and over the synthesis ``defect`` (a bound
+of rounding size, which one operand swap can move far), the relative one
+also over numbers of magnitude at least 1e-6 only; whether the finiteness witnesses or the synthesis audit's
 ``defect_piece`` moved; the fields found on one side only, or holding
 different strings; and each profile whose status changed with its largest
 point on either side.  Then it prints both scoreboards side by side.
@@ -35,6 +35,7 @@ workload's own arguments.
 """
 
 import argparse
+import csv
 import json
 import re
 import sys
@@ -146,14 +147,24 @@ def print_scoreboard(before, after=None):
 
 
 def leaves(value, path=""):
-    """Flatten reports and CSV texts to {path: number or string}."""
+    """Flatten reports and CSV texts to {path: number or string}.
+
+    A plot CSV (delta,value,series) flattens to series, then delta, so a
+    series is compared with the same series wherever it sorts; a grid CSV
+    flattens to row, then column.
+    """
     if isinstance(value, dict):
         return {k: v for key in value for k, v in leaves(value[key], f"{path}/{key}").items()}
     if isinstance(value, list):
         return {k: v for i, item in enumerate(value) for k, v in leaves(item, f"{path}/{i}").items()}
     if isinstance(value, str) and "\n" in value:
-        rows = [line.split(",") for line in value.splitlines()]
-        return leaves(rows, path)
+        header, *rows = value.splitlines()
+        if header == "delta,value,series":
+            plot = {}
+            for delta, v, series in csv.reader(rows):
+                plot.setdefault(series, {})[delta] = v
+            return leaves(plot, path)
+        return leaves([line.split(",") for line in value.splitlines()], path)
     if isinstance(value, str):
         try:
             return {path: float(value)}
@@ -229,8 +240,9 @@ def diff(before, after):
                 defect.add(x, y)
             else:
                 (slopes if key.endswith("/slope") else values).add(x, y)
-        # A list that grew or shrank counts once, by the path of the list.
-        other = sorted({re.sub(r"(/\d+)+$", "", key) for key in other})
+        # A list that grew or shrank, or a plot series that gained or lost a
+        # delta or is found on one side only, counts once, by its path.
+        other = sorted({re.sub(r"(/\d[^/]*)+$", "", key) for key in other})
         print(f"{head}; values {values}; slopes {slopes}"
               + (f"; defect {defect}" if defect.abs else "")
               + (f"; {' and '.join(sorted(moved))} moved" if moved else "")

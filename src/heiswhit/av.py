@@ -23,7 +23,7 @@ from .errors import BadSubsetError, OrderViolationError
 from .divdiff import _subset_table
 from .heis import _velocity
 from .poly import _abs_integral, _antideriv, _deriv, _horner, _roots, _rows, _taylor_rows
-from .profiles import _anchor_blocks, _BandMax
+from .profiles import _BandMax, _pair_blocks
 
 
 @dataclass(frozen=True)
@@ -74,19 +74,17 @@ def _av(p, q, hull, at, a, b, ha, hb, length, m):
     return area, length ** (2 * m) + length ** m * (dp_int + dq_int)[..., 0]
 
 
-def _taylor_av(t, f, g, values, m):
-    """Pairs ia < ib of nodes t along the last axis, and A and V of each.
+def _taylor_av(t, f, g, values, ia, ib, m):
+    """A and V of the pairs ia < ib of nodes t along the last axis.
 
     The first nodes, one per entry of the axis of f and g before the last,
-    anchor the pairs that start at them: f and g hold the anchors' jets
-    (value, first derivative, ..) along the last axis, and every pair of
-    an anchor and a later node is formed.  values holds f, g and h at
-    every node along its last axis.  An anchor's Taylor polynomials are one row of
-    _av, so their sign changes are isolated once, on the hull from the
-    anchor to the last node.  Returns ia, ib, A and V.
+    anchor the pairs: f and g hold the anchors' jets (value, first
+    derivative, ..) along the last axis, and every ia names an anchor.
+    values holds f, g and h at every node along its last axis.  An anchor's
+    Taylor polynomials are one row of _av, so their sign changes are
+    isolated once, on the hull from the anchor to the last node.
     """
     anchors = f.shape[-2]
-    ia, ib = np.nonzero(np.arange(anchors)[:, None] < np.arange(t.shape[-1]))
     u = t[..., ib] - t[..., ia]
     span = t[..., -1:] - t[..., :anchors]
     hull = np.minimum(span, 0.0), np.maximum(span, 0.0)
@@ -95,7 +93,7 @@ def _taylor_av(t, f, g, values, m):
     area, velocity = _av(
         tf, tg, hull, ia, np.zeros_like(u), u, hv[..., ia], hv[..., ib], u, m
     )
-    return ia, ib, _taylor_area(area, tf, tg, values, ia, ib, u), velocity
+    return _taylor_area(area, tf, tg, values, ia, ib, u), velocity
 
 
 def _taylor_area(area, tf, tg, values, ia, ib, u):
@@ -138,7 +136,7 @@ def av_pair(jets, a, b, m):
     """AVPair for nodes a < b using the jets stored at a."""
     if not (a < b):
         raise OrderViolationError(f"need a < b, got a={a}, b={b}")
-    _, _, area, velocity = _taylor_av(np.array([a, b]), *_jets_pair(jets, a, b, m), m)
+    area, velocity = _taylor_av(np.array([a, b]), *_jets_pair(jets, a, b, m), [0], [1], m)
     return AVPair(float(area[0]), float(velocity[0]))
 
 
@@ -172,10 +170,11 @@ def _av_profile(t, f, g, hs, m, deltas):
     The pairs run in blocks of anchors; each block's Taylor rows and roots are its own.
     """
     values, bands = np.stack([f[:, 0], g[:, 0], hs]), _BandMax(deltas)
-    for a, b in _anchor_blocks(np.arange(len(t) - 1, 0, -1)):
-        ia, ib, area, velocity = _taylor_av(t[a:], f[a:b], g[a:b], values[:, a:], m)
-        bands.add(t[a + ib] - t[a + ia], np.abs(area / velocity))
-    return bands.profile("av_ratio")
+    for i, j in _pair_blocks(len(t)):
+        a, b = i[0], i[-1] + 1
+        area, velocity = _taylor_av(t[a:], f[a:b], g[a:b], values[:, a:], i - a, j - a, m)
+        bands.add(t[j] - t[i], np.abs(area / velocity))
+    return bands.profile()
 
 
 def _discrete_av(table, hs, ia, ib, m):

@@ -343,4 +343,4 @@ class _DDProfiles:
         bands = _BandMax(deltas, 3)
         # abs turns a -0.0 from signed-zero samples into the pair scan's +0.0
         bands.add(t[s + d] - t[s], *np.abs(spread.max(axis=0)))
-        return {f"dd_{c}": bands.profile(f"dd_{c}", k) for k, c in enumerate("fgh")}
+        return {f"dd_{c}": bands.profile(k) for k, c in enumerate("fgh")}

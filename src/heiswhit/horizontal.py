@@ -24,9 +24,8 @@ from .profiles import (
     INCONSISTENT,
     Profile,
     ThresholdPolicy,
-    _anchor_blocks,
     _BandMax,
-    banded_sup,
+    _pair_blocks,
     combine_statuses,
     delta_grid,
 )
@@ -274,22 +273,19 @@ def _defect_bounds(f, g, h):
     return (ad + gamma * (adh + 2.0 * (adf * ag + af * adg))) * (1.0 + 3.0 * gamma), scale
 
 
-def _empirical_modulus(exts, m, nodes, points=513):
-    """Banded oscillation of the m-th derivatives on a uniform grid."""
-    grid = np.linspace(nodes[0], nodes[-1], points)
+def _empirical_modulus(exts, m, nodes):
+    """Banded oscillation of the m-th derivatives on a uniform grid of 513 points.
+
+    Each lag, a power of two below 513, gives one item per component: the
+    largest change of its m-th derivative over that many grid steps.
+    """
+    grid = np.linspace(nodes[0], nodes[-1], 513)
     step = grid[1] - grid[0]
-    deltas = delta_grid(nodes[-1] - nodes[0], step)
-    out = {}
-    for name, ext in zip(("f", "g", "h"), exts):
-        vals = ext(grid, m)
-        items = []
-        lag = 1
-        while lag < points:
-            diff = np.abs(vals[lag:] - vals[:-lag])
-            items.append((lag * step, float(diff.max())))
-            lag *= 2
-        out[name] = banded_sup(items, deltas, name=f"modulus_{name}")
-    return out
+    lags = 2 ** np.arange(10)
+    bands = _BandMax(delta_grid(nodes[-1] - nodes[0], step), 3)
+    vals = [ext(grid, m) for ext in exts]
+    bands.add(lags * step, *([np.abs(v[k:] - v[:-k]).max() for k in lags] for v in vals))
+    return {name: bands.profile(k) for k, name in enumerate("fgh")}
 
 
 def check_c1(samples):
@@ -313,15 +309,13 @@ def check_c1(samples):
     # Pairs i < j by blocks of anchors i; a pair's oscillation is the larger
     # of its two ends', both banded at its diameter.
     bands = _BandMax(deltas, 2)
-    for a, b in _anchor_blocks(np.arange(n - 1, 0, -1)):
-        i, j = np.nonzero(np.arange(a, b)[:, None] < np.arange(n))
-        i += a
+    for i, j in _pair_blocks(n):
         pa, pb = np.take(xyz, i, axis=1), np.take(xyz, j, axis=1)
         qx, qy, qz = _pansu_quotient(pa, pb, t[i], t[j])
         osc = (np.maximum(np.abs(qx - mx[k]), np.abs(qy - my[k])) for k in (i, j))
         bands.add(t[j] - t[i], np.fmax(*osc), np.abs(qz))
     names = ("pansu_xy_osc", "pansu_z")
-    return _verdict({name: bands.profile(name, k) for k, name in enumerate(names)})
+    return _verdict({name: bands.profile(k) for k, name in enumerate(names)})
 
 
 def check_cm(samples, m, window=None):
@@ -337,7 +331,7 @@ def check_cm(samples, m, window=None):
         dd.add(table)
         av.add(*_discrete_av_ratios(table, samples._xyz[2], m))
     profiles = dd.profiles(deltas)
-    profiles["av_discrete"] = av.profile("discrete_av_ratio")
+    profiles["av_discrete"] = av.profile()
     return _verdict(profiles)
 
 
@@ -400,6 +394,7 @@ def finiteness_check(samples, m, omega, window=None, full_enum=None):
     window = _full_window(len(samples._t), m, window, full_enum)
     scan, deltas = _scan(samples, m, window, order=m + 1)
     bands, worst, c2_hat = _BandMax(deltas), None, 0.0
+    ia, ib = np.triu_indices(m + 2, 1)
     for table in scan.tables():
         # Interpolants and their jets live in u; node values and separations
         # are read off the global nodes xs.  The Taylor kernel reads the
@@ -411,7 +406,7 @@ def finiteness_check(samples, m, omega, window=None, full_enum=None):
         for _ in range(m):
             p = _deriv(p)
             jets.append(_horner(p[..., None, :], u[:, :-1]))
-        ia, ib, area, velocity = _taylor_av(u, *np.stack(jets, axis=-1), values, m)
+        area, velocity = _taylor_av(u, *np.stack(jets, axis=-1), values, ia, ib, m)
         # Bin at the pair separation, not diam(X): a short pair inside a wide
         # window would otherwise hide growth in the top bands.
         sep = xs[:, ib] - xs[:, ia]
@@ -434,7 +429,7 @@ def finiteness_check(samples, m, omega, window=None, full_enum=None):
     if not m_hat > 0.0:
         m_hat, worst_subset, worst_pair = 0.0, (), ()
 
-    profile = bands.profile("finiteness_ratio")
+    profile = bands.profile()
     status, slope = ThresholdPolicy().bounded(profile)
     return FinitenessReport(
         m_hat, float(c2_hat), worst_subset, worst_pair, profile, status, slope, len(scan.positions)

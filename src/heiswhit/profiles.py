@@ -28,7 +28,6 @@ class Profile:
     """Scale profile: (delta, value) points with delta strictly decreasing."""
 
     points: tuple
-    name: str = ""
 
     def __post_init__(self):
         deltas = [d for d, _ in self.points]
@@ -71,28 +70,16 @@ def delta_grid(diam, min_gap):
     return out or [diam]
 
 
-def banded_sup(items, deltas, name=""):
-    """Profile of per-band maxima.
-
-    items: (N, 2) array or iterable of (diam, value).  Band i collects
-    diameters in (deltas[i+1], deltas[i]]; the last band keeps everything at
-    or below the smallest delta, and diameters above the top fold into the
-    top band.  NaN values and empty bands are dropped.
-    """
-    if not isinstance(items, np.ndarray):
-        items = np.fromiter(items, (float, 2))
-    bands = _BandMax(deltas)
-    bands.add(items[:, 0], items[:, 1])
-    return bands.profile(name)
-
-
 class _BandMax:
     """Running per-band maxima of value series fed chunk by chunk.
 
     Every series shares one scale grid and one diameter per item, so a
-    chunk's bands are found once for all of them.  The bands are
-    banded_sup's, and np.fmax skips NaN and is exact, so any split of the
-    items into chunks gives the same profile bit for bit.
+    chunk's bands are found once for all of them.  Band i collects
+    diameters in (deltas[i+1], deltas[i]]; the last band keeps everything at
+    or below the smallest delta, and diameters above the top fold into the
+    top band.  NaN values and empty bands are dropped.  np.fmax skips NaN
+    and is exact, so any split of the items into chunks gives the same
+    profile bit for bit.
     """
 
     def __init__(self, deltas, series=1):
@@ -106,11 +93,11 @@ class _BandMax:
         for sups, v in zip(self._sups, values):
             np.fmax.at(sups, band, v)
 
-    def profile(self, name, *series):
+    def profile(self, *series):
         """Profile of the given series' per-band maxima (all of them by default)."""
         sups = np.fmax.reduce(self._sups[list(series) or slice(None)], axis=0)
         keep = ~np.isnan(sups)
-        return Profile(tuple(zip(self._ascending[::-1][keep].tolist(), sups[keep].tolist())), name)
+        return Profile(tuple(zip(self._ascending[::-1][keep].tolist(), sups[keep].tolist())))
 
 
 def _chunk_rows(pairs):
@@ -119,16 +106,19 @@ def _chunk_rows(pairs):
     return max(1, CHUNK_PAIRS // max(pairs, 1))
 
 
-def _anchor_blocks(pairs):
-    """Chunks [a, b) of consecutive anchors, anchor i a row of pairs[i] node
-    pairs: CHUNK_PAIRS pairs at most, but never fewer than one anchor."""
+def _pair_blocks(n):
+    """Index arrays (i, j) of every node pair i < j of n nodes, i-major, in
+    blocks of consecutive anchors i: CHUNK_PAIRS pairs at most, but never
+    fewer than one anchor."""
+    pairs = np.arange(n - 1, 0, -1)
     ends = np.cumsum(pairs)
-    blocks, a = [], 0
-    while a < len(ends):
+    a = 0
+    while a < n - 1:
         b = int(np.searchsorted(ends, ends[a] - pairs[a] + CHUNK_PAIRS, side="right"))
-        blocks.append((a, max(b, a + 1)))
-        a = blocks[-1][1]
-    return blocks
+        b = max(b, a + 1)
+        i, j = np.nonzero(np.arange(a, b)[:, None] < np.arange(n))
+        yield i + a, j
+        a = b
 
 
 def fit_loglog_slope(points):

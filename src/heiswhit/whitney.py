@@ -19,7 +19,7 @@ from .errors import LengthMismatchError, TooFewNodesError
 from .divdiff import _monomial_rows, _newton_columns
 from .heis import check_finite, check_nodes
 from .poly import Poly, _deriv, _horner, _mul, _padded, _taylor_rows, _trim_rows
-from .profiles import Profile, _anchor_blocks, _BandMax, delta_grid
+from .profiles import Profile, _BandMax, _pair_blocks, delta_grid
 
 
 class WhitneyField:
@@ -239,12 +239,11 @@ def validate_field(whitney_field):
         raise TooFewNodesError("remainder ratios need at least two nodes")
     deltas = delta_grid(t[-1] - t[0], np.diff(t).min())
 
-    # Every ordered pair (a, b) of distinct nodes, a major, by blocks of a.
-    # The combined profile is the per-k profiles' band maxima.
+    # Every ordered pair (a, b) of distinct nodes: each node pair read both
+    # ways.  The combined profile is the per-k profiles' band maxima.
     bands, largest = _BandMax(deltas, m + 1), -math.inf
-    for lo, hi in _anchor_blocks(np.full(n, n - 1)):
-        ia, ib = np.nonzero(np.arange(lo, hi)[:, None] != np.arange(n))
-        ia += lo
+    for i, j in _pair_blocks(n):
+        ia, ib = np.concatenate((i, j)), np.concatenate((j, i))
         u = t[ib] - t[ia]
         d = np.abs(u)
         rs = [
@@ -253,5 +252,5 @@ def validate_field(whitney_field):
         ]
         bands.add(d, *rs)
         largest = np.max(rs, initial=largest)
-    per_k = {k: bands.profile(f"remainder_k{k}", k) for k in range(m + 1)}
-    return FieldReport(per_k, bands.profile("remainders"), float(largest), n * (n - 1))
+    per_k = {k: bands.profile(k) for k in range(m + 1)}
+    return FieldReport(per_k, bands.profile(), float(largest), n * (n - 1))

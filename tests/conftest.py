@@ -19,6 +19,7 @@ from heiswhit.divdiff import dd_windows
 from heiswhit.errors import LengthMismatchError
 from heiswhit.horizontal import _horizontalize_gaps
 from heiswhit.poly import _horner, _taylor_rows
+from heiswhit.profiles import Profile, _BandMax
 
 
 # fixture builders -----------------------------------------------------------
@@ -142,6 +143,47 @@ def distinct_nodes(rng, count, lo=0.0, hi=1.0, min_gap=None):
 
 
 # oracles --------------------------------------------------------------------
+
+
+def banded(items, deltas):
+    """Profile of the per-band maxima of items (diam, value), fed to _BandMax as one chunk.
+
+    The scan oracles band their items through this; the reducer itself is
+    checked against band_max_by_item.
+    """
+    items = np.array(items, dtype=float).reshape(-1, 2)
+    bands = _BandMax(deltas)
+    bands.add(items[:, 0], items[:, 1])
+    return bands.profile()
+
+
+def band_max_by_item(items, deltas):
+    """Per-band maxima as a per-item scan over the bands: the brute-force oracle.
+
+    Band i collects diameters in (deltas[i+1], deltas[i]], the last band
+    everything below, and diameters above the top fold into the top band.
+    NaN values are dropped, as np.fmax drops them, and so are empty bands.
+    """
+    deltas = sorted(set(deltas), reverse=True)
+    sups = [None] * len(deltas)
+    n = len(deltas)
+    for d, v in items:
+        if math.isnan(v):
+            continue
+        idx = None
+        for i in range(n):
+            if d <= deltas[i] and (i == n - 1 or d > deltas[i + 1]):
+                idx = i
+                break
+        if idx is None:
+            # diameter above the top scale: fold into the top band
+            if d > deltas[0]:
+                idx = 0
+            else:
+                continue
+        if sups[idx] is None or v > sups[idx]:
+            sups[idx] = v
+    return Profile(tuple((deltas[i], sups[i]) for i in range(n) if sups[i] is not None))
 
 
 def jet_poly(jet):

@@ -149,7 +149,7 @@ def test_json_round_trip_is_bit_exact(tmp_path):
 
 def test_plot_single_profile_is_two_lines(tmp_path):
     path = tmp_path / "plot.csv"
-    emit_plot_data({"p": Profile(((1.0, 0.5),), "p")}, str(path))
+    emit_plot_data({"p": Profile(((1.0, 0.5),))}, str(path))
     assert path.read_text() == "delta,value,series\n1.0,0.5,p\n"
 
 
@@ -162,8 +162,8 @@ def test_plot_empty_set_writes_nothing(tmp_path):
 
 def test_plot_two_series_grouped_deltas_descending(tmp_path):
     profiles = {
-        "b_series": Profile(((0.5, 1.0), (0.25, 2.0)), "b_series"),
-        "a_series": Profile(((1.0, 3.0), (0.5, 4.0)), "a_series"),
+        "b_series": Profile(((0.5, 1.0), (0.25, 2.0))),
+        "a_series": Profile(((1.0, 3.0), (0.5, 4.0))),
     }
     path = tmp_path / "plot.csv"
     emit_plot_data(profiles, str(path))

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from heiswhit.cli import main
 from heiswhit.divdiff import SampledCurve, _DDProfiles, _Scan, _subset_table, dd_windows
-from heiswhit.profiles import banded_sup, delta_grid
+from heiswhit.profiles import delta_grid
 
-from conftest import circle_curve, dump_samples_json, subset_rows
+from conftest import banded, circle_curve, dump_samples_json, subset_rows
 
 
 def dd_profiles_by_pairs(table, width, deltas):
@@ -37,9 +37,7 @@ def dd_profiles_by_pairs(table, width, deltas):
     diams = np.maximum(xs[i, -1], xs[j, -1]) - xs[i, 0]
     top = table.dd[..., -1]
     return {
-        f"dd_{name}": banded_sup(
-            np.column_stack((diams, np.abs(top[c, i] - top[c, j]))), deltas, name=f"dd_{name}"
-        )
+        f"dd_{name}": banded(np.column_stack((diams, np.abs(top[c, i] - top[c, j]))), deltas)
         for c, name in enumerate("fgh")
     }
 

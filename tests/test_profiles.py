@@ -1,20 +1,18 @@
 """Scale profiles, banding, slope fits, and the threshold policy."""
 
-import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import band_max_by_item, banded
 from heiswhit.profiles import (
     CONSISTENT,
     INCONCLUSIVE,
     INCONSISTENT,
     Profile,
     ThresholdPolicy,
-    banded_sup,
     combine_statuses,
     delta_grid,
     fit_loglog_slope,
@@ -37,41 +35,18 @@ def test_delta_grid_validation():
 def test_banded_sup_assigns_half_open_bands():
     deltas = [1.0, 0.5, 0.25]
     items = [(0.75, 2.0), (0.5, 3.0), (0.26, 1.0), (0.1, 4.0)]
-    prof = banded_sup(items, deltas)
+    prof = banded(items, deltas)
     assert prof.points == ((1.0, 2.0), (0.5, 3.0), (0.25, 4.0))
 
 
 def test_banded_sup_folds_oversize_into_top():
-    prof = banded_sup([(1.5, 9.0), (0.75, 2.0)], [1.0, 0.5])
+    prof = banded([(1.5, 9.0), (0.75, 2.0)], [1.0, 0.5])
     assert prof.points == ((1.0, 9.0),)
 
 
 def test_banded_sup_drops_empty_bands():
-    prof = banded_sup([(0.1, 1.0)], [1.0, 0.5, 0.25])
+    prof = banded([(0.1, 1.0)], [1.0, 0.5, 0.25])
     assert prof.points == ((0.25, 1.0),)
-
-
-def _banded_sup_oracle(items, deltas, name=""):
-    """banded_sup as a per-item scan over the bands: the brute-force oracle."""
-    deltas = sorted(set(deltas), reverse=True)
-    sups = [None] * len(deltas)
-    n = len(deltas)
-    for d, v in items:
-        idx = None
-        for i in range(n):
-            if d <= deltas[i] and (i == n - 1 or d > deltas[i + 1]):
-                idx = i
-                break
-        if idx is None:
-            # diameter above the top scale: fold into the top band
-            if d > deltas[0]:
-                idx = 0
-            else:
-                continue
-        if sups[idx] is None or v > sups[idx]:
-            sups[idx] = v
-    points = [(deltas[i], sups[i]) for i in range(n) if sups[i] is not None]
-    return Profile(tuple(points), name=name)
 
 
 _DELTA = st.sampled_from([2.0, 1.0, 0.5, 0.25, 0.1]) | st.floats(1e-3, 10.0)
@@ -98,12 +73,7 @@ def _bands_and_items(draw):
 @settings(max_examples=300, deadline=None)
 def test_banded_sup_matches_per_item_scan(case):
     deltas, items = case
-    want = _banded_sup_oracle(items, deltas, name="p")
-    assert banded_sup(items, deltas, name="p") == want
-    assert banded_sup(iter(items), deltas, name="p") == want
-    assert banded_sup(itertools.chain(items), deltas, name="p") == want
-    array = np.array(items, dtype=float).reshape(-1, 2)
-    assert banded_sup(array, deltas, name="p") == want
+    assert banded(items, deltas) == band_max_by_item(items, deltas)
 
 
 def test_profile_invariants():
@@ -111,7 +81,7 @@ def test_profile_invariants():
         Profile(((0.5, 1.0), (1.0, 1.0)))
     with pytest.raises(ValueError):
         Profile(((1.0, -0.5),))
-    prof = Profile(((1.0, 3.0), (0.5, 1.0)), name="demo")
+    prof = Profile(((1.0, 3.0), (0.5, 1.0)))
     assert len(prof) == 2
     assert prof.top == 3.0
     assert prof.terminal == 1.0

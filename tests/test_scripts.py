@@ -82,6 +82,29 @@ def test_report_digest_diff_reports_exit_and_rounding_changes(tmp_path, capsys):
     ]
 
 
+def test_report_digest_diff_matches_plot_rows_by_series_and_delta(tmp_path, capsys):
+    # Renaming series c to a moves its rows ahead of b's; the values stay.
+    rows = {"b": ["1.0,0.5", "0.5,0.125"], "c": ["1.0,0.25", "0.5,0.0625"]}
+    before, after = digest_call(0, 0.5), digest_call(0, 0.5)
+    before["plot"] = "delta,value,series\n" + "".join(
+        f"{row},{s}\n" for s in ("b", "c") for row in rows[s]
+    )
+    after["plot"] = "delta,value,series\n" + "".join(
+        f"{row},{s}\n" for s, old in (("a", "c"), ("b", "b")) for row in rows[old]
+    )
+    paths = [tmp_path / "before.json", tmp_path / "after.json"]
+    for path, digest in zip(paths, ({"renamed": before}, {"renamed": after})):
+        path.write_text(json.dumps(digest), encoding="utf-8")
+    assert load("report_digest").main(["--diff", *map(str, paths)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == (
+        "renamed: exit 0 -> 0, status consistent -> consistent; "
+        "values 0 absolute, 0 relative, 0 relative at magnitude >= 1e-06; "
+        "slopes 0 absolute, 0 relative, 0 relative at magnitude >= 1e-06; "
+        "other fields differ: /plot/a, /plot/c"
+    )
+
+
 def test_report_digest_diff_reports_the_defect_apart(tmp_path, capsys):
     def synthesized(defect, piece, bump, audit_key="defect_piece"):
         report = {"status": "synthesized", "exit_code": 0, "bump_amplitudes": [bump],

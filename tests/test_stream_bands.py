@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import band_max_by_item
 from heiswhit import (
     ModulusFn,
     SampledCurve,
@@ -27,7 +28,7 @@ from heiswhit import (
     profiles,
     validate_field,
 )
-from heiswhit.profiles import _BandMax, banded_sup, delta_grid
+from heiswhit.profiles import _BandMax, _pair_blocks, delta_grid
 from heiswhit.whitney import _jets
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,12 +107,11 @@ def chunked_items(draw):
 @given(chunked_items())
 def test_reducer_equals_banded_sup_over_any_chunks(case):
     deltas, items, cuts = case
-    want = banded_sup(items, deltas, name="p")
     bands = _BandMax(deltas)
     for lo, hi in zip([0, *cuts], [*cuts, len(items)]):
         chunk = np.array(items[lo:hi], dtype=float).reshape(-1, 2)
         bands.add(chunk[:, 0], chunk[:, 1])
-    assert repr(bands.profile("p")) == repr(want)
+    assert repr(bands.profile()) == repr(band_max_by_item(items, deltas))
 
 
 def test_series_share_the_bands_and_combine_by_fmax():
@@ -121,10 +121,25 @@ def test_series_share_the_bands_and_combine_by_fmax():
     b = np.array([0.5, 4.0, math.nan, 0.25, math.nan, 1.0])
     bands = _BandMax(deltas, 2)
     bands.add(diams, a, b)
-    assert bands.profile("a", 0) == banded_sup(np.column_stack((diams, a)), deltas, "a")
-    assert bands.profile("b", 1) == banded_sup(np.column_stack((diams, b)), deltas, "b")
-    both = np.column_stack((np.tile(diams, 2), np.concatenate((a, b))))
-    assert bands.profile("ab") == banded_sup(both, deltas, "ab")
+    assert bands.profile(0) == band_max_by_item(zip(diams, a), deltas)
+    assert bands.profile(1) == band_max_by_item(zip(diams, b), deltas)
+    both = zip(np.tile(diams, 2), np.concatenate((a, b)))
+    assert bands.profile() == band_max_by_item(both, deltas)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 8192])
+def test_pair_blocks_are_whole_anchors_within_the_budget(monkeypatch, budget):
+    monkeypatch.setattr(profiles, "CHUNK_PAIRS", budget)
+    for n in range(2, 41):
+        blocks = list(_pair_blocks(n))
+        i, j = (np.concatenate(k) for k in zip(*blocks))
+        want_i, want_j = np.triu_indices(n, 1)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        for bi, bj in blocks:
+            # A block holds every pair of each of its anchors, and only those.
+            anchors = np.arange(bi[0], bi[-1] + 1)
+            assert len(bi) == sum(n - 1 - anchors)
+            assert len(bi) <= budget or len(anchors) == 1
 
 
 scan_memory = load(ROOT / "scripts" / "scan_memory.py")

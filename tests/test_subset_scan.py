@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    bounded_horizontal_triple, circle_curve, dump_samples_json, line_curve, poly_curve,
+    banded, bounded_horizontal_triple, circle_curve, dump_samples_json, line_curve, poly_curve,
     subset_rows,
 )
 from heiswhit import (
@@ -28,7 +28,7 @@ from heiswhit import divdiff
 from heiswhit.divdiff import _scan, dd_windows, divided_difference
 from heiswhit.errors import TooFewNodesError
 from heiswhit.heis import _horizontality_residual, dilate, group_mul, horizontality_defect, inverse
-from heiswhit.profiles import banded_sup, delta_grid
+from heiswhit.profiles import delta_grid
 
 
 def dd_profile_by_windows(samples, m, window, deltas):
@@ -52,7 +52,7 @@ def dd_profile_by_windows(samples, m, window, deltas):
         d = nodes[max(s1[-1], s2[-1])] - nodes[min(s1[0], s2[0])]
         for c in comps:
             items[c].append((d, abs(dd[s1][c] - dd[s2][c])))
-    return {c: banded_sup(items[c], deltas, name=f"dd_{c}") for c in comps}
+    return {c: banded(items[c], deltas) for c in comps}
 
 
 def av_profile_by_subsets(samples, m, window, deltas):
@@ -63,7 +63,7 @@ def av_profile_by_subsets(samples, m, window, deltas):
         x = [nodes[i] for i in sub]
         for a, b in itertools.combinations(x, 2):
             items.append((x[-1] - x[0], abs(discrete_av_pair(samples, x, a, b, m).ratio)))
-    return banded_sup(items, deltas, name="discrete_av_ratio")
+    return banded(items, deltas)
 
 
 def dd_of(verdict):
@@ -146,8 +146,8 @@ def check_c1_by_pairs(samples, deltas):
             mx, my = means[anchor]
             xy_items.append((d, max(abs(q.x - mx), abs(q.y - my))))
     return {
-        "pansu_xy_osc": banded_sup(xy_items, deltas, name="pansu_xy_osc"),
-        "pansu_z": banded_sup(z_items, deltas, name="pansu_z"),
+        "pansu_xy_osc": banded(xy_items, deltas),
+        "pansu_z": banded(z_items, deltas),
     }
 
 

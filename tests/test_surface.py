@@ -19,7 +19,6 @@ KEYWORDS = {
     "PiecewiseCm.breakpoint_jumps": ("up_to",),
     "Poly.__init__": ("coeffs",),
     "Poly.deriv_at": ("order",),
-    "Profile.__init__": ("name",),
     "WhitneyField.combine": ("ca", "cb"),
     "check_cm": ("window",),
     "check_cm_via_w": ("window",),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import distinct_nodes, jet_poly, random_poly
+from conftest import banded, distinct_nodes, jet_poly, random_poly
 from heiswhit import (
     ModulusFn,
     PiecewiseCm,
@@ -24,7 +24,7 @@ from heiswhit.errors import (
     TooFewNodesError,
 )
 from heiswhit.poly import Poly
-from heiswhit.profiles import banded_sup, delta_grid
+from heiswhit.profiles import delta_grid
 from heiswhit.whitney import _jets
 
 
@@ -144,8 +144,8 @@ def validate_field_by_pairs(field):
                 r = abs(jets[ib][k] - truncated[k](b - a)) / d ** (m - k)
                 items[k].append((d, r))
                 worst = max(worst, r)
-    per_k = {k: banded_sup(items[k], deltas, name=f"remainder_k{k}") for k in items}
-    combined = banded_sup([i for k in items for i in items[k]], deltas, name="remainders")
+    per_k = {k: banded(items[k], deltas) for k in items}
+    combined = banded([i for k in items for i in items[k]], deltas)
     return per_k, combined, worst, pairs
 
 
