@@ -1,10 +1,13 @@
-"""Measure bump amplitude against height mismatch on a two-node gap.
+"""Measure bump amplitude against height mismatch on a gap with nothing else to close.
 
-Synthesis closes a pure height mismatch c between (0,0,0,0) and (1,0,0,c)
-with an oscillating pair of bumps whose amplitude must scale like sqrt(c):
-the enclosed signed area is quadratic in the amplitude.  The script sweeps
-c over several decades and prints amplitude, amplitude/sqrt(c), and the
-audited horizontality defect; the middle column should be flat.
+Synthesis closes a pure height mismatch c across a gap with an oscillating
+pair of bumps whose amplitude must scale like sqrt(c): the enclosed signed
+area is quadratic in the amplitude.  At order m the samples are m + 1
+unit-spaced nodes, every one at the origin except the last, at height c
+(two nodes at m = 1), so the fitted jets are flat, only the last gap has a
+deficit, and every other gap's amplitude is 0.  The script sweeps c over
+several decades and prints the last gap's amplitude, amplitude/sqrt(c), and
+the audited horizontality defect; the middle column should be flat.
 """
 
 import argparse
@@ -12,6 +15,11 @@ import math
 import sys
 
 from heiswhit import SampledCurve, synthesize
+
+
+def mismatch_rows(m, c):
+    """m + 1 unit-spaced samples at the origin, the last lifted to height c."""
+    return [(float(i), 0.0, 0.0, 0.0) for i in range(m)] + [(float(m), 0.0, 0.0, c)]
 
 
 def main(argv=None):
@@ -25,9 +33,8 @@ def main(argv=None):
 
     print(f"{'mismatch':>12} {'amplitude':>14} {'amp/sqrt':>12} {'defect':>10}")
     for c in args.mismatches:
-        rows = [(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, c)]
-        curve = synthesize(SampledCurve.from_rows(rows), args.m, force=True)
-        amp = curve.bump_amplitudes[0]
+        curve = synthesize(SampledCurve.from_rows(mismatch_rows(args.m, c)), args.m, force=True)
+        amp = curve.bump_amplitudes[-1]
         print(
             f"{c:>12.3g} {amp:>14.8g} {amp / math.sqrt(abs(c)):>12.6g} "
             f"{curve.defect:>10.2e}"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadSubsetError, OrderViolationError
 from .divdiff import _subset_table
-from .heis import _velocity
+from .heis import _velocity, check_order
 from .poly import _abs_integral, _antideriv, _deriv, _horner, _roots, _rows, _taylor_rows
 from .profiles import _BandMax, _pair_blocks
 
@@ -109,6 +109,7 @@ def _taylor_area(area, tf, tg, values, ia, ib, u):
 
 def _jets_pair(jets, a, b, m):
     """The jets of f and g at a, one row each, and f, g and h at a and b."""
+    check_order(m)
     ia, ib = jets.index(a), jets.index(b)
     if ia == ib:
         raise OrderViolationError("need two distinct nodes")

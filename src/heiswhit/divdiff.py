@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LengthMismatchError, QuadratureBudgetError, ScanTooLargeError, TooFewNodesError
-from .heis import HPoint, _twist, check_finite, check_nodes
+from .heis import HPoint, _twist, check_finite, check_nodes, check_order
 from .poly import Poly
 from .profiles import _BandMax, _chunk_rows, delta_grid
 
@@ -269,15 +269,17 @@ def _full_window(n, m, window, full_enum):
 def _scan(samples, m, window, order=None):
     """Checked set-up of an order-m scan: its _Scan and scale grid.
 
-    The samples and the window (2m + 4 unless given) need m + 2 nodes.  The
-    subsets are those of k = order + 1 nodes (order m unless set) within
-    min(n, window) consecutive nodes, read in slices whose pairs number at
-    most CHUNK_PAIRS, and the scales are the geometric grid from diam down
+    The order m is at least 1 (check_order), and the samples and the
+    window (2m + 4 unless given) need m + 2 nodes.  The subsets are those
+    of k = order + 1 nodes (order m unless set) within min(n, window)
+    consecutive nodes, read in slices whose pairs number at most
+    CHUNK_PAIRS, and the scales are the geometric grid from diam down
     to the smallest gap.  Before dd_windows lists a subset, the scan's peak
     memory is estimated: dd_windows' grid sums, mask and positions, the
     dd profiles' extrema tables and one slice.  An estimate beyond
     physical memory raises ScanTooLargeError.
     """
+    check_order(m)
     n = len(samples._t)
     if n < m + 2:
         raise TooFewNodesError(f"need at least {m + 2} nodes for order {m}")

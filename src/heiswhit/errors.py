@@ -34,7 +34,7 @@ class NodeNotFoundError(HeisWhitError):
 
 
 class OrderViolationError(HeisWhitError):
-    """Endpoints coincide or break a < b where it is required, or jets fall short of the order."""
+    """Endpoints coincide or break a < b where required, jets fall short of the order, or m < 1."""
 
 
 class BadSubsetError(HeisWhitError):

@@ -18,6 +18,7 @@ from .errors import (
     LengthMismatchError,
     NodeNotFoundError,
     NonFiniteError,
+    OrderViolationError,
     ZeroDilationError,
 )
 from .poly import _mul
@@ -83,6 +84,12 @@ def check_finite(values, what):
     """Raise NonFiniteError unless every value is finite: NaN and +-inf fail."""
     if not np.all(np.isfinite(np.asarray(values, dtype=float))):
         raise NonFiniteError(f"{what} must be finite")
+
+
+def check_order(m):
+    """Raise OrderViolationError unless the order m is at least 1."""
+    if m < 1:
+        raise OrderViolationError(f"order m must be at least 1, got {m}")
 
 
 def check_nodes(nodes):

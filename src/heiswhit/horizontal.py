@@ -5,9 +5,11 @@ plausible (decay profiles of divided differences, area/velocity ratios,
 group difference quotients), then actually build one by blending Taylor
 polynomials of locally fitted jets and closing each gap's signed-area
 deficit with a compactly supported bump pair in the middle third of the
-gap.  The bump amplitude scales like the square root of the deficit, which
-is exactly the mechanism that costs half an order of modulus in the
-guarantee.
+gap.  On a gap where the blended velocity vanishes, the bump amplitude
+scales like the square root of the deficit, which is exactly the mechanism
+that costs half an order of modulus in the guarantee.  Elsewhere the area
+the bump adds has a term linear in the amplitude, and how the amplitude
+follows the deficit is open (ROADMAP item 4).
 """
 
 import math
@@ -18,7 +20,7 @@ import numpy as np
 from .av import _av_profile, _discrete_av_ratios, _taylor_av
 from .divdiff import _DDProfiles, _full_window, _scan
 from .errors import SynthesisDefectError, TooFewNodesError
-from .heis import _pansu_quotient, _velocity
+from .heis import _pansu_quotient, _velocity, check_order
 from .poly import _antideriv, _deriv, _horner, _mul, _padded
 from .profiles import (
     INCONSISTENT,
@@ -179,6 +181,7 @@ def synthesize(samples, m, force=False, window=None):
     and for a bound on its horizontality defect, read off the coefficients
     of every piece (see _defect_bounds); failure raises SynthesisDefectError.
     """
+    check_order(m)
     nodes = samples.nodes
     if len(nodes) < m + 1:
         raise TooFewNodesError(f"need at least {m + 1} nodes for order {m}")

@@ -6,11 +6,15 @@ import importlib.util
 import io
 import json
 import math
+import tempfile
 import warnings
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import bounded_horizontal_triple, circle_rows, dump_samples_json, line_curve
 from heiswhit import cli, divdiff, horizontal
@@ -710,6 +714,68 @@ def test_main_maps_bad_input_to_exit_3(tmp_path, capsys):
     code = main(["--mode", "check-c1", "--input", str(tmp_path / "nope.csv")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def refused(path):
+    """main's exit code and stderr on check-c1 of path, and whether it wrote a report."""
+    report = Path(path).with_suffix(".report")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["--mode", "check-c1", "--input", str(path), "--report", str(report)])
+    return code, err.getvalue(), report.exists()
+
+
+@pytest.mark.parametrize("value", [
+    '"0.5"',  # loaded as the number 0.5
+    "1" + "0" * 399,  # an uncaught OverflowError: a traceback and exit 1
+], ids=["string", "400-digit integer"])
+def test_main_refuses_a_json_string_or_an_integer_beyond_float_range(tmp_path, value):
+    path = tmp_path / "junk.json"
+    samples = [f'{{"t": {t}, "x": 0, "y": 0, "z": 0}}' for t in range(4)]
+    samples[2] = samples[2].replace('"x": 0', f'"x": {value}')
+    path.write_text('{"samples": [' + ", ".join(samples) + "]}")
+    code, err, wrote = refused(path)
+    assert (code, wrote) == (3, False)
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1
+
+
+# One junk sample value as JSON text and as CSV text; None drops the key or field.
+JUNK = {
+    "string": ('"0.5"', "zero"),
+    "boolean": ("true", "true"),
+    "null": ("null", ""),
+    "list": ("[0.5]", '"[0.5, 1]"'),
+    "huge integer": ("9" * 400, "9" * 400),
+    "nan": ("NaN", "nan"),
+    "missing": (None, None),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(JUNK)), st.sampled_from(["json", "csv"]),
+       st.integers(0, 4), st.integers(0, 3),
+       st.lists(st.floats(-10.0, 10.0), min_size=15, max_size=15))
+@example("string", "json", 2, 1, [0.5] * 15)
+@example("huge integer", "json", 2, 1, [0.5] * 15)
+def test_one_junk_sample_value_exits_3_with_one_error_line_and_no_report(
+    junk, fmt, row, col, values
+):
+    """Exit codes 0, 1 and 2 are only ever verdicts: a broken sample is an error."""
+    rows = [[repr(float(t)), *map(repr, values[3 * t:3 * t + 3])] for t in range(5)]
+    rows[row][col] = JUNK[junk][fmt == "csv"]
+    if fmt == "csv":
+        body = "t,x,y,z\n" + "".join(",".join(v for v in r if v is not None) + "\n" for r in rows)
+    else:
+        records = ("{" + ", ".join(f'"{k}": {v}' for k, v in zip("txyz", r) if v is not None) + "}"
+                   for r in rows)
+        body = '{"samples": [' + ", ".join(records) + "]}"
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / f"junk.{fmt}"
+        path.write_text(body, encoding="utf-8")
+        code, err, wrote = refused(path)
+    assert (code, wrote) == (3, False)
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,9 +18,12 @@ from conftest import (
     poly_curve,
 )
 from heiswhit import (
+    CurveJets,
     HPoint,
     ModulusFn,
+    Poly,
     SampledCurve,
+    av_pair,
     check_c1,
     check_cm,
     check_cm_via_w,
@@ -30,10 +33,16 @@ from heiswhit import (
     horizontality_defect,
     synthesize,
 )
+from heiswhit.av import area_discrepancy
 from heiswhit.heis import ORIGIN, _horizontality_residual
 from heiswhit.horizontal import _seminorm
 from heiswhit.whitney import _jets
-from heiswhit.errors import DuplicateNodeError, SynthesisDefectError, TooFewNodesError
+from heiswhit.errors import (
+    DuplicateNodeError,
+    OrderViolationError,
+    SynthesisDefectError,
+    TooFewNodesError,
+)
 
 ZERO2 = (0.0, 0.0)
 
@@ -438,6 +447,29 @@ def test_finiteness_input_validation():
 def test_order_m_scans_reject_windows_below_m_plus_2(scan, m, window):
     with pytest.raises(TooFewNodesError, match=f"window must be at least {m + 2}"):
         scan(circle_curve(12), m, window=window)
+
+
+ORDER_CALLS = {
+    "check_cm": lambda m: check_cm(circle_curve(17), m),
+    "check_cm_via_w": lambda m: check_cm_via_w(circle_curve(17), m),
+    "finiteness_check": lambda m: finiteness_check(circle_curve(17), m, ModulusFn()),
+    "synthesize": lambda m: synthesize(circle_curve(17), m, force=True),
+    "av_pair": lambda m: av_pair(drift_jets(), 0.0, 1.0, m),
+    "area_discrepancy": lambda m: area_discrepancy(drift_jets(), 0.0, 1.0, m),
+}
+
+
+def drift_jets():
+    return CurveJets.from_polys([0.0, 1.0], Poly((0.0, 1.0)), Poly((0.0,)), Poly((0.0, 1.0)), 1)
+
+
+# Below order 1 these raised numpy's ValueError or an IndexError, or answered
+# "inconclusive", "consistent" or a number.
+@pytest.mark.parametrize("call", ORDER_CALLS)
+@pytest.mark.parametrize("m", [0, -1])
+def test_every_order_m_entry_point_refuses_m_below_1(call, m):
+    with pytest.raises(OrderViolationError, match="order m must be at least 1"):
+        ORDER_CALLS[call](m)
 
 
 def test_one_row_curve_is_rejected():

@@ -13,13 +13,15 @@ from pathlib import Path
 import pytest
 
 from conftest import circle_rows
-from heiswhit import cli, horizontal
+from heiswhit import SampledCurve, cli, horizontal, synthesize
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
+# Each run's id is its script's name, or the name and a "-" suffix.
 RUNS = {
     "bump_scaling": ["--mismatches", "1e-2", "1e-4", "--m", "1"],
+    "bump_scaling-m2": ["--mismatches", "1e-2", "1e-4", "--m", "2"],
     "decay_tables": ["--sizes", "8", "--m", "1"],
     "finiteness_refinement": ["--sizes", "6", "8", "--m", "1"],
 }
@@ -34,8 +36,22 @@ def load(name, folder=SCRIPTS):
 
 @pytest.mark.parametrize("name", RUNS)
 def test_script_main_exits_0(name, capsys):
-    assert load(name).main(RUNS[name]) == 0
+    assert load(name.split("-")[0]).main(RUNS[name]) == 0
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_bump_amplitude_over_sqrt_mismatch_is_flat_at_higher_order(m, capsys):
+    script = load("bump_scaling")
+    mismatches = ["1e-1", "1e-2", "1e-3", "1e-4", "1e-5", "1e-6"]
+    assert script.main(["--mismatches", *mismatches, "--m", str(m)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == len(mismatches)
+    assert len({row[2] for row in rows}) == 1  # amp/sqrt, six significant digits
+    # Only the last gap holds a height mismatch, so only it carries a bump.
+    curve = synthesize(SampledCurve.from_rows(script.mismatch_rows(m, 1e-3)), m, force=True)
+    assert len(curve.bump_amplitudes) == m
+    assert curve.bump_amplitudes[-1] > 0.0 and not any(curve.bump_amplitudes[:-1])
 
 
 def test_scan_memory_writes_one_row_per_call(tmp_path, capsys):
